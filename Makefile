@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke deprecation-gate paper paper-smoke
+.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke paper paper-smoke
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ race:
 		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence' \
 		./internal/ring ./internal/platch ./internal/diffcheck
 
-verify: fmt test vet deprecation-gate race diffcheck serve-smoke paper-smoke
+verify: fmt test vet race diffcheck serve-smoke paper-smoke
 
 # Paper-grade reproduction: run the default experiment grid (repeats,
 # backend/shard/sampling/geometry sweeps, catalog experiments) into a
@@ -63,21 +63,6 @@ paper-smoke:
 # reference stack, and SIGTERM it to exercise graceful drain.
 serve-smoke:
 	$(GO) run ./tools/serve-smoke
-
-# Facade hygiene: RunBackend/RunShardedBackend are deprecated in favor of
-# the context-aware, request-struct latch.Run, and dift.DefaultPolicy is
-# deprecated in favor of policy.Default (via the latch.DefaultPolicy
-# facade). The wrappers stay for compatibility, but no code in this
-# repository may call them.
-deprecation-gate:
-	@out="$$(grep -rn --include='*.go' -E 'latch\.Run(Sharded)?Backend\(' . || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "deprecated facade calls (use latch.Run with a RunRequest):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' -E 'dift\.DefaultPolicy\(' . || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "deprecated dift.DefaultPolicy calls (use policy.Default / latch.DefaultPolicy):"; \
-		echo "$$out"; exit 1; fi
 
 # Differential smoke tier: every registered backend against the
 # byte-precise DIFT reference over 200 seeded random programs plus the
@@ -156,10 +141,14 @@ bench-gate:
 
 # Short fuzz passes: the LA32 assembler/decoder round-trip properties
 # (FuzzAssembleDecode also cross-checks the decode cache against direct
-# Decode, through invalidation and refill), then the backend-equivalence
-# fuzzer, which drives the differential checker from random case seeds.
+# Decode, through invalidation and refill), the interpreter differential
+# (FuzzFastLoopVsStep runs raw instruction words through the fast loop and
+# through Step and compares every piece of state), then the
+# backend-equivalence fuzzer, which drives the differential checker from
+# random case seeds.
 fuzz:
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
+	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that

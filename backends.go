@@ -152,27 +152,3 @@ func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	}
 	return engine.RunProfile(ctx, b, p, opts)
 }
-
-// RunBackend streams one calibrated workload through the named backend in
-// its paper-default configuration. The observer may be nil; it never
-// affects results.
-//
-// Deprecated: use Run with a RunRequest — it is context-aware, validates up
-// front, and grows by field rather than by positional parameter. This
-// wrapper runs with context.Background() and cannot be canceled.
-func RunBackend(backend, workloadName string, events uint64, obs Observer) (BackendResult, error) {
-	return Run(context.Background(), RunRequest{
-		Backend: backend, Workload: workloadName, Events: events, Observer: obs,
-	})
-}
-
-// RunShardedBackend is RunBackend with an explicit monitor shard count for
-// backends that fan the monitor out over parallel shards (the concurrent
-// "cplatch" integration). shards <= 0 keeps the backend's default geometry.
-//
-// Deprecated: use Run with a RunRequest — see RunBackend.
-func RunShardedBackend(backend, workloadName string, events uint64, shards int, obs Observer) (BackendResult, error) {
-	return Run(context.Background(), RunRequest{
-		Backend: backend, Workload: workloadName, Events: events, Shards: shards, Observer: obs,
-	})
-}

@@ -42,6 +42,7 @@ import (
 	"latch"
 	"latch/internal/cosim"
 	"latch/internal/isa"
+	"latch/internal/slatch"
 	"latch/internal/trace"
 	"latch/internal/workload"
 )
@@ -74,7 +75,6 @@ func run() int {
 		events     = flag.Uint64("events", 2_000_000, "stream length in instructions for -backend")
 		shards     = flag.Int("shards", 0, "monitor shard count for sharded backends (cplatch); 0 keeps the backend default")
 		listBack   = flag.Bool("list-backends", false, "list registered backends and exit")
-		slowdown   = flag.Float64("sw-slowdown", 5, "software DIFT slowdown for -slatch")
 		leak       = flag.Bool("check-leak", false, "enable the output-leak check")
 		polPath    = flag.String("policy", "", "JSON taint-policy file overlaid onto the default policy")
 		sampleFrac = flag.Float64("sample", -1, "source-sampling fraction in [0,1] (selective tracing); 1 traces every source")
@@ -202,7 +202,7 @@ func run() int {
 	}
 
 	if *coSLatch {
-		return runCoSim(ctx, src, pol, input, requests, *slowdown, *maxSteps, metrics, *telemetry)
+		return runCoSim(ctx, src, pol, input, requests, *maxSteps, metrics, *telemetry)
 	}
 
 	sys, err := latch.New(latch.WithPolicy(pol), latch.WithObserver(metrics))
@@ -283,33 +283,30 @@ func runBackend(ctx context.Context, backend, workloadName string, events uint64
 }
 
 // runCoSim executes the program under the full S-LATCH two-mode protocol
-// and reports the mode split and cycle accounting.
+// (the slatch backend on a co-simulated machine) and reports the mode split
+// and cycle accounting.
 func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, requests requestList,
-	slowdown float64, maxSteps uint64, metrics *latch.Metrics, telemetry bool) int {
-	cfg := cosim.DefaultConfig()
-	cfg.SWSlowdown = slowdown
-	cfg.Observer = metrics
-	sys, err := cosim.New(cfg, pol)
+	maxSteps uint64, metrics *latch.Metrics, telemetry bool) int {
+	mon, err := cosim.NewMonitor("slatch", pol, metrics)
 	if err != nil {
 		return fail(err)
 	}
-	sys.Machine.Env.FileData = input
-	sys.Machine.Env.Requests = requests
+	mon.Machine.Env.FileData = input
+	mon.Machine.Env.Requests = requests
 	prog, err := assembleOrLoad(src)
 	if err != nil {
 		return fail(err)
 	}
-	sys.Machine.Load(prog)
-	_, runErr := sys.Machine.Run(ctx, maxSteps)
-	code := sys.Machine.ExitCode()
-	st := sys.Stats()
+	_, runErr := mon.RunProgram(ctx, prog, maxSteps)
+	res := mon.Result().(slatch.Result)
+	st := mon.Session // returns and traps are session counters the result does not carry
 	fmt.Printf("instructions: %d (hardware %d, software %d)\n",
-		st.Instructions, st.HWInstrs, st.SWInstrs)
+		res.Events, res.HWInstrs, res.SWInstrs)
 	fmt.Printf("mode switches: %d to software, %d returns; traps %d (%d dismissed as false positives)\n",
-		st.Switches, st.Returns, st.Traps, st.FalseTraps)
+		res.Switches, st.Returns, st.Traps, res.FalsePositives)
 	fmt.Printf("cycles: %d total over %d native (overhead %.1f%%; continuous DIFT would be %.1f%%)\n",
-		st.TotalCycles(), st.Cycles.Base, 100*st.Overhead(), 100*(slowdown-1))
-	if out := sys.Machine.Env.Output.String(); out != "" {
+		res.TotalCycles(), res.Cycles.Base, 100*res.Overhead(), 100*res.LibdftOverhead())
+	if out := mon.Machine.Env.Output.String(); out != "" {
 		fmt.Printf("output: %q\n", out)
 	}
 	if telemetry {
@@ -319,7 +316,7 @@ func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, r
 		fmt.Printf("SECURITY EXCEPTION: %v\n", runErr)
 		return 1
 	}
-	fmt.Printf("exit code: %d\n", code)
+	fmt.Printf("exit code: %d\n", mon.Machine.ExitCode())
 	return 0
 }
 

@@ -6,43 +6,43 @@ import (
 	"testing"
 
 	"latch/internal/dift"
+	"latch/internal/engine"
 	"latch/internal/isa"
-	"latch/internal/latch"
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/vm"
 	"latch/internal/workload"
+
+	_ "latch/internal/slatch" // registers the backend NewMonitor("slatch") resolves
 )
 
-func newSystem(t *testing.T, mutate func(*Config)) *System {
+// newSLatch builds the S-LATCH co-simulation: a Monitor around the
+// registered slatch backend in its paper-default configuration.
+func newSLatch(t testing.TB) *Monitor {
 	t.Helper()
-	cfg := DefaultConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := New(cfg, policy.Default())
+	m, err := NewMonitor("slatch", policy.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return m
 }
 
-func TestRejectsEagerClear(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Latch.Clear = latch.EagerClear
-	if _, err := New(cfg, policy.Default()); err == nil {
-		t.Fatal("eager clear accepted")
+// runSLatch runs src to completion on a fresh S-LATCH co-simulation and
+// returns the machine with its session counters.
+func runSLatch(t *testing.T, src string, env func(*vm.Env)) (*Monitor, engine.Snapshot) {
+	t.Helper()
+	m := newSLatch(t)
+	if env != nil {
+		env(m.Machine.Env)
 	}
-	cfg = DefaultConfig()
-	cfg.SWSlowdown = 0.5
-	if _, err := New(cfg, policy.Default()); err == nil {
-		t.Fatal("sub-native slowdown accepted")
+	if _, err := m.Run(context.Background(), src, 100_000); err != nil {
+		t.Fatal(err)
 	}
+	return m, m.Session.Snapshot()
 }
 
 func TestCleanProgramStaysInHardware(t *testing.T) {
-	s := newSystem(t, nil)
-	if _, err := s.Run(context.Background(), `
+	_, st := runSLatch(t, `
 		movi r1, 100
 		movi r2, 0
 	loop:
@@ -50,53 +50,45 @@ func TestCleanProgramStaysInHardware(t *testing.T) {
 		addi r1, r1, -1
 		bne  r1, r0, loop
 		halt
-	`, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	`, nil)
 	if st.SWInstrs != 0 || st.Switches != 0 {
 		t.Fatalf("clean program entered software mode: %+v", st)
 	}
-	if st.Overhead() > 0.01 {
-		t.Fatalf("clean overhead = %v", st.Overhead())
+	if st.Cycles.Overhead() > 0.01 {
+		t.Fatalf("clean overhead = %v", st.Cycles.Overhead())
 	}
 }
 
 func TestTaintedInputTriggersSwitchAndTimeout(t *testing.T) {
-	s := newSystem(t, func(c *Config) { c.Costs.TimeoutInstrs = 50 })
-	s.Machine.Env.FileData = []byte{1, 2, 3, 4}
-	// Read tainted data, touch it once, then run a long clean loop: the
-	// system must switch to software on the tainted load and back to
-	// hardware after the timeout.
-	if _, err := s.Run(context.Background(), `
+	// Read tainted data, touch it once, then run a clean loop longer than
+	// the 1000-instruction timeout: the system must switch to software on
+	// the tainted load and back to hardware after the timeout.
+	_, st := runSLatch(t, `
 		li   r1, 0x8000
 		movi r2, 4
 		sys  2
 		li   r3, 0x8000
 		ldw  r4, [r3]     ; tainted load -> trap -> software mode
 		movi r4, 0        ; clears the register again
-		movi r5, 500
+		movi r5, 600
 	loop:
 		addi r5, r5, -1
 		bne  r5, r0, loop ; long clean epoch -> timeout -> hardware mode
 		halt
-	`, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	`, func(e *vm.Env) { e.FileData = []byte{1, 2, 3, 4} })
 	if st.Switches != 1 {
 		t.Fatalf("switches = %d, want 1", st.Switches)
 	}
 	if st.Returns != 1 {
 		t.Fatalf("returns = %d, want 1", st.Returns)
 	}
-	if s.Mode() != ModeHardware {
-		t.Fatalf("final mode = %v", s.Mode())
+	if st.Mode != engine.ModeHardware {
+		t.Fatalf("final mode = %v", st.Mode)
 	}
 	if st.SWInstrs == 0 || st.HWInstrs == 0 {
 		t.Fatalf("mode split: %+v", st)
 	}
-	if st.Overhead() <= 0 {
+	if st.Cycles.Overhead() <= 0 {
 		t.Fatal("no overhead recorded")
 	}
 }
@@ -108,9 +100,8 @@ func TestExploitCaughtInBothModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attack := append(make([]byte, 16), 0x00, 0x10, 0x00, 0x00)
-	s := newSystem(t, nil)
-	s.Machine.Env.FileData = attack
+	s := newSLatch(t)
+	s.Machine.Env.FileData = append(make([]byte, 16), 0x00, 0x10, 0x00, 0x00)
 	_, err = s.Run(context.Background(), src, 100_000)
 	var v dift.Violation
 	if !errors.As(err, &v) || v.Kind != dift.ViolationControlFlow {
@@ -118,7 +109,7 @@ func TestExploitCaughtInBothModes(t *testing.T) {
 	}
 	// The trap (and switch) must have occurred before the violation: the
 	// tainted pointer load put the system in software mode.
-	if s.Stats().Switches == 0 {
+	if s.Session.Switches == 0 {
 		t.Fatal("attack did not transfer to software mode first")
 	}
 }
@@ -128,12 +119,7 @@ func TestBenignOverflowRunsHardwareFalsePositiveFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSystem(t, nil)
-	s.Machine.Env.FileData = []byte("ok")
-	if _, err := s.Run(context.Background(), src, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	s, st := runSLatch(t, src, func(e *vm.Env) { e.FileData = []byte("ok") })
 	// The program never reads the message bytes themselves; the only taint
 	// interaction is the function-pointer load from the same 64-byte domain
 	// as the tainted buffer — a textbook coarse false positive (Figure 1,
@@ -153,7 +139,7 @@ func TestFalsePositiveDismissal(t *testing.T) {
 	// Taint one byte, then access a *different* byte in the same 64-byte
 	// domain from hardware mode: the coarse check fires, the precise filter
 	// dismisses it, and execution never enters software mode.
-	s := newSystem(t, nil)
+	s := newSLatch(t)
 	s.Engine.TaintMemory(0x8000, 1, shadow.MustLabel(0))
 	if _, err := s.Run(context.Background(), `
 		li   r3, 0x8020   ; same domain as 0x8000, clean byte
@@ -162,7 +148,7 @@ func TestFalsePositiveDismissal(t *testing.T) {
 	`, 1000); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.Session.Snapshot()
 	if st.Traps == 0 || st.FalseTraps == 0 {
 		t.Fatalf("expected a dismissed trap: %+v", st)
 	}
@@ -172,38 +158,40 @@ func TestFalsePositiveDismissal(t *testing.T) {
 }
 
 func TestTRFPropagationInHardware(t *testing.T) {
-	// strf-set taint on a register propagates through hardware TRF rules
-	// and traps on use.
-	s := newSystem(t, func(c *Config) { c.Costs.TimeoutInstrs = 10 })
-	prog := isa.MustAssemble(`
-		movi r2, 0b10   ; mark r1 tainted in the TRF and engine
+	// strf-set taint on a register is a register-operand positive in
+	// hardware mode: its first use traps, the handler confirms it, and
+	// execution moves to software mode without touching memory.
+	s := newSLatch(t)
+	s.Machine.Load(isa.MustAssemble(`
+		movi r2, 0b10   ; mark r1 tainted
 		strf r2
 		mov  r3, r1     ; tainted move -> trap -> software
 		halt
-	`)
-	s.Machine.Load(prog)
+	`))
 	if _, err := s.Machine.Run(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Switches != 1 {
-		t.Fatalf("switches = %d, want 1 (TRF-driven trap)", st.Switches)
+	st := s.Session.Snapshot()
+	if st.Traps != 1 || st.FalseTraps != 0 || st.Switches != 1 {
+		t.Fatalf("traps=%d false=%d switches=%d, want 1/0/1 (register-driven trap)",
+			st.Traps, st.FalseTraps, st.Switches)
+	}
+	if st.Latch.Checks != 0 {
+		t.Fatalf("register-only program made %d coarse memory checks", st.Latch.Checks)
 	}
 }
 
 func TestStatsBreakdownConsistent(t *testing.T) {
-	s := newSystem(t, func(c *Config) { c.Costs.TimeoutInstrs = 20 })
-	s.Machine.Env.FileData = []byte("abcdefgh")
-	src, _ := workload.ProgramSource("copyloop")
-	if _, err := s.Run(context.Background(), src, 100_000); err != nil {
+	src, err := workload.ProgramSource("copyloop")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.HWInstrs+st.SWInstrs != st.Instructions {
+	_, st := runSLatch(t, src, func(e *vm.Env) { e.FileData = []byte("abcdefgh") })
+	if st.HWInstrs+st.SWInstrs != st.Events {
 		t.Fatalf("mode split does not sum: %+v", st)
 	}
 	sum := st.Cycles.Base + st.Cycles.Libdft + st.Cycles.Xfer + st.Cycles.FPCheck + st.Cycles.CTCMiss + st.Cycles.Scan
-	if sum != st.TotalCycles() {
+	if sum != st.Cycles.Total() {
 		t.Fatal("cycle categories do not sum to total")
 	}
 	if st.FalseTraps > st.Traps {
@@ -213,29 +201,21 @@ func TestStatsBreakdownConsistent(t *testing.T) {
 
 func TestSubstitutionMostlyHardware(t *testing.T) {
 	// The substitution kernel touches taint only while reading input bytes;
-	// table lookups and stores are clean, so after the timeout the long
-	// table-build prologue and the output writes run in hardware.
-	s := newSystem(t, func(c *Config) { c.Costs.TimeoutInstrs = 100 })
-	s.Machine.Env.FileData = []byte{9, 8, 7}
-	src, _ := workload.ProgramSource("substitution")
-	if _, err := s.Run(context.Background(), src, 100_000); err != nil {
+	// table lookups and stores are clean, so the long table-build prologue
+	// runs in hardware.
+	src, err := workload.ProgramSource("substitution")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	_, st := runSLatch(t, src, func(e *vm.Env) { e.FileData = []byte{9, 8, 7} })
 	// The 256-entry table build alone is >1500 hardware instructions.
 	if st.HWInstrs < st.SWInstrs {
 		t.Fatalf("expected hardware-dominated run: %+v", st)
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if ModeHardware.String() != "hardware" || ModeSoftware.String() != "software" {
-		t.Fatal("mode names")
-	}
-}
-
 func TestTrackerInterfaceDelegation(t *testing.T) {
-	s := newSystem(t, nil)
+	s := newSLatch(t)
 	// Output with leak checking disabled passes.
 	if err := s.Output(0, 0x100, 4); err != nil {
 		t.Fatal(err)
@@ -244,11 +224,11 @@ func TestTrackerInterfaceDelegation(t *testing.T) {
 		t.Fatal("accept ids wrong")
 	}
 	s.SetTaintByte(0x40, shadow.MustLabel(1))
-	if !s.Shadow.Get(0x40).Tainted() {
+	if !s.Session.Shadow.Get(0x40).Tainted() {
 		t.Fatal("stnt delegation failed")
 	}
 	s.SetRegTaintMask(0b100, shadow.MustLabel(0))
-	if !s.Engine.RegTaint(2).Tainted() || !s.Module.TRF().Tainted(2) {
+	if !s.Engine.RegTaint(2).Tainted() {
 		t.Fatal("strf delegation failed")
 	}
 	var _ vm.Tracker = s
@@ -266,13 +246,9 @@ func BenchmarkSLatchCoSim(b *testing.B) {
 	b.ReportMetric(2960, "instrs/op") // substitution's instruction count
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := New(DefaultConfig(), policy.Default())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := newSLatch(b)
 		s.Machine.Env.FileData = []byte("benchmark input data here")
-		s.Machine.Load(prog)
-		if _, err := s.Machine.Run(context.Background(), 100_000); err != nil {
+		if _, err := s.RunProgram(context.Background(), prog, 100_000); err != nil {
 			b.Fatal(err)
 		}
 		if s.Machine.Instret() < 2000 {

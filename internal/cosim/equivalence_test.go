@@ -61,16 +61,13 @@ func runPure(t *testing.T, src string, input []byte, requests [][]byte) (finalSt
 
 func runSLatchCosim(t *testing.T, src string, input []byte, requests [][]byte) (finalState, error) {
 	t.Helper()
-	sys, err := New(DefaultConfig(), policy.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Machine.Env.FileData = input
-	sys.Machine.Env.Requests = requests
-	_, runErr := sys.Run(context.Background(), src, 1_000_000)
+	mon := newSLatch(t)
+	mon.Machine.Env.FileData = input
+	mon.Machine.Env.Requests = requests
+	_, runErr := mon.Run(context.Background(), src, 1_000_000)
 	return finalState{
-		regs: sys.Machine.Regs, exitCode: sys.Machine.ExitCode(),
-		output: sys.Machine.Env.Output.String(), tainted: taintSnapshot(sys.Shadow),
+		regs: mon.Machine.Regs, exitCode: mon.Machine.ExitCode(),
+		output: mon.Machine.Env.Output.String(), tainted: taintSnapshot(mon.Session.Shadow),
 	}, runErr
 }
 

@@ -1,3 +1,34 @@
+// Package cosim executes real LA32 programs under the LATCH integrations,
+// with the byte-precise DIFT engine running alongside as ground truth. It
+// offers two machines:
+//
+//   - Monitor runs any registered engine backend over a program's commit
+//     stream. Each committed instruction becomes the trace.Event the
+//     calibrated generators emit, with the precise engine's verdict in its
+//     Tainted flag, and the backend steps it through a shared
+//     engine.Session. With the "slatch" backend this is the cycle-accounted
+//     S-LATCH co-simulation (§5.1, Figure 9): hardware mode checks memory
+//     operands against the coarse taint state and register operands
+//     through the Tainted flag (the TRF check), a confirmed trap moves
+//     execution to the modeled instrumented image, and the 1000-instruction
+//     timeout moves it back. The two-mode protocol and its cost constants
+//     live only in package slatch and the engine's epoch machine.
+//
+//   - Parallel is the two-core P-LATCH machine (§5.2): the monitored core
+//     filters committed instructions through the coarse state and its own
+//     TRF into a shared log, and a lagging monitor replays the log through
+//     the precise engine. It models what Monitor cannot: the log's
+//     sync-point drains, its stalls, and the detection lag of deferred
+//     violations.
+//
+// Soundness argument mirrored from the paper: in S-LATCH hardware mode no
+// instruction with a tainted source operand executes un-trapped (tainted
+// registers are visible in the TRF, which Monitor models with the precise
+// Tainted flag; tainted memory is visible in the coarse state, which has no
+// false negatives), so native execution can only *clear* taint, never move
+// it. Taint creation (syscall input) writes the shadow directly and reaches
+// the coarse state through the module's watchers before any dependent
+// instruction commits.
 package cosim
 
 import (
@@ -7,6 +38,7 @@ import (
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
@@ -19,7 +51,8 @@ import (
 // committed instruction is translated into the same trace.Event record the
 // calibrated generators emit and fed to the backend through a shared
 // engine.Session. Equivalence checks can therefore compare any backend's
-// view of a program against the conventional engine's on identical inputs.
+// view of a program against the conventional engine's on identical inputs,
+// and NewMonitor("slatch", ...) is the S-LATCH co-simulation.
 type Monitor struct {
 	Machine *vm.CPU
 	Engine  *dift.Engine
@@ -31,9 +64,14 @@ type Monitor struct {
 
 var _ vm.Tracker = (*Monitor)(nil)
 
+// swSlowdown is the instrumented image's slowdown over native execution
+// assumed for program-driven runs, which carry no calibrated profile: the
+// software-mode cost S-LATCH charges per instruction.
+const swSlowdown = 5
+
 // NewMonitor builds a co-simulated machine around the named registered
 // backend in its paper-default configuration.
-func NewMonitor(backendName string, pol dift.Policy, obs telemetry.Observer) (*Monitor, error) {
+func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
 	sch, err := engine.Lookup(backendName)
 	if err != nil {
 		return nil, err
@@ -45,12 +83,13 @@ func NewMonitor(backendName string, pol dift.Policy, obs telemetry.Observer) (*M
 // constructed (and possibly specially configured) backend instance — the
 // differential checker uses this to sweep the concurrent backend's shard
 // counts. The backend must be fresh: one instance serves one run.
-func NewMonitorBackend(b engine.Backend, pol dift.Policy, obs telemetry.Observer) (*Monitor, error) {
+func NewMonitorBackend(b engine.Backend, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
 	sess, err := engine.NewSession(b.Config())
 	if err != nil {
 		return nil, err
 	}
 	sess.AttachObserver(obs)
+	sess.Profile.LibdftSlowdown = swSlowdown
 	m := &Monitor{
 		Engine:  dift.NewEngine(sess.Shadow, pol),
 		Module:  sess.Module,

@@ -9,6 +9,7 @@ import (
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 	"latch/internal/vm"
@@ -166,7 +167,7 @@ func (p *pendingRing) pending(domain uint32) bool {
 // NewParallel builds the two-core machine with the given DIFT policy. The
 // monitor's engine never fails fast: violations are recorded with their
 // detection lag and surfaced through Violations().
-func NewParallel(cfg ParallelConfig, pol dift.Policy) (*Parallel, error) {
+func NewParallel(cfg ParallelConfig, pol policy.Policy) (*Parallel, error) {
 	if cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("cosim: queue depth %d must be positive", cfg.QueueDepth)
 	}

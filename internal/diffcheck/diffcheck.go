@@ -106,8 +106,8 @@ func (c Case) Program() (*isa.Program, error) {
 // enabled, and — crucially — FailFast off, so violations are recorded as
 // data and execution continues; the two sides then remain comparable past
 // the first positive instead of racing to their first error return.
-func basePolicy() dift.Policy {
-	return dift.Policy{
+func basePolicy() policy.Policy {
+	return policy.Policy{
 		TaintFile:        true,
 		TaintNet:         true,
 		CheckControlFlow: true,
@@ -128,7 +128,7 @@ var caseFractions = []float64{1.0, 1.0, 0.5, 0.25, 0.1}
 // reference and a sampled backend must still be indistinguishable.
 // Deterministic per seed, so minimization and corpus replay reproduce the
 // exact failing policy.
-func CasePolicy(seed int64) dift.Policy {
+func CasePolicy(seed int64) policy.Policy {
 	pol := basePolicy()
 	pol.Sampling = policy.Sampling{
 		SampleFraction: caseFractions[uint64(seed)%uint64(len(caseFractions))],
@@ -232,7 +232,7 @@ func RunReference(c Case) (Outcome, error) {
 }
 
 // runReferencePolicy is RunReference under an explicit policy.
-func runReferencePolicy(c Case, pol dift.Policy) (Outcome, error) {
+func runReferencePolicy(c Case, pol policy.Policy) (Outcome, error) {
 	prog, err := c.Program()
 	if err != nil {
 		return Outcome{}, err
@@ -328,7 +328,7 @@ type oracleTracker struct {
 	// source-sampling decisions for the selective-tracing oracle: the
 	// tracker counts source events exactly as the engine does, so a
 	// disagreement means the engine strayed from the declared spec.
-	pol      dift.Policy
+	pol      policy.Policy
 	sampler  policy.Sampler
 	ordinals [2]uint64
 }

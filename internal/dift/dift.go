@@ -126,49 +126,6 @@ func (v Violation) Error() string {
 // proper error chain: errors.Is(v, ErrControlFlow) and errors.As both work.
 func (v Violation) Unwrap() error { return v.Kind.Err() }
 
-// PropagationMode selects the taint propagation rules.
-//
-// Deprecated: the policy model now lives in latch/internal/policy;
-// PropagationMode is an alias for policy.Propagation kept so existing
-// call sites keep compiling.
-type PropagationMode = policy.Propagation
-
-// Propagation modes, aliased from the policy layer. PropagationClassical
-// is full Dynamic Taint Analysis — data movement copies taint,
-// computation unions it (the libdft rules the paper evaluates).
-// PropagationPIFT approximates PIFT ([56] in the paper): taint flows
-// through consecutive load/store/move chains but is *not* tracked
-// through computation — ALU results are treated as fresh values. The
-// paper notes LATCH's coarse caching composes with such approximate
-// schemes; this mode lets that be demonstrated (and the under-tainting
-// measured).
-const (
-	PropagationClassical = policy.PropagationClassical
-	PropagationPIFT      = policy.PropagationPIFT
-)
-
-// Policy configures which sources taint data and which uses are
-// violations.
-//
-// Deprecated: Policy is an alias for policy.Policy, the declarative
-// JSON-serializable policy layer. The old `TrustConn func(conn int)
-// bool` hook is gone — express connection trust with the declarative
-// TrustFraction field, which the engine evaluates through the policy
-// sampler (deterministic per connection id).
-type Policy = policy.Policy
-
-// DefaultPolicy is the conservative policy of the paper's general
-// evaluation: all external input is untrusted, control-flow checks
-// enabled.
-//
-// Deprecated: this is the migration shim for the old constructor; new
-// code should call policy.Default() (or latch.DefaultPolicy at the
-// facade). The `make deprecation-gate` target rejects new call sites of
-// this shim.
-func DefaultPolicy() Policy {
-	return policy.Default()
-}
-
 // RegTaint is the byte-granular taint of one 32-bit register.
 type RegTaint [4]shadow.Tag
 
@@ -186,7 +143,7 @@ func splat(t shadow.Tag) RegTaint { return RegTaint{t, t, t, t} }
 // Engine is the precise DIFT engine.
 type Engine struct {
 	Shadow *shadow.Shadow
-	policy Policy
+	policy policy.Policy
 
 	// sampler makes the policy's deterministic source-sampling and
 	// connection-trust decisions; srcOrdinals numbers the source events
@@ -208,12 +165,12 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over the given shadow memory.
-func NewEngine(sh *shadow.Shadow, p Policy) *Engine {
+func NewEngine(sh *shadow.Shadow, p policy.Policy) *Engine {
 	return &Engine{Shadow: sh, policy: p, sampler: p.Sampler()}
 }
 
 // Policy returns the engine's policy.
-func (e *Engine) Policy() Policy { return e.policy }
+func (e *Engine) Policy() policy.Policy { return e.policy }
 
 // SetObserver attaches obs to the engine: policy violations are emitted
 // through it. Nil (the default) disables emission.
@@ -298,7 +255,7 @@ func (e *Engine) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	case isa.ClassImm:
 		e.regs[in.Rd] = RegTaint{}
 	case isa.ClassALU2:
-		if e.policy.Propagation == PropagationPIFT {
+		if e.policy.Propagation == policy.PropagationPIFT {
 			// PIFT does not track taint through computation.
 			e.regs[in.Rd] = RegTaint{}
 			break
@@ -311,7 +268,7 @@ func (e *Engine) Commit(pc uint32, in isa.Instr, addr uint32) error {
 		u := e.regs[in.Rs1].Union() | e.regs[in.Rs2].Union()
 		e.regs[in.Rd] = splat(u)
 	case isa.ClassALUImm:
-		if e.policy.Propagation == PropagationPIFT {
+		if e.policy.Propagation == policy.PropagationPIFT {
 			e.regs[in.Rd] = RegTaint{}
 			break
 		}

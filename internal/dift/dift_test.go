@@ -5,16 +5,17 @@ import (
 	"testing/quick"
 
 	"latch/internal/isa"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 )
 
-func newEngine(t *testing.T, p Policy) *Engine {
+func newEngine(t *testing.T, p policy.Policy) *Engine {
 	t.Helper()
 	return NewEngine(shadow.MustNew(shadow.DefaultDomainSize), p)
 }
 
 func TestLoadPropagatesMemoryToRegister(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.TaintMemory(100, 4, shadow.MustLabel(0))
 	in := isa.Instr{Op: isa.LDW, Rd: 1, Rs1: 2}
 	if err := e.Commit(0, in, 100); err != nil {
@@ -33,7 +34,7 @@ func TestLoadPropagatesMemoryToRegister(t *testing.T) {
 }
 
 func TestLoadPartialWidths(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.TaintMemory(101, 1, shadow.MustLabel(0)) // only byte 101
 	// ldb of 101 taints byte 0 only.
 	e.Commit(0, isa.Instr{Op: isa.LDB, Rd: 1}, 101)
@@ -50,7 +51,7 @@ func TestLoadPartialWidths(t *testing.T) {
 }
 
 func TestStorePropagatesRegisterToMemory(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(3, RegTaint{shadow.MustLabel(1), 0, 0, 0})
 	e.Commit(0, isa.Instr{Op: isa.STW, Rd: 3, Rs1: 4}, 200)
 	if e.Shadow.Get(200) != shadow.MustLabel(1) {
@@ -67,7 +68,7 @@ func TestStorePropagatesRegisterToMemory(t *testing.T) {
 }
 
 func TestALUUnion(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	e.SetRegTaint(2, splat(shadow.MustLabel(1)))
 	e.Commit(0, isa.Instr{Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2}, 0)
@@ -77,7 +78,7 @@ func TestALUUnion(t *testing.T) {
 }
 
 func TestXorSelfClears(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	e.Commit(0, isa.Instr{Op: isa.XOR, Rd: 1, Rs1: 1, Rs2: 1}, 0)
 	if e.RegTaint(1).Tainted() {
@@ -92,7 +93,7 @@ func TestXorSelfClears(t *testing.T) {
 }
 
 func TestImmediatesClear(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	e.Commit(0, isa.Instr{Op: isa.MOVI, Rd: 1, Imm: 5}, 0)
 	if e.RegTaint(1).Tainted() {
@@ -106,7 +107,7 @@ func TestImmediatesClear(t *testing.T) {
 }
 
 func TestALUImmPropagates(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	e.Commit(0, isa.Instr{Op: isa.ADDI, Rd: 2, Rs1: 1, Imm: 4}, 0)
 	if !e.RegTaint(2).Tainted() {
@@ -115,7 +116,7 @@ func TestALUImmPropagates(t *testing.T) {
 }
 
 func TestMovePropagates(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, RegTaint{shadow.MustLabel(0), 0, shadow.MustLabel(1), 0})
 	e.Commit(0, isa.Instr{Op: isa.MOV, Rd: 2, Rs1: 1}, 0)
 	if e.RegTaint(2) != e.RegTaint(1) {
@@ -127,7 +128,7 @@ func TestNoAddressPropagation(t *testing.T) {
 	// A load whose *address register* is tainted but whose memory is clean
 	// yields a clean result: classical DTA, the substitution-table
 	// laundering effect of §3.3.2.
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(2, splat(shadow.MustLabel(0))) // index register tainted
 	e.Commit(0, isa.Instr{Op: isa.LDW, Rd: 1, Rs1: 2}, 500)
 	if e.RegTaint(1).Tainted() {
@@ -136,7 +137,7 @@ func TestNoAddressPropagation(t *testing.T) {
 }
 
 func TestCallClearsLR(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(isa.RegLR, splat(shadow.MustLabel(0)))
 	e.Commit(0, isa.Instr{Op: isa.CALL, Imm: 4}, 0)
 	if e.RegTaint(isa.RegLR).Tainted() {
@@ -145,7 +146,7 @@ func TestCallClearsLR(t *testing.T) {
 }
 
 func TestControlFlowViolation(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	err := e.IndirectTarget(0x40, 1, 0xdead)
 	if err == nil {
@@ -165,7 +166,7 @@ func TestControlFlowViolation(t *testing.T) {
 }
 
 func TestControlFlowCheckDisabled(t *testing.T) {
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.CheckControlFlow = false
 	e := newEngine(t, p)
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
@@ -175,7 +176,7 @@ func TestControlFlowCheckDisabled(t *testing.T) {
 }
 
 func TestFailFastFalseRecordsAndContinues(t *testing.T) {
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.FailFast = false
 	e := newEngine(t, p)
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
@@ -188,7 +189,7 @@ func TestFailFastFalseRecordsAndContinues(t *testing.T) {
 }
 
 func TestInputTainting(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.Input(0x100, 8, SourceFile, -1)
 	if e.Shadow.RangeTag(0x100, 8) != SourceFile.Tag() {
 		t.Fatal("file input not tainted")
@@ -200,7 +201,7 @@ func TestInputTainting(t *testing.T) {
 }
 
 func TestInputPolicyDisabled(t *testing.T) {
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.TaintFile = false
 	e := newEngine(t, p)
 	e.Input(0x100, 8, SourceFile, -1)
@@ -211,7 +212,7 @@ func TestInputPolicyDisabled(t *testing.T) {
 
 func TestTrustedConnections(t *testing.T) {
 	// TrustFraction 1: every connection is trusted, nothing taints.
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.TrustFraction = 1
 	e := newEngine(t, p)
 	c0 := e.Accept()
@@ -241,7 +242,7 @@ func TestTrustedConnections(t *testing.T) {
 // with the policy sampler (the declarative, serializable replacement
 // for the old TrustConn hook) and be identical across engines.
 func TestTrustFractionDeterministic(t *testing.T) {
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.TrustFraction = 0.5
 	p.Sampling.SampleSeed = 7
 	a := newEngine(t, p)
@@ -268,7 +269,7 @@ func TestTrustFractionDeterministic(t *testing.T) {
 }
 
 func TestLeakCheck(t *testing.T) {
-	p := DefaultPolicy()
+	p := policy.Default()
 	p.CheckLeak = true
 	e := newEngine(t, p)
 	e.TaintMemory(0x300, 2, shadow.MustLabel(0))
@@ -283,7 +284,7 @@ func TestLeakCheck(t *testing.T) {
 		t.Fatal("clean output flagged")
 	}
 	// Disabled check.
-	e2 := newEngine(t, DefaultPolicy())
+	e2 := newEngine(t, policy.Default())
 	e2.TaintMemory(0x300, 2, shadow.MustLabel(0))
 	if err := e2.Output(0, 0x300, 4); err != nil {
 		t.Fatal("leak check fired while disabled")
@@ -291,7 +292,7 @@ func TestLeakCheck(t *testing.T) {
 }
 
 func TestTouches(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.TaintMemory(100, 1, shadow.MustLabel(0))
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	cases := []struct {
@@ -322,7 +323,7 @@ func TestTouches(t *testing.T) {
 }
 
 func TestInstructionCounters(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.TaintMemory(100, 4, shadow.MustLabel(0))
 	e.Commit(0, isa.Instr{Op: isa.LDW, Rd: 1}, 100) // tainted
 	e.Commit(4, isa.Instr{Op: isa.NOP}, 0)          // clean
@@ -333,7 +334,7 @@ func TestInstructionCounters(t *testing.T) {
 }
 
 func TestSetTaintByteAndMask(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetTaintByte(50, shadow.MustLabel(2))
 	if e.Shadow.Get(50) != shadow.MustLabel(2) {
 		t.Fatal("stnt semantics wrong")
@@ -349,7 +350,7 @@ func TestSetTaintByteAndMask(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	e := newEngine(t, DefaultPolicy())
+	e := newEngine(t, policy.Default())
 	e.SetRegTaint(1, splat(shadow.MustLabel(0)))
 	e.IndirectTarget(0, 1, 0)
 	e.Commit(0, isa.Instr{Op: isa.NOP}, 0)
@@ -380,7 +381,7 @@ func TestSourceStrings(t *testing.T) {
 // shadow memory preserves byte-precise taint).
 func TestStoreLoadTaintRoundTrip(t *testing.T) {
 	f := func(b0, b1, b2, b3 uint8, addr uint32) bool {
-		e := NewEngine(shadow.MustNew(64), DefaultPolicy())
+		e := NewEngine(shadow.MustNew(64), policy.Default())
 		rt := RegTaint{shadow.Tag(b0), shadow.Tag(b1), shadow.Tag(b2), shadow.Tag(b3)}
 		e.SetRegTaint(1, rt)
 		e.Commit(0, isa.Instr{Op: isa.STW, Rd: 1, Rs1: 2}, addr)
@@ -395,8 +396,8 @@ func TestStoreLoadTaintRoundTrip(t *testing.T) {
 // Property: ALU union is commutative in its sources.
 func TestALUUnionCommutative(t *testing.T) {
 	f := func(a, b uint8) bool {
-		e1 := NewEngine(shadow.MustNew(64), DefaultPolicy())
-		e2 := NewEngine(shadow.MustNew(64), DefaultPolicy())
+		e1 := NewEngine(shadow.MustNew(64), policy.Default())
+		e2 := NewEngine(shadow.MustNew(64), policy.Default())
 		e1.SetRegTaint(1, splat(shadow.Tag(a)))
 		e1.SetRegTaint(2, splat(shadow.Tag(b)))
 		e2.SetRegTaint(1, splat(shadow.Tag(b)))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 )
@@ -35,7 +36,7 @@ func TestViolationErrorChain(t *testing.T) {
 
 func TestEngineEmitsViolations(t *testing.T) {
 	sh := shadow.MustNew(64)
-	pol := DefaultPolicy()
+	pol := policy.Default()
 	pol.CheckLeak = true
 	pol.FailFast = false
 	e := NewEngine(sh, pol)
@@ -66,7 +67,7 @@ func TestEngineEmitsViolations(t *testing.T) {
 
 func TestEngineEmitsFailFastViolation(t *testing.T) {
 	sh := shadow.MustNew(64)
-	e := NewEngine(sh, DefaultPolicy()) // FailFast
+	e := NewEngine(sh, policy.Default()) // FailFast
 	mx := telemetry.NewMetrics()
 	e.SetObserver(mx)
 

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"latch/internal/isa"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 )
 
 func piftEngine() *Engine {
-	p := DefaultPolicy()
-	p.Propagation = PropagationPIFT
+	p := policy.Default()
+	p.Propagation = policy.PropagationPIFT
 	return NewEngine(shadow.MustNew(shadow.DefaultDomainSize), p)
 }
 
 func TestPropagationModeString(t *testing.T) {
-	if PropagationClassical.String() != "classical" || PropagationPIFT.String() != "pift" {
+	if policy.PropagationClassical.String() != "classical" || policy.PropagationPIFT.String() != "pift" {
 		t.Fatal("mode names")
 	}
 }
@@ -54,8 +55,8 @@ func TestClassicalVersusPIFTUnderTainting(t *testing.T) {
 	// The same instruction sequence under both modes: classical taints the
 	// computed result, PIFT does not — the approximation the paper's
 	// related-work section describes.
-	run := func(mode PropagationMode) bool {
-		p := DefaultPolicy()
+	run := func(mode policy.Propagation) bool {
+		p := policy.Default()
 		p.Propagation = mode
 		e := NewEngine(shadow.MustNew(shadow.DefaultDomainSize), p)
 		e.TaintMemory(100, 4, shadow.MustLabel(0))
@@ -64,10 +65,10 @@ func TestClassicalVersusPIFTUnderTainting(t *testing.T) {
 		e.Commit(8, isa.Instr{Op: isa.STW, Rd: 2, Rs1: 5}, 300)
 		return e.Shadow.RangeTainted(300, 4)
 	}
-	if !run(PropagationClassical) {
+	if !run(policy.PropagationClassical) {
 		t.Fatal("classical DTA lost the computed taint")
 	}
-	if run(PropagationPIFT) {
+	if run(policy.PropagationPIFT) {
 		t.Fatal("PIFT tainted a computed value")
 	}
 }

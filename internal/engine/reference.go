@@ -6,6 +6,7 @@ import (
 	"latch/internal/dift"
 	"latch/internal/isa"
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/vm"
 )
@@ -25,7 +26,7 @@ type Reference struct {
 // NewReference builds the reference stack under pol, with the paper-default
 // domain geometry so its shadow bookkeeping (domain/page counters) is
 // directly comparable to a backend session's.
-func NewReference(pol dift.Policy) (*Reference, error) {
+func NewReference(pol policy.Policy) (*Reference, error) {
 	sh, err := shadow.New(latch.DefaultConfig().DomainSize)
 	if err != nil {
 		return nil, err

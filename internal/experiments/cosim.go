@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"latch/internal/cosim"
+	"latch/internal/slatch"
 	"latch/internal/stats"
 	"latch/internal/vm"
 	"latch/internal/workload"
@@ -118,36 +119,35 @@ func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 	return t, nil
 }
 
-// CoSim runs every scenario under the end-to-end S-LATCH co-simulation and
-// tabulates the mode split and overhead against continuous software DIFT.
-// Each scenario is one pool job.
+// CoSim runs every scenario under the end-to-end S-LATCH co-simulation
+// (cosim.Monitor driving the registered slatch backend) and tabulates the
+// mode split and overhead against continuous software DIFT. Each scenario
+// is one pool job.
 func (r *Runner) CoSim() (*stats.Table, error) {
 	t := stats.NewTable("End-to-end S-LATCH co-simulation (real LA32 programs, 5x software DIFT)",
 		"program", "instructions", "hw %", "sw %", "switches", "false traps", "overhead %", "continuous %")
 	rows := make([][]any, len(cosimCases))
 	err := r.runJobs("cosim", cosimCaseNames(), func(i int, name string, js *JobStat) error {
 		c := cosimCases[i]
-		cfg := cosim.DefaultConfig()
-		cfg.Observer = r.passObserver("cosim")
-		sys, err := cosim.New(cfg, r.policy())
+		mon, err := cosim.NewMonitor("slatch", r.policy(), r.passObserver("cosim"))
 		if err != nil {
 			return err
 		}
-		c.setup(sys.Machine.Env)
+		c.setup(mon.Machine.Env)
 		src, err := workload.ProgramSource(c.program)
 		if err != nil {
 			return err
 		}
-		if _, err := sys.Run(context.Background(), src, 1_000_000); err != nil {
+		if _, err := mon.Run(context.Background(), src, 1_000_000); err != nil {
 			return fmt.Errorf("cosim %s: %w", c.name, err)
 		}
-		st := sys.Stats()
-		n := float64(st.Instructions)
-		js.Events = st.Instructions
-		rows[i] = []any{c.name, st.Instructions,
-			100 * float64(st.HWInstrs) / n, 100 * float64(st.SWInstrs) / n,
-			st.Switches, st.FalseTraps,
-			100 * st.Overhead(), 100 * (cfg.SWSlowdown - 1)}
+		res := mon.Result().(slatch.Result)
+		n := float64(res.Events)
+		js.Events = res.Events
+		rows[i] = []any{c.name, res.Events,
+			100 * float64(res.HWInstrs) / n, 100 * float64(res.SWInstrs) / n,
+			res.Switches, res.FalsePositives,
+			100 * res.Overhead(), 100 * res.LibdftOverhead()}
 		return nil
 	})
 	if err != nil {

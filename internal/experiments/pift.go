@@ -24,11 +24,11 @@ func (r *Runner) PIFT() (*stats.Table, error) {
 	rows := make([][]any, len(cosimCases))
 	err := r.runJobs("pift", cosimCaseNames(), func(i int, name string, js *JobStat) error {
 		c := cosimCases[i]
-		classical, err := runWithMode(c, r.policy(), dift.PropagationClassical)
+		classical, err := runWithMode(c, r.policy(), policy.PropagationClassical)
 		if err != nil {
 			return err
 		}
-		pift, err := runWithMode(c, r.policy(), dift.PropagationPIFT)
+		pift, err := runWithMode(c, r.policy(), policy.PropagationPIFT)
 		if err != nil {
 			return err
 		}
@@ -50,7 +50,7 @@ func (r *Runner) PIFT() (*stats.Table, error) {
 
 // runWithMode executes one scenario under the given propagation mode and
 // returns the tainted byte count at exit.
-func runWithMode(c cosimCase, pol policy.Policy, mode dift.PropagationMode) (uint64, error) {
+func runWithMode(c cosimCase, pol policy.Policy, mode policy.Propagation) (uint64, error) {
 	pol.Propagation = mode
 	sh := shadow.MustNew(shadow.DefaultDomainSize)
 	eng := dift.NewEngine(sh, pol)

@@ -159,8 +159,6 @@ type Module struct {
 
 	stats Stats
 	obs   telemetry.Observer
-
-	lastException uint32
 }
 
 // New builds a module over sh using cfg. The module registers itself as
@@ -231,13 +229,6 @@ func (m *Module) TRF() *TRF { return &m.trf }
 
 // TLBStats returns the TLB's cache statistics.
 func (m *Module) TLBStats() cache.Stats { return m.tlb.Stats() }
-
-// SetLastException records the operand address of a coarse-taint exception,
-// readable through the ltnt instruction (Table 5).
-func (m *Module) SetLastException(addr uint32) { m.lastException = addr }
-
-// LastException returns the most recent exception address.
-func (m *Module) LastException() uint32 { return m.lastException }
 
 // pdSize returns the page-domain size in bytes.
 func (m *Module) pdSize() uint32 { return m.cfg.PageDomainSize() }
@@ -581,7 +572,6 @@ func (m *Module) Reset() {
 		m.baseTcache.Flush(nil)
 	}
 	m.ResetStats()
-	m.lastException = 0
 }
 
 // ResetStats zeroes counters without touching coarse or precise state.

@@ -418,14 +418,6 @@ func TestTRF(t *testing.T) {
 	}
 }
 
-func TestLastException(t *testing.T) {
-	m, _ := newModule(t, nil)
-	m.SetLastException(0xBEEF)
-	if m.LastException() != 0xBEEF {
-		t.Fatal("exception address lost")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	m, sh := newModule(t, nil)
 	sh.Set(0, shadow.MustLabel(0))

@@ -140,8 +140,7 @@ type Policy struct {
 
 // Default returns the standard policy: both sources tainted, no trusted
 // connections, control-flow checking on, leak checking off, fail-fast,
-// sampling disabled. This is the policy every pre-existing call site
-// used via dift.DefaultPolicy.
+// sampling disabled.
 func Default() Policy {
 	return Policy{
 		TaintFile:        true,

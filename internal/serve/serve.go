@@ -24,6 +24,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -268,10 +269,31 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, run func(st *stre
 	<-done
 }
 
+// maxJobBytes bounds a job request body. The largest built-in program is
+// 1,370 bytes of source, so 1 MiB leaves ample room for real jobs while an
+// untrusted body cannot exhaust memory.
+const maxJobBytes = 1 << 20
+
+// decodeJob decodes r's JSON body into job, reading at most maxJobBytes. On
+// failure it answers 413 for an oversized body or 400 for a malformed one
+// and reports false; either way the job never reaches the queue.
+func decodeJob(w http.ResponseWriter, r *http.Request, job any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(job)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("job body exceeds %d bytes", maxJobBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var job WorkloadJob
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+	if !decodeJob(w, r, &job) {
 		return
 	}
 	// Validate before occupying a queue slot: the facade's request
@@ -402,8 +424,7 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 	var wire ProgramJob
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		http.Error(w, "bad job body: "+err.Error(), http.StatusBadRequest)
+	if !decodeJob(w, r, &wire) {
 		return
 	}
 	if wire.Source == "" {

@@ -432,6 +432,30 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a job body over the 1 MiB cap is answered 413
+// on both job endpoints before it takes a queue slot.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 2})
+	huge := strings.Repeat("a", 2<<20)
+	bodies := map[string]string{
+		"/v1/run":     `{"backend":"slatch","workload":"` + huge + `"}`,
+		"/v1/program": `{"source":"` + huge + `"}`,
+	}
+	for path, body := range bodies {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if st := s.Stats(); st.Accepted != 0 {
+		t.Fatalf("oversized bodies were accepted as jobs: %+v", st)
+	}
+}
+
 // TestDeadlineBoundsRun submits a job that cannot finish inside its
 // deadline and expects a context error line, not a hang.
 func TestDeadlineBoundsRun(t *testing.T) {

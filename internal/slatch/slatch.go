@@ -160,7 +160,7 @@ func (b *backend) Init(s *engine.Session) error {
 	}
 	slowdown := s.Profile.LibdftSlowdown
 	if slowdown < 1 {
-		slowdown = 1 // program-driven runs carry no calibrated slowdown
+		slowdown = 1 // a profile without a calibrated slowdown runs software mode at native speed
 	}
 	codeCacheLat := s.Profile.CodeCacheLat
 	if codeCacheLat == 0 {
@@ -176,17 +176,25 @@ func (b *backend) Step(s *engine.Session, ev trace.Event) {
 	switch s.Mode() {
 	case engine.ModeHardware:
 		s.HWInstrs++
-		if !ev.IsMem {
-			return
+		// The precise Tainted flag stands in for the TRF check on register
+		// operands: a tainted source register traps, and the handler
+		// confirms it. The calibrated generators only flag memory events
+		// whose bytes are precisely tainted, which the coarse check already
+		// traps and confirms, so stream results do not depend on this rule;
+		// program-driven runs (cosim.Monitor) flag register operands too.
+		positive, truly := ev.Tainted, ev.Tainted
+		if ev.IsMem {
+			check := s.CheckMem(ev.Addr, int(ev.Size))
+			positive = positive || check.CoarsePositive
+			truly = truly || check.TrulyTainted
 		}
-		check := s.CheckMem(ev.Addr, int(ev.Size))
-		if !check.CoarsePositive {
+		if !positive {
 			return
 		}
 		// Trap to the exception handler, which validates against the
 		// precise state.
 		s.Trap()
-		if !check.TrulyTainted {
+		if !truly {
 			s.DismissTrap()
 			return // dismissed; hardware mode continues
 		}

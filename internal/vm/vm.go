@@ -401,10 +401,20 @@ func cycleCost(in isa.Instr, taken bool) uint64 {
 }
 
 // cycleTable tabulates cycleCost(op, taken=false) for the fast loop. The
-// only opcodes whose cost depends on taken are the conditional branches
-// (+1 cycle when taken), which the dispatch switch adds at the branch site;
+// only opcodes whose cost depends on taken are the conditional branches,
+// whose redirectPenalty the dispatch switch adds at the branch site;
 // unconditional transfers already cost 2 in the untaken column.
 var cycleTable = buildCycleTable()
+
+// redirectPenalty is the taken-branch cycle: charged, as Step's cycleCost
+// charges it, only when the branch actually redirects the PC. A taken
+// zero-offset branch falls through and costs nothing extra.
+func redirectPenalty(pc, next uint32) uint64 {
+	if next != pc+isa.WordSize {
+		return 1
+	}
+	return 0
+}
 
 func buildCycleTable() [256]uint8 {
 	var t [256]uint8
@@ -683,22 +693,22 @@ loop:
 			case isa.BEQ:
 				if r[in.Rd] == r[in.Rs1] {
 					next = branchTarget(pc, in.Imm)
-					cycles++ // taken-branch penalty
+					cycles += redirectPenalty(pc, next)
 				}
 			case isa.BNE:
 				if r[in.Rd] != r[in.Rs1] {
 					next = branchTarget(pc, in.Imm)
-					cycles++
+					cycles += redirectPenalty(pc, next)
 				}
 			case isa.BLT:
 				if int32(r[in.Rd]) < int32(r[in.Rs1]) {
 					next = branchTarget(pc, in.Imm)
-					cycles++
+					cycles += redirectPenalty(pc, next)
 				}
 			case isa.BGE:
 				if int32(r[in.Rd]) >= int32(r[in.Rs1]) {
 					next = branchTarget(pc, in.Imm)
-					cycles++
+					cycles += redirectPenalty(pc, next)
 				}
 			case isa.JMP:
 				next = branchTarget(pc, in.Imm)

@@ -12,7 +12,7 @@ import (
 	"latch/internal/vm"
 )
 
-func runProgram(t *testing.T, name string, pol dift.Policy, env func(*vm.Env)) (*vm.CPU, *dift.Engine, error) {
+func runProgram(t *testing.T, name string, pol policy.Policy, env func(*vm.Env)) (*vm.CPU, *dift.Engine, error) {
 	t.Helper()
 	src, err := ProgramSource(name)
 	if err != nil {
