@@ -58,9 +58,11 @@ paper-smoke:
 	$(GO) run ./cmd/latch-paper smoke
 
 # Service smoke tier: build the real latch-serve binary, boot it, push a
-# clean program job, a control-flow hijack, and a workload-replay job
-# through the HTTP surface, check the in-service canary agreed with the
-# reference stack, and SIGTERM it to exercise graceful drain.
+# clean program job, a job tainting the top page of the address space and
+# the clean job again (same result), a control-flow hijack, and a
+# workload-replay job through the HTTP surface, check the in-service canary
+# agreed with the reference stack, and SIGTERM it to exercise graceful
+# drain.
 serve-smoke:
 	$(GO) run ./tools/serve-smoke
 

@@ -80,15 +80,17 @@ type Session struct {
 }
 
 // Recycle returns the session to its just-constructed state so it can carry
-// another run without reallocating: the shadow taint state is reset onto its
-// page free lists, the module's coarse state (CTT, page-domain counts, TRF,
-// caches) is cleared, and every per-run counter, cycle category, and the
-// epoch state machine are zeroed. The configuration-derived miss penalty is
-// retained — a recycled session only serves backends with the geometry it
-// was built for, which RunProfileSession enforces.
+// another run without reallocating: the module's coarse state (CTT,
+// page-domain counts, TRF, caches) is cleared over the pages the last run
+// tainted, the shadow taint state is then reset onto its page free lists
+// (in that order: the module finds those pages through the shadow), and
+// every per-run counter, cycle category, and the epoch state machine are
+// zeroed. The configuration-derived miss penalty is retained — a recycled
+// session only serves backends with the geometry it was built for, which
+// RunProfileSession enforces.
 func (s *Session) Recycle() {
-	s.Shadow.Reset()
 	s.Module.Reset()
+	s.Shadow.Reset()
 	s.Observer = nil
 	s.Module.SetObserver(nil)
 	s.Profile = workload.Profile{}

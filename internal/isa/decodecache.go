@@ -264,6 +264,13 @@ func (c *DecodeCache) Flush() {
 	}
 }
 
+// Reset empties the cache and zeroes every counter, fusions included: the
+// NewDecodeCache state, without reallocating the slots.
+func (c *DecodeCache) Reset() {
+	c.Flush()
+	c.hits, c.misses, c.fusions = 0, 0, 0
+}
+
 // Stats returns the hit and miss counts since creation (or ResetStats).
 func (c *DecodeCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 

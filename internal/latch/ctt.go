@@ -1,5 +1,7 @@
 package latch
 
+import "math/bits"
+
 // CTT is the Coarse Taint Table: the in-memory structure holding one taint
 // bit per taint domain, packed 32 domains to a word (§4.1). Word w covers
 // domains [32w, 32w+32).
@@ -121,9 +123,14 @@ func (t *CTT) WordIndices() []uint32 {
 	return out
 }
 
-// Reset empties the table, keeping its backing storage.
-func (t *CTT) Reset() {
-	clear(t.words)
-	t.nonzero = 0
-	t.setBits = 0
+// clearWords zeroes words lo through hi (clipped to the table), keeping the
+// occupancy counts exact.
+func (t *CTT) clearWords(lo, hi uint32) {
+	for w := int(lo); w <= int(hi) && w < len(t.words); w++ {
+		if v := t.words[w]; v != 0 {
+			t.words[w] = 0
+			t.setBits -= bits.OnesCount32(v)
+			t.nonzero--
+		}
+	}
 }

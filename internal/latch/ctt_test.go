@@ -72,9 +72,14 @@ func TestCTTTaintedDomains(t *testing.T) {
 	if got := ctt.TaintedDomains(); got != 5 {
 		t.Fatalf("TaintedDomains = %d", got)
 	}
-	ctt.Reset()
+	// Clearing word 0 drops domains 0, 1 and 31 and keeps the counts exact.
+	ctt.clearWords(0, 0)
+	if ctt.TaintedDomains() != 2 || ctt.WordsAllocated() != 2 {
+		t.Fatalf("after clearing word 0: %d domains in %d words", ctt.TaintedDomains(), ctt.WordsAllocated())
+	}
+	ctt.clearWords(0, 1<<20)
 	if ctt.TaintedDomains() != 0 || ctt.WordsAllocated() != 0 {
-		t.Fatal("Reset incomplete")
+		t.Fatal("clearing every word left counts")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"latch/internal/cache"
+	"latch/internal/mem"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
 )
@@ -558,12 +559,18 @@ func (m *Module) FlushCaches() {
 // Reset returns the module to its just-constructed state: the CTT, the
 // page-domain counts, and the taint register file are cleared, every cache
 // (TLB, CTC, taint caches) is emptied without scanning — there is no taint
-// left to retire — and all statistics are zeroed. The attached shadow state
-// is not touched; callers recycling a whole session reset it separately
-// (engine.Session.Recycle does both, in that order).
+// left to retire — and all statistics are zeroed.
+//
+// The coarse tables are cleared only over the shadow's ever-tainted pages:
+// a CTT bit or page-domain count is raised only from a shadow taint
+// transition, which marks its page ever-tainted, so no other word can be
+// nonzero and the reset costs what the last run tainted, not the tables'
+// size. Reset therefore must run before the shadow's own Reset, which
+// forgets those pages (engine.Session.Recycle and latch.System.Reset do
+// both, in that order). The tables keep their length, including any growth
+// past Config.AddressSpan; see TablesGrown.
 func (m *Module) Reset() {
-	m.ctt.Reset()
-	clear(m.pdCount)
+	m.Shadow.ForEachEverTaintedPage(m.clearPage)
 	m.trf.Reset()
 	m.tlb.Flush()
 	m.ctc.Flush(nil)
@@ -572,6 +579,27 @@ func (m *Module) Reset() {
 		m.baseTcache.Flush(nil)
 	}
 	m.ResetStats()
+}
+
+// clearPage zeroes the CTT words and page-domain counts covering page pn.
+func (m *Module) clearPage(pn uint32) {
+	first := pn << mem.PageShift
+	last := first + mem.PageSize - 1
+	m.ctt.clearWords(WordIndex(m.Shadow.DomainIndex(first)), WordIndex(m.Shadow.DomainIndex(last)))
+	if lo := m.pdIndex(first); int(lo) < len(m.pdCount) {
+		clear(m.pdCount[lo:min(int(m.pdIndex(last))+1, len(m.pdCount))])
+	}
+}
+
+// TablesGrown reports whether taint beyond Config.AddressSpan has grown the
+// dense coarse tables (the CTT and the page-domain counts) past the size New
+// gave them. Reset keeps a grown table's storage — one tainted byte near the
+// top of the address space grows them to about 16 MiB at DefaultConfig — so
+// an owner that bounds what it keeps between runs builds a fresh module
+// instead.
+func (m *Module) TablesGrown() bool {
+	return len(m.ctt.words) > int(m.cfg.AddressSpan/m.cfg.WordCoverage()) ||
+		len(m.pdCount) > int(m.cfg.AddressSpan/m.cfg.PageDomainSize())
 }
 
 // ResetStats zeroes counters without touching coarse or precise state.

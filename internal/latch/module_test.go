@@ -653,3 +653,86 @@ func TestLazyScanConvergesToEager(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetMatchesNew taints a low page and the top page of the address
+// space (growing the dense tables), clears part of the taint, and checks
+// that Reset followed by the shadow's Reset leaves a module
+// indistinguishable from New under both clear policies: every CTT word,
+// the occupancy counts, every page's taint bits, the statistics and the
+// TRF, and the verdicts and statistics of the same operations replayed on
+// both. Sentinels planted in an untainted page's CTT word and page-domain
+// count must survive: the reset writes only the tainted pages' words.
+func TestResetMatchesNew(t *testing.T) {
+	for _, cp := range []ClearPolicy{EagerClear, LazyClear} {
+		t.Run(cp.String(), func(t *testing.T) {
+			withPolicy := func(c *Config) { c.Clear = cp }
+			m, sh := newModule(t, withPolicy)
+			fresh, freshSh := newModule(t, withPolicy)
+
+			tag := shadow.MustLabel(0)
+			// work drives the same taint, clears and checks on any module;
+			// the clear of 0x8000's first domain leaves a pending clear bit
+			// (and the CTT bit) in lazy mode.
+			work := func(m *Module, sh *shadow.Shadow) []CheckResult {
+				sh.SetRange(0x8000, 200, tag)
+				sh.SetRange(0xFFFFF000, 16, tag)
+				m.StoreTaint(0x8100, tag)
+				sh.SetRange(0x8000, 64, shadow.TagClean)
+				m.TRF().Set(3, tag)
+				var out []CheckResult
+				for _, a := range []uint32{0x8000, 0x8040, 0x8100, 0xFFFFF000, 0x1000} {
+					out = append(out, m.CheckMem(a, 4))
+				}
+				return out
+			}
+			work(m, sh)
+			if !m.TablesGrown() {
+				t.Fatal("taint at 0xFFFFF000 did not grow the tables")
+			}
+
+			const sentinelAddr = 0x5000
+			w, pd := WordIndex(sh.DomainIndex(sentinelAddr)), m.pdIndex(sentinelAddr)
+			m.ctt.words[w], m.pdCount[pd] = 0xA5, 7
+			m.Reset()
+			sh.Reset()
+			if m.ctt.words[w] != 0xA5 || m.pdCount[pd] != 7 {
+				t.Fatalf("Reset wrote an untainted page's words: CTT %#x, page-domain count %d",
+					m.ctt.words[w], m.pdCount[pd])
+			}
+			m.ctt.words[w], m.pdCount[pd] = 0, 0
+
+			for i, v := range m.ctt.words {
+				if v != 0 {
+					t.Fatalf("CTT word %d = %#x after Reset", i, v)
+				}
+			}
+			for i, v := range m.pdCount {
+				if v != 0 {
+					t.Fatalf("page-domain %d count %d after Reset", i, v)
+				}
+			}
+			if m.CTT().TaintedDomains() != 0 || m.CTT().WordsAllocated() != 0 {
+				t.Fatalf("CTT occupancy after Reset: %d domains, %d words",
+					m.CTT().TaintedDomains(), m.CTT().WordsAllocated())
+			}
+			for pn := uint32(0); pn < mem.PageCount; pn++ {
+				if got, want := m.PageTaintBits(pn), fresh.PageTaintBits(pn); got != want {
+					t.Fatalf("page %#x taint bits %b after Reset, New has %b", pn, got, want)
+				}
+			}
+			if m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() || *m.TRF() != *fresh.TRF() {
+				t.Fatalf("state after Reset differs from New:\nstats %+v\nnew   %+v", m.Stats(), fresh.Stats())
+			}
+
+			got, want := work(m, sh), work(fresh, freshSh)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("check %d after Reset: %+v, New gives %+v", i, got[i], want[i])
+				}
+			}
+			if m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() {
+				t.Fatalf("replayed stats differ:\nreset %+v\nnew   %+v", m.Stats(), fresh.Stats())
+			}
+		})
+	}
+}

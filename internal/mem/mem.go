@@ -12,8 +12,8 @@
 // page costs one compare and no hashing. The pages-accessed set is a bitmap
 // with one bit per page of the 4 GiB space. Nothing on the load/store path
 // allocates once the working set's pages exist, and Reset recycles pages
-// through a free list instead of handing the structure to the garbage
-// collector.
+// and leaf tables through free lists instead of handing the structure to
+// the garbage collector.
 package mem
 
 import (
@@ -81,9 +81,11 @@ type Memory struct {
 	trackAccess bool
 
 	// allocated lists the page numbers currently backed by storage, in
-	// allocation order; free holds zeroed pages recycled by Reset.
-	allocated []uint32
-	free      []*Page
+	// allocation order; free holds zeroed pages and freeLeaves emptied leaf
+	// tables, both recycled by Reset.
+	allocated  []uint32
+	free       []*Page
+	freeLeaves []*pageLeaf
 }
 
 // New returns an empty memory with page-access tracking enabled.
@@ -146,7 +148,13 @@ func (m *Memory) page(addr uint32, create bool) *Page {
 		if !create {
 			return nil
 		}
-		leaf = new(pageLeaf)
+		if n := len(m.freeLeaves); n > 0 {
+			leaf = m.freeLeaves[n-1]
+			m.freeLeaves[n-1] = nil
+			m.freeLeaves = m.freeLeaves[:n-1]
+		} else {
+			leaf = new(pageLeaf)
+		}
 		m.dir[pn>>leafBits] = leaf
 	}
 	p := leaf[pn&(leafSize-1)]
@@ -304,7 +312,9 @@ func (m *Memory) PagesAllocated() int { return len(m.allocated) }
 
 // Reset discards all contents and statistics. The backing pages are zeroed
 // and recycled onto a free list rather than released, so repopulating after
-// a Reset allocates nothing.
+// a Reset allocates nothing. The leaf tables that mapped them are emptied
+// and recycled too, so what a Memory keeps across Resets is bounded by the
+// most pages one run allocated, not by every region runs ever touched.
 func (m *Memory) Reset() {
 	for _, pn := range m.allocated {
 		leaf := m.dir[pn>>leafBits]
@@ -312,6 +322,13 @@ func (m *Memory) Reset() {
 		*p = Page{}
 		leaf[pn&(leafSize-1)] = nil
 		m.free = append(m.free, p)
+	}
+	// Every leaf maps only allocated pages, so each is empty now.
+	for _, pn := range m.allocated {
+		if leaf := m.dir[pn>>leafBits]; leaf != nil {
+			m.dir[pn>>leafBits] = nil
+			m.freeLeaves = append(m.freeLeaves, leaf)
+		}
 	}
 	m.allocated = m.allocated[:0]
 	for _, w := range m.dirtyWords {

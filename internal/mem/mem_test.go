@@ -131,6 +131,28 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetRecyclesLeaves writes into a different 4 MiB region, each mapped
+// by its own leaf table, before each of 16 Resets: the leaves must be
+// recycled, not left in the directory, so a Memory keeps one leaf, not 16.
+func TestResetRecyclesLeaves(t *testing.T) {
+	m := New()
+	for i := uint32(0); i < 16; i++ {
+		m.StoreWord(i<<(PageShift+leafBits), i)
+		m.Reset()
+	}
+	for i, leaf := range m.dir {
+		if leaf != nil {
+			t.Fatalf("directory entry %d still holds a leaf after Reset", i)
+		}
+	}
+	if len(m.freeLeaves) != 1 || len(m.free) != 1 {
+		t.Fatalf("kept %d leaves and %d pages, want 1 and 1", len(m.freeLeaves), len(m.free))
+	}
+	if m.LoadWord(15<<(PageShift+leafBits)) != 0 {
+		t.Fatal("a recycled region reads nonzero")
+	}
+}
+
 func TestWordPropertyRoundTrip(t *testing.T) {
 	m := New()
 	f := func(addr, v uint32) bool {

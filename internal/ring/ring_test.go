@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewValidatesGeometry(t *testing.T) {
@@ -181,21 +182,31 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // TestBackpressureStalls forces a full ring and checks the producer records
-// the stall and completes once the consumer drains.
+// the stall and completes once the consumer drains. The consumer pops
+// nothing until the published occupancy reaches the capacity, and with a
+// publish batch of 3 the fourth push stays unpublished until the fifth
+// finds the ring full and publishes it before waiting: a full published
+// ring therefore means the producer is inside its stall, whatever the
+// scheduler does. A Push that never publishes before stalling hangs the
+// wait below, which fails after 10 s.
 func TestBackpressureStalls(t *testing.T) {
-	r := MustNew[int](4, 1)
-	start := make(chan struct{})
+	r := MustNew[int](4, 3)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		<-start
 		for i := 0; i < 64; i++ {
 			r.Push(i)
 		}
 		r.Close()
 	}()
-	close(start)
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Len() < r.Cap() {
+		if time.Now().After(deadline) {
+			t.Fatalf("published occupancy stuck at %d of %d: the producer never published before stalling", r.Len(), r.Cap())
+		}
+		runtime.Gosched()
+	}
 	seen := 0
 	for {
 		v, ok := r.Pop()

@@ -55,26 +55,18 @@ func (c *canary) admit() bool {
 	return c.seq%uint64(c.everyN) == 0
 }
 
-// check replays job on a fresh reference stack and records every field that
-// disagrees with the served outcome. The reference run is bounded by the
-// same context as the served one.
+// check replays job's assembled program on a fresh reference stack and
+// records every field that disagrees with the served outcome. The reference
+// run is bounded by the same context as the served one.
 func (c *canary) check(ctx context.Context, id uint64, job *programJob, served latch.RunResult, servedErr error, servedOut []byte) {
 	ref, err := engine.NewReference(job.policy())
 	if err != nil {
 		c.record(Divergence{Job: id, Field: "error", Served: "-", Reference: fmt.Sprintf("reference construction: %v", err)})
 		return
 	}
-	ref.Machine.Env.FileData = append([]byte(nil), job.input()...)
+	ref.Machine.Env.FileData = job.input()
 	ref.Machine.Env.Requests = job.requestBytes()
-
-	prog, err := latch.Assemble(job.Source)
-	if err != nil {
-		// The served side validated assembly already; disagreeing here is
-		// itself a divergence.
-		c.record(Divergence{Job: id, Field: "error", Served: errString(servedErr), Reference: err.Error()})
-		return
-	}
-	ref.Machine.Load(prog)
+	ref.Machine.Load(job.prog)
 	_, refErr := ref.Machine.Run(ctx, job.maxSteps())
 
 	refRes := latch.RunResult{ExitCode: ref.Machine.ExitCode(), Steps: ref.Machine.Instret()}

@@ -70,9 +70,11 @@ type ProgramJob struct {
 	Policy *latch.Policy `json:"policy,omitempty"`
 }
 
-// programJob is the validated, internal form.
+// programJob is the validated, internal form: the wire job and the program
+// the handler assembled to validate it, which the run and the canary share.
 type programJob struct {
 	ProgramJob
+	prog *latch.Program
 }
 
 // DefaultMaxSteps bounds a program job that does not set max_steps.

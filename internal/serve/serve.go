@@ -1,10 +1,13 @@
 // Package serve turns the LATCH engine into a long-lived, multi-tenant
 // taint-checking service. Where the batch CLIs build a fresh stack per
-// invocation, the server keeps a bounded pool of workers (internal/pool)
-// with recycled engine sessions, admits jobs through per-tenant token
-// buckets, bounds every run with a deadline, sheds load when the queue is
-// full (429 + Retry-After), and streams violations, telemetry, and results
-// back as NDJSON while the run is still executing.
+// invocation, the server keeps a bounded pool of workers (internal/pool),
+// each holding recycled engine sessions for workload jobs and a recycled
+// latch.System for program jobs — reset between jobs at the cost of what
+// the last job touched, and dropped when a job outgrows a fixed bound. It
+// admits jobs through per-tenant token buckets, bounds every run with a
+// deadline, sheds load when the queue is full (429 + Retry-After), and
+// streams violations, telemetry, and results back as NDJSON while the run
+// is still executing.
 //
 // The service exposes two job kinds:
 //
@@ -22,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -131,7 +135,7 @@ type Server struct {
 	mux    *http.ServeMux
 
 	// workers[i] is owned by dispatcher worker i: jobs on one worker never
-	// overlap, so its recycled sessions need no locking.
+	// overlap, so its recycled sessions and System need no locking.
 	workers []*workerState
 
 	jobSeq    atomic.Uint64
@@ -159,12 +163,15 @@ func (s *Server) recordFastLoop(snap latch.MetricsSnapshot) {
 	s.fastSteps.Add(snap.FastLoopSteps)
 }
 
-// workerState is the per-worker recycled state: one engine session per
-// hardware geometry, reset (not reallocated) between jobs. Recycling is
-// what makes a hot server cheap — the shadow page pool, the module's dense
-// tables, and the session itself are reused run over run.
+// workerState is the per-worker recycled state, reset (not reallocated)
+// between jobs: one engine session per hardware geometry for workload jobs,
+// and one System for program jobs, which all run under Config.Geometry.
+// Recycling is what makes a hot server cheap — the shadow and memory page
+// pools, the module's dense tables, and the machine are reused run over run,
+// and a reset clears only what the last job touched.
 type workerState struct {
 	sessions map[latchcore.Config]*engine.Session
+	system   *latch.System // nil until the first program job, or after one outgrew keepPages
 }
 
 // New builds a Server and starts its workers.
@@ -432,8 +439,9 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Assemble up front: a syntactically bad program is the caller's 400,
-	// not a queue slot.
-	if _, err := latch.Assemble(wire.Source); err != nil {
+	// not a queue slot. The job and the canary run this same program.
+	prog, err := latch.Assemble(wire.Source)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -446,7 +454,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	job := &programJob{ProgramJob: wire}
+	job := &programJob{ProgramJob: wire, prog: prog}
 	reqCtx := r.Context()
 	s.admit(w, r, func(st *stream, ws *workerState, id uint64) {
 		ctx := reqCtx
@@ -455,30 +463,61 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 			defer cancel()
 		}
-		s.runProgram(ctx, st, job, id)
+		s.runProgram(ctx, st, ws, job, id)
 	})
 }
 
-// runProgram executes one LA32 program job on a fresh single-machine DIFT
-// stack (the facade's System), streaming violations as they fire.
-func (s *Server) runProgram(ctx context.Context, st *stream, job *programJob, id uint64) {
+// keepPages bounds what a worker's recycled System keeps between program
+// jobs. A job that backs more than keepPages guest pages or keepPages tag
+// pages, or taints memory beyond the geometry's AddressSpan (growing the
+// module's dense coarse tables, about 16 MiB for one byte near 4 GiB), leaves
+// its System to the collector, and the next job builds a fresh one. What a
+// worker keeps is then at most a freshly built System plus keepPages pages
+// of each kind and the page-table leaves mapping them — under 2 MiB more,
+// whatever jobs it ran — and the last job's input, which maxJobBytes
+// bounds. The built-in programs use a handful of pages.
+const keepPages = 64
+
+// reusable reports whether sys stayed within keepPages and the table sizes
+// latch.New gave it.
+func reusable(sys *latch.System) bool {
+	return sys.Machine.Mem.PagesAllocated() <= keepPages &&
+		sys.Shadow.PagesAllocated() <= keepPages &&
+		!sys.Module.TablesGrown()
+}
+
+// runProgram executes one LA32 program job on the worker's recycled System
+// (the facade's single-machine DIFT stack): reset in place for the job's
+// policy and observer, or built afresh when the worker holds none. Results
+// are identical either way. Violations stream as they fire.
+func (s *Server) runProgram(ctx context.Context, st *stream, ws *workerState, job *programJob, id uint64) {
 	start := time.Now()
 	metrics := latch.NewMetrics()
 	obs := violationObserver{Metrics: metrics, st: st}
-	geom := s.cfg.Geometry
-	if geom == (latch.Config{}) {
-		geom = latch.DefaultConfig()
+	sys := ws.system
+	if sys != nil {
+		sys.Reset(job.policy(), obs)
+	} else {
+		geom := s.cfg.Geometry
+		if geom == (latch.Config{}) {
+			geom = latch.DefaultConfig()
+		}
+		var err error
+		if sys, err = latch.New(latch.WithObserver(obs), latch.WithConfig(geom), latch.WithPolicy(job.policy())); err != nil {
+			s.fail(st, err)
+			return
+		}
 	}
-	sys, err := latch.New(latch.WithObserver(obs), latch.WithConfig(geom), latch.WithPolicy(job.policy()))
-	if err != nil {
-		s.fail(st, err)
-		return
-	}
-	sys.Machine.Env.FileData = append([]byte(nil), job.input()...)
+	sys.Machine.Env.FileData = job.input()
 	sys.Machine.Env.Requests = job.requestBytes()
 
-	res, runErr := sys.Run(ctx, job.Source, job.maxSteps())
+	res, runErr := sys.RunProgram(ctx, job.prog, job.maxSteps())
 	output := sys.Machine.Env.Output.String()
+	sys.Machine.Env.Output = bytes.Buffer{} // a kept System must not pin the job's output
+	ws.system = nil
+	if reusable(sys) {
+		ws.system = sys
+	}
 
 	if s.canary.admit() {
 		s.canaried.Add(1)

@@ -16,8 +16,9 @@
 //
 // Like internal/mem, the tag pages live in a flat two-level page table
 // fronted by a one-entry translation cache, the ever-tainted-pages set is a
-// bitmap, and Reset recycles pages through a free list — the propagate path
-// (Set/Get) performs no hashing and no allocation in steady state.
+// bitmap, and Reset recycles pages and leaf tables through free lists — the
+// propagate path (Set/Get) performs no hashing and no allocation in steady
+// state.
 //
 // Exported entry points validate their arguments and report invalid ones as
 // errors; the Must* variants (MustNew, MustLabel, MustTaintedAt) panic
@@ -142,9 +143,11 @@ type Shadow struct {
 	everTaintedCount int
 
 	// allocated lists tag pages currently backed by storage; free holds
-	// zeroed pages recycled by Reset.
-	allocated []uint32
-	free      []*page
+	// zeroed pages and freeLeaves emptied leaf tables, both recycled by
+	// Reset.
+	allocated  []uint32
+	free       []*page
+	freeLeaves []*pageLeaf
 }
 
 // New creates a shadow with the given domain size, which must be a power of
@@ -221,7 +224,13 @@ func (s *Shadow) getPage(pn uint32, create bool) *page {
 		if !create {
 			return nil
 		}
-		leaf = new(pageLeaf)
+		if n := len(s.freeLeaves); n > 0 {
+			leaf = s.freeLeaves[n-1]
+			s.freeLeaves[n-1] = nil
+			s.freeLeaves = s.freeLeaves[:n-1]
+		} else {
+			leaf = new(pageLeaf)
+		}
 		s.dir[pn>>leafBits] = leaf
 	}
 	p := leaf[pn&(leafSize-1)]
@@ -588,6 +597,18 @@ func (s *Shadow) EverTaintedPageNumbers() []uint32 {
 	return out
 }
 
+// ForEachEverTaintedPage calls fn with the number of every page that held
+// taint since the last Reset, in no particular order. It walks only the
+// bitmap words those pages set, so its cost follows the pages the run
+// tainted, not the address space, and it allocates nothing.
+func (s *Shadow) ForEachEverTaintedPage(fn func(pn uint32)) {
+	for _, w := range s.everDirtyWords {
+		for word := s.everTainted[w]; word != 0; word &= word - 1 {
+			fn(w<<6 + uint32(bits.TrailingZeros64(word)))
+		}
+	}
+}
+
 // CurrentTaintedPages returns the number of pages holding taint right now.
 func (s *Shadow) CurrentTaintedPages() int {
 	n := 0
@@ -602,7 +623,9 @@ func (s *Shadow) CurrentTaintedPages() int {
 // Reset clears all taint and statistics. Watchers are retained but not
 // invoked for the wholesale clear. The tag pages are zeroed and recycled
 // onto a free list rather than released, so repopulating after a Reset
-// allocates nothing.
+// allocates nothing. The leaf tables that mapped them are emptied and
+// recycled too, so what a Shadow keeps across Resets is bounded by the most
+// pages one run tainted, not by every region runs ever touched.
 func (s *Shadow) Reset() {
 	for _, pn := range s.allocated {
 		leaf := s.dir[pn>>leafBits]
@@ -622,6 +645,13 @@ func (s *Shadow) Reset() {
 		}
 		leaf[pn&(leafSize-1)] = nil
 		s.free = append(s.free, p)
+	}
+	// Every leaf maps only allocated pages, so each is empty now.
+	for _, pn := range s.allocated {
+		if leaf := s.dir[pn>>leafBits]; leaf != nil {
+			s.dir[pn>>leafBits] = nil
+			s.freeLeaves = append(s.freeLeaves, leaf)
+		}
 	}
 	s.allocated = s.allocated[:0]
 	for _, w := range s.everDirtyWords {

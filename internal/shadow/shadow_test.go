@@ -258,6 +258,28 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetRecyclesLeaves taints a different 4 MiB region, each mapped by
+// its own leaf table, before each of 16 Resets: the leaves must be recycled,
+// not left in the directory, so a Shadow keeps one leaf, not 16.
+func TestResetRecyclesLeaves(t *testing.T) {
+	s := MustNew(64)
+	for i := uint32(0); i < 16; i++ {
+		s.SetRange(i<<(mem.PageShift+leafBits), 8, MustLabel(0))
+		s.Reset()
+	}
+	for i, leaf := range s.dir {
+		if leaf != nil {
+			t.Fatalf("directory entry %d still holds a leaf after Reset", i)
+		}
+	}
+	if len(s.freeLeaves) != 1 || len(s.free) != 1 {
+		t.Fatalf("kept %d leaves and %d pages, want 1 and 1", len(s.freeLeaves), len(s.free))
+	}
+	if s.Get(15<<(mem.PageShift+leafBits)) != TagClean {
+		t.Fatal("a recycled region reads tainted")
+	}
+}
+
 // Property: the domain counter invariant — a domain is tainted iff at least
 // one byte in it is tainted — holds under arbitrary set/clear sequences.
 func TestDomainCounterInvariant(t *testing.T) {

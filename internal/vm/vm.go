@@ -168,8 +168,11 @@ type CPU struct {
 	// analog of a DBT code cache. codePages is a one-bit-per-page map of
 	// pages holding cached code; stores consult it so writes over cached
 	// instructions invalidate their decodes (self-modifying-code safety).
+	// codeWords lists the codePages words holding a set bit, so clearing
+	// the map costs the pages marked, not the 128 KiB map.
 	dcache    *isa.DecodeCache
 	codePages []uint64
+	codeWords []uint32
 
 	// reported* track the counter values already flushed to the observer;
 	// CacheBatch deltas are emitted at Run boundaries, keeping the per-step
@@ -232,7 +235,26 @@ func (c *CPU) Load(p *isa.Program) {
 	c.Mem.Write(p.Origin, p.Image)
 	c.PC = p.Entry
 	c.dcache.Flush()
-	clear(c.codePages)
+	c.clearCodePages()
+}
+
+// Reset returns the CPU to its New state — zeroed registers and counters,
+// empty memory, an empty decode cache, a fresh Env, and no tracker, hook,
+// or observer attached — reusing its memory pages, decode cache, and
+// code-page map in place.
+func (c *CPU) Reset() {
+	c.Mem.Reset()
+	c.dcache.Reset()
+	c.clearCodePages()
+	*c = CPU{Mem: c.Mem, Env: NewEnv(), dcache: c.dcache, codePages: c.codePages, codeWords: c.codeWords}
+}
+
+// clearCodePages empties the code-page map through the words it set.
+func (c *CPU) clearCodePages() {
+	for _, w := range c.codeWords {
+		c.codePages[w] = 0
+	}
+	c.codeWords = c.codeWords[:0]
 }
 
 // DecodeCacheStats returns the decoded-instruction cache's hit and miss
@@ -251,7 +273,11 @@ func (c *CPU) Fusions() uint64 { return c.dcache.Fusions() }
 
 // markCodePage records that page pn holds at least one cached decode.
 func (c *CPU) markCodePage(pn uint32) {
-	c.codePages[pn>>6] |= 1 << (pn & 63)
+	w := pn >> 6
+	if c.codePages[w] == 0 {
+		c.codeWords = append(c.codeWords, w)
+	}
+	c.codePages[w] |= 1 << (pn & 63)
 }
 
 // insertDecode caches a decode and stamps the slot with its fast-loop kind,

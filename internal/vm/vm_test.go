@@ -640,3 +640,85 @@ func TestSysWriteLengthClamped(t *testing.T) {
 		t.Fatalf("output length = %d, want %d", n, MaxSysWriteBytes)
 	}
 }
+
+// TestResetMatchesNew runs a program whose code sits on page 0x20, resets
+// the CPU, and checks it against New: architectural state, counters, the
+// environment, and an empty code-page map. It then runs, on both, a loop
+// storing over page 0x20 — a self-modifying store, and a fast-loop exit, only
+// if a stale code-page mark survived the reset — and compares the outcome.
+func TestResetMatchesNew(t *testing.T) {
+	a, err := isa.Assemble("movi r1, 1\n movi r2, 2\n add r3, r1, r2\n sys 2\n halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Origin, a.Entry = 0x20000, 0x20000
+	b, err := isa.Assemble(`
+		li   r1, 0x20000
+		movi r2, 64
+	loop:	stw  r2, [r1]
+		addi r2, r2, -1
+		bne  r2, r0, loop
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	c.Env.FileData = []byte("xyz")
+	c.Load(a)
+	if _, err := c.Run(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	fresh := New()
+
+	codeMarks := func(c *CPU) int {
+		n := 0
+		for _, w := range c.codePages {
+			if w != 0 {
+				n++
+			}
+		}
+		return n + len(c.codeWords)
+	}
+	type state struct {
+		regs                              [isa.NumRegs]uint32
+		pc                                uint32
+		instret, cycles                   uint64
+		halted                            bool
+		exit                              uint32
+		decodeHits, decodeMisses, fusions uint64
+		fastEntries, fastExits, fastSteps uint64
+		accessed, allocated               int
+		tlcHits, tlcMisses                uint64
+		fileOff, reqIdx, curReq, curConn  int
+		output, codeMarks                 int
+	}
+	stateOf := func(c *CPU) state {
+		s := state{regs: c.Regs, pc: c.PC, instret: c.Instret(), cycles: c.Cycles(), halted: c.Halted(), exit: c.ExitCode()}
+		s.decodeHits, s.decodeMisses = c.DecodeCacheStats()
+		s.fusions = c.Fusions()
+		s.fastEntries, s.fastExits, s.fastSteps = c.FastLoopStats()
+		s.accessed, s.allocated = c.Mem.PagesAccessed(), c.Mem.PagesAllocated()
+		s.tlcHits, s.tlcMisses = c.Mem.TranslationCacheStats()
+		s.fileOff, s.reqIdx, s.curReq, s.curConn = c.Env.fileOff, c.Env.reqIdx, c.Env.curReq, c.Env.curConn
+		s.output, s.codeMarks = c.Env.Output.Len(), codeMarks(c)
+		return s
+	}
+	if got, want := stateOf(c), stateOf(fresh); got != want {
+		t.Fatalf("after Reset:\n%+v\nNew:\n%+v", got, want)
+	}
+	for _, cpu := range []*CPU{c, fresh} {
+		cpu.Load(b)
+		if _, err := cpu.Run(context.Background(), 10_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := stateOf(c), stateOf(fresh); got != want {
+		t.Fatalf("run after Reset:\n%+v\nafter New:\n%+v", got, want)
+	}
+	c.Load(a)
+	if n := codeMarks(c); n != 0 {
+		t.Fatalf("Load left %d code-page marks", n)
+	}
+}

@@ -152,6 +152,35 @@ type System struct {
 	Observer Observer
 }
 
+// Reset returns s to the state New would build for pol and obs, reusing its
+// shadow, module, and machine in place: the module is cleared over the
+// pages the last run tainted, then the shadow and the machine are emptied
+// onto their page free lists (the machine gets a fresh Env), and a fresh
+// engine for pol is wired in with obs attached to every layer. A reset
+// costs what the last run touched, so a long-lived caller (cmd/latch-serve's
+// workers) pays latch.New's table allocation once rather than per run;
+// results are identical to a fresh System's. The Config is kept. Storage
+// the last run grew — memory pages, tables grown past Config.AddressSpan —
+// is kept too; callers that bound what they retain build a fresh System
+// instead (see Module.TablesGrown).
+func (s *System) Reset(pol Policy, obs Observer) {
+	s.Module.Reset() // before the shadow, which forgets the tainted pages
+	s.Shadow.Reset()
+	s.Machine.Reset()
+	s.wire(dift.NewEngine(s.Shadow, pol), obs)
+}
+
+// wire makes eng, an engine over the shared shadow, the machine's tracker
+// and attaches obs to every layer.
+func (s *System) wire(eng *Engine, obs Observer) {
+	s.Engine = eng
+	eng.SetObserver(obs)
+	s.Module.SetObserver(obs)
+	s.Machine.SetTracker(eng)
+	s.Machine.SetObserver(obs)
+	s.Observer = obs
+}
+
 // RunResult is the typed outcome of one System.Run: the machine's exit
 // code, the number of instructions this run committed, and — when the DIFT
 // policy fired — the violation itself, as data rather than an error. A
@@ -169,18 +198,26 @@ type RunResult struct {
 	Violation *Violation
 }
 
-// Run assembles src, loads it, and executes up to maxSteps instructions
-// under the context: cancellation or a deadline stops the machine within
-// vm.CancelCheckInterval instructions and surfaces ctx.Err().
-//
-// A DIFT policy violation is returned inside the RunResult, not as an
-// error; errors are reserved for infrastructure failures — assembly errors,
-// machine faults, exhausted step budgets, cancellation.
+// Run assembles src and runs it with RunProgram; an assembly error is
+// returned as the error.
 func (s *System) Run(ctx context.Context, src string, maxSteps uint64) (RunResult, error) {
 	prog, err := Assemble(src)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return s.RunProgram(ctx, prog, maxSteps)
+}
+
+// RunProgram loads prog and executes up to maxSteps instructions under the
+// context: cancellation or a deadline stops the machine within
+// vm.CancelCheckInterval instructions and surfaces ctx.Err(). Loading
+// copies the image, so one assembled Program may be run by any number of
+// Systems.
+//
+// A DIFT policy violation is returned inside the RunResult, not as an
+// error; errors are reserved for infrastructure failures — machine faults,
+// exhausted step budgets, cancellation.
+func (s *System) RunProgram(ctx context.Context, prog *Program, maxSteps uint64) (RunResult, error) {
 	s.Machine.Load(prog)
 	steps, err := s.Machine.Run(ctx, maxSteps)
 	res := RunResult{ExitCode: s.Machine.ExitCode(), Steps: steps}

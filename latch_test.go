@@ -180,3 +180,93 @@ func TestWithObserverWiresAllLayers(t *testing.T) {
 		t.Errorf("checks/positives = %d/%d", s.CoarseChecks, s.CoarsePositives)
 	}
 }
+
+// TestSystemResetMatchesNew runs a program that taints a low page and the
+// top page of the address space, resets the System for another policy and
+// observer, and checks it against New built with them: the state each layer
+// exposes, then the outcome, output and full metrics of the same run on
+// both.
+func TestSystemResetMatchesNew(t *testing.T) {
+	const src = `
+		li   r1, 0x8000
+		movi r2, 8
+		sys  2
+		li   r1, 0xFFFFF000
+		movi r2, 16
+		sys  2
+		li   r3, 0x8000
+		ldw  r4, [r3]
+		li   r1, 0xFFFFF000
+		movi r2, 16
+		sys  5
+		movi r1, 0
+		sys  1
+	`
+	input := []byte("0123456789abcdefghijklmn")
+	sys, err := latch.New(latch.WithObserver(latch.NewMetrics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Machine.Env.FileData = input
+	if _, err := sys.Run(context.Background(), src, 1000); err != nil || sys.Machine.Env.Output.Len() != 16 {
+		t.Fatalf("first run: %v, output %q", err, sys.Machine.Env.Output.String())
+	}
+
+	pol := latch.DefaultPolicy()
+	pol.Sampling = latch.Sampling{SampleFraction: 0.5, SampleSeed: 3}
+	resetObs, freshObs := latch.NewMetrics(), latch.NewMetrics()
+	sys.Reset(pol, resetObs)
+	fresh, err := latch.New(latch.WithPolicy(pol), latch.WithObserver(freshObs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Observer != latch.Observer(resetObs) || sys.Engine.Policy() != pol {
+		t.Fatal("Reset did not wire the new observer and policy")
+	}
+
+	type state struct {
+		domains, words           int
+		module                   latch.ModuleStats
+		taintedBytes             uint64
+		everTainted, tagPages    int
+		regs                     [16]uint32
+		pc                       uint32
+		instret, cycles          uint64
+		guestPages, accessed     int
+		decodeHits, decodeMisses uint64
+		fastEntries, fastSteps   uint64
+		output                   string
+	}
+	stateOf := func(s *latch.System) state {
+		st := state{
+			domains: s.Module.CTT().TaintedDomains(), words: s.Module.CTT().WordsAllocated(),
+			module: s.Module.Stats(), taintedBytes: s.Shadow.TaintedBytes(),
+			everTainted: s.Shadow.EverTaintedPages(), tagPages: s.Shadow.PagesAllocated(),
+			regs: s.Machine.Regs, pc: s.Machine.PC, instret: s.Machine.Instret(), cycles: s.Machine.Cycles(),
+			guestPages: s.Machine.Mem.PagesAllocated(), accessed: s.Machine.Mem.PagesAccessed(),
+			output: s.Machine.Env.Output.String(),
+		}
+		st.decodeHits, st.decodeMisses = s.Machine.DecodeCacheStats()
+		st.fastEntries, _, st.fastSteps = s.Machine.FastLoopStats()
+		return st
+	}
+	if got, want := stateOf(sys), stateOf(fresh); got != want {
+		t.Fatalf("after Reset:\n%+v\nNew:\n%+v", got, want)
+	}
+	var results [2]latch.RunResult
+	for i, s := range []*latch.System{sys, fresh} {
+		s.Machine.Env.FileData = input
+		if results[i], err = s.Run(context.Background(), src, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if results[0] != results[1] {
+		t.Fatalf("run after Reset %+v, after New %+v", results[0], results[1])
+	}
+	if got, want := stateOf(sys), stateOf(fresh); got != want {
+		t.Fatalf("run after Reset:\n%+v\nafter New:\n%+v", got, want)
+	}
+	if got, want := resetObs.Snapshot(), freshObs.Snapshot(); got != want {
+		t.Fatalf("metrics after Reset:\n%+v\nafter New:\n%+v", got, want)
+	}
+}

@@ -105,11 +105,9 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod.SetObserver(o.obs)
 	eng := dift.NewEngine(sh, o.pol)
-	eng.SetObserver(o.obs)
 	m := vm.New()
-	m.SetTracker(eng)
-	m.SetObserver(o.obs)
-	return &System{Machine: m, Engine: eng, Module: mod, Shadow: sh, Observer: o.obs}, nil
+	s := &System{Machine: m, Module: mod, Shadow: sh}
+	s.wire(eng, o.obs)
+	return s, nil
 }

@@ -1,7 +1,8 @@
 // Command serve-smoke is the CI smoke test for cmd/latch-serve: it builds
 // the real binary, boots it on a local port, exercises the serving surface
-// end to end — health, a clean program job, a hijack (violation) job, a
-// workload-replay job, the canary report, expvar — and then shuts the
+// end to end — health, a clean program job, a job tainting the top page of
+// the address space followed by the clean job again, a hijack (violation)
+// job, a workload-replay job, the canary report, expvar — and then shuts the
 // process down with SIGTERM to check the graceful-drain path. Run via
 // `make serve-smoke`.
 package main
@@ -14,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"time"
@@ -68,6 +70,25 @@ func run() error {
 		return fmt.Errorf("clean program result: %v", final)
 	}
 
+	// A job tainting the top page of the address space grows its System's
+	// coarse tables past the geometry's span, so its worker drops that
+	// System; the clean job after it must still stream start + result and
+	// match its first run, on whichever worker takes it.
+	topPage := map[string]any{
+		"source": "li r1, 0xFFFFF000\n movi r2, 16\n sys 2\n li r3, 0xFFFFF000\n ldw r4, [r3]\n movi r1, 0\n sys 1",
+		"input":  "0123456789abcdef",
+	}
+	if _, err := programResult(base, topPage); err != nil {
+		return fmt.Errorf("top-page job: %w", err)
+	}
+	again, err := programResult(base, clean)
+	if err != nil {
+		return fmt.Errorf("clean job after the top-page job: %w", err)
+	}
+	if !reflect.DeepEqual(withoutElapsed(again), withoutElapsed(final)) {
+		return fmt.Errorf("clean job after the top-page job: %v, first run %v", again, final)
+	}
+
 	// A hijack must stream the violation live and in the result.
 	hijack := map[string]any{
 		"source": "li r1, 0x3000\n movi r2, 4\n sys 2\n li r3, 0x3000\n ldw r4, [r3]\n jr r4\n halt",
@@ -99,7 +120,7 @@ func run() error {
 		return fmt.Errorf("workload result: %v", final)
 	}
 
-	// The canary shadow-ran both program jobs and must report agreement.
+	// The canary shadow-ran every program job and must report agreement.
 	var canary struct {
 		Checked     uint64           `json:"checked"`
 		Divergences []map[string]any `json:"divergences"`
@@ -107,8 +128,8 @@ func run() error {
 	if err := getJSON(base+"/debug/canary", &canary); err != nil {
 		return err
 	}
-	if canary.Checked < 2 {
-		return fmt.Errorf("canary checked %d jobs, want >= 2", canary.Checked)
+	if canary.Checked < 4 {
+		return fmt.Errorf("canary checked %d jobs, want >= 4", canary.Checked)
 	}
 	if len(canary.Divergences) != 0 {
 		return fmt.Errorf("canary divergences: %v", canary.Divergences)
@@ -153,6 +174,30 @@ func run() error {
 		return fmt.Errorf("server did not drain within 20s of SIGTERM")
 	}
 	return nil
+}
+
+// programResult posts a program job and returns its result line, requiring
+// the stream to open with start and end with result.
+func programResult(base string, job map[string]any) (map[string]any, error) {
+	lines, err := postJob(base+"/v1/program", job)
+	if err != nil {
+		return nil, err
+	}
+	if lines[0]["type"] != "start" || lines[len(lines)-1]["type"] != "result" {
+		return nil, fmt.Errorf("stream %v", lines)
+	}
+	return lines[len(lines)-1], nil
+}
+
+// withoutElapsed copies a result line without its wall-clock field.
+func withoutElapsed(line map[string]any) map[string]any {
+	out := make(map[string]any, len(line))
+	for k, v := range line {
+		if k != "elapsed" {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 func waitHealthy(base string) error {
