@@ -76,15 +76,21 @@ diffcheck:
 	$(GO) run ./cmd/latch-fuzz -seed 1 -cases 200 -corpus testdata/diffcheck
 
 # Coverage gates: every backend, the experiment harness, and the CLIs sit
-# on internal/engine, and every taint decision flows through the
-# declarative internal/policy layer — both must hold statement coverage at
-# or above 85%.
+# on internal/engine, every taint decision flows through the declarative
+# internal/policy layer, and guest memory and shadow tags run on
+# internal/mem's page map — all three must hold statement coverage at or
+# above 85%.
 cover:
 	$(GO) test -coverprofile=/tmp/policy.cover ./internal/policy
 	@total="$$($(GO) tool cover -func=/tmp/policy.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
 	echo "internal/policy coverage: $$total%"; \
 	awk "BEGIN { exit !($$total >= 85) }" || \
 		{ echo "internal/policy coverage $$total% is below the 85% floor"; exit 1; }
+	$(GO) test -coverprofile=/tmp/mem.cover ./internal/mem
+	@total="$$($(GO) tool cover -func=/tmp/mem.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
+	echo "internal/mem coverage: $$total%"; \
+	awk "BEGIN { exit !($$total >= 85) }" || \
+		{ echo "internal/mem coverage $$total% is below the 85% floor"; exit 1; }
 	$(GO) test -coverprofile=/tmp/engine.cover ./internal/engine
 	@total="$$($(GO) tool cover -func=/tmp/engine.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
 	echo "internal/engine coverage: $$total%"; \
@@ -141,14 +147,16 @@ bench-compare:
 bench-gate:
 	$(GO) run ./tools/bench-gate -baseline $(CURDIR)/BENCH_hotpath.json
 
-# Short fuzz passes: the LA32 assembler/decoder round-trip properties
-# (FuzzAssembleDecode also cross-checks the decode cache against direct
-# Decode, through invalidation and refill), the interpreter differential
-# (FuzzFastLoopVsStep runs raw instruction words through the fast loop and
-# through Step and compares every piece of state), then the
-# backend-equivalence fuzzer, which drives the differential checker from
-# random case seeds.
+# Short fuzz passes: the shared page map (FuzzPageTable runs random
+# lookups, writes, resets and page-set operations against map models), the
+# LA32 assembler/decoder round-trip properties (FuzzAssembleDecode also
+# cross-checks the decode cache against direct Decode, through invalidation
+# and refill), the interpreter differential (FuzzFastLoopVsStep runs raw
+# instruction words through the fast loop and through Step and compares
+# every piece of state), then the backend-equivalence fuzzer, which drives
+# the differential checker from random case seeds.
 fuzz:
+	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s

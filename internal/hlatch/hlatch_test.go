@@ -105,26 +105,6 @@ func TestBaselineMissTracksProfileCalibration(t *testing.T) {
 	}
 }
 
-func TestRunSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is slow")
-	}
-	cfg := shortCfg()
-	cfg.Events = 100_000
-	results, err := RunSuite(workload.SuiteNetwork, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 7 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if r.Checks == 0 {
-			t.Errorf("%s: no checks", r.Benchmark)
-		}
-	}
-}
-
 func BenchmarkHLatchGCC(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Events = uint64(b.N)

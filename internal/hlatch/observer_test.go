@@ -3,21 +3,36 @@ package hlatch
 import (
 	"testing"
 
+	"latch/internal/pool"
 	"latch/internal/telemetry"
 	"latch/internal/workload"
 )
 
-func shortObsCfg(workers int, obs telemetry.Observer) Config {
+func shortObsCfg(obs telemetry.Observer) Config {
 	cfg := DefaultConfig()
 	cfg.Events = 200_000
-	cfg.Workers = workers
 	cfg.Observer = obs
 	return cfg
 }
 
+// runSPEC runs every SPEC benchmark under cfg on a pool of four workers,
+// the way the experiment harness fans a pass out, and returns the results
+// in suite order.
+func runSPEC(t *testing.T, cfg Config) []Result {
+	t.Helper()
+	names := workload.BySuite(workload.SuiteSPEC)
+	rs, err := pool.Map(4, len(names), func(i int) (Result, error) {
+		return Run(workload.MustGet(names[i]), cfg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestObserverMirrorsResult(t *testing.T) {
 	mx := telemetry.NewMetrics()
-	r, err := Run(workload.MustGet("gcc"), shortObsCfg(1, mx))
+	r, err := Run(workload.MustGet("gcc"), shortObsCfg(mx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,16 +57,9 @@ func TestObserverMirrorsResult(t *testing.T) {
 // aggregated counters must equal the sum of the per-benchmark results, and
 // the observed run must produce results identical to an unobserved one.
 func TestSharedObserverAcrossSuite(t *testing.T) {
-	plain, err := RunSuite(workload.SuiteSPEC, shortObsCfg(4, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	plain := runSPEC(t, shortObsCfg(nil))
 	mx := telemetry.NewMetrics()
-	observed, err := RunSuite(workload.SuiteSPEC, shortObsCfg(4, mx))
-	if err != nil {
-		t.Fatal(err)
-	}
+	observed := runSPEC(t, shortObsCfg(mx))
 
 	if len(plain) != len(observed) {
 		t.Fatalf("result count: %d vs %d", len(plain), len(observed))

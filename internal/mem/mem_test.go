@@ -10,9 +10,6 @@ func TestPageMath(t *testing.T) {
 	if PageNumber(0) != 0 || PageNumber(4095) != 0 || PageNumber(4096) != 1 {
 		t.Fatal("PageNumber wrong")
 	}
-	if PageBase(4097) != 4096 || PageBase(0) != 0 {
-		t.Fatal("PageBase wrong")
-	}
 }
 
 func TestByteRoundTrip(t *testing.T) {
@@ -84,69 +81,31 @@ func TestReadUnallocatedZeroFills(t *testing.T) {
 	if m.PagesAllocated() != 0 {
 		t.Fatal("read should not allocate pages")
 	}
-	if m.PagesAccessed() != 1 {
-		t.Fatalf("PagesAccessed = %d, want 1", m.PagesAccessed())
-	}
-}
-
-func TestAccessedPagesSorted(t *testing.T) {
-	m := New()
-	m.StoreByte(9*PageSize, 1)
-	m.StoreByte(2*PageSize, 1)
-	m.LoadByte(5 * PageSize)
-	pages := m.AccessedPages()
-	want := []uint32{2, 5, 9}
-	if len(pages) != len(want) {
-		t.Fatalf("AccessedPages = %v", pages)
-	}
-	for i := range want {
-		if pages[i] != want[i] {
-			t.Fatalf("AccessedPages = %v, want %v", pages, want)
-		}
-	}
-}
-
-func TestAccessTrackingToggle(t *testing.T) {
-	m := New()
-	m.SetAccessTracking(false)
-	m.StoreByte(0, 1)
-	if m.PagesAccessed() != 0 {
-		t.Fatal("tracking disabled but page recorded")
-	}
-	m.SetAccessTracking(true)
-	m.StoreByte(PageSize, 1)
-	if m.PagesAccessed() != 1 {
-		t.Fatal("tracking re-enabled but page not recorded")
-	}
 }
 
 func TestReset(t *testing.T) {
 	m := New()
 	m.StoreWord(0x40, 42)
 	m.Reset()
-	// The read after reset must see zero, allocate nothing, and record
-	// exactly the one page it touched.
-	if m.LoadWord(0x40) != 0 || m.PagesAllocated() != 0 || m.PagesAccessed() != 1 {
+	// The read after reset must see zero and allocate nothing.
+	if m.LoadWord(0x40) != 0 || m.PagesAllocated() != 0 {
 		t.Fatalf("Reset incomplete: %v", m)
 	}
 }
 
-// TestResetRecyclesLeaves writes into a different 4 MiB region, each mapped
-// by its own leaf table, before each of 16 Resets: the leaves must be
-// recycled, not left in the directory, so a Memory keeps one leaf, not 16.
 func TestResetRecyclesLeaves(t *testing.T) {
 	m := New()
 	for i := uint32(0); i < 16; i++ {
 		m.StoreWord(i<<(PageShift+leafBits), i)
 		m.Reset()
 	}
-	for i, leaf := range m.dir {
+	for i, leaf := range m.pages.dir {
 		if leaf != nil {
 			t.Fatalf("directory entry %d still holds a leaf after Reset", i)
 		}
 	}
-	if len(m.freeLeaves) != 1 || len(m.free) != 1 {
-		t.Fatalf("kept %d leaves and %d pages, want 1 and 1", len(m.freeLeaves), len(m.free))
+	if len(m.pages.freeLeaves) != 1 || len(m.pages.free) != 1 {
+		t.Fatalf("kept %d leaves and %d pages, want 1 and 1", len(m.pages.freeLeaves), len(m.pages.free))
 	}
 	if m.LoadWord(15<<(PageShift+leafBits)) != 0 {
 		t.Fatal("a recycled region reads nonzero")
@@ -202,22 +161,15 @@ func TestStringSummary(t *testing.T) {
 }
 
 func TestBulkAccessWrapsAtTop(t *testing.T) {
-	// A bulk access straddling the 4 GiB boundary wraps to page 0. The
-	// page-note walk used to run off the end of the accessed bitmap instead
-	// of wrapping with it (found by the differential checker; see
+	// A bulk access straddling the 4 GiB boundary wraps to page 0. Such an
+	// access once ran a page walk off the end of a page bitmap (found by the
+	// differential checker; see
 	// testdata/diffcheck/panic-reference-seed1660718880496667550.repro).
 	m := New()
 	m.Write(0xFFFF_FFFE, []byte{1, 2, 3, 4})
 	if m.LoadByte(0xFFFF_FFFE) != 1 || m.LoadByte(0xFFFF_FFFF) != 2 ||
 		m.LoadByte(0) != 3 || m.LoadByte(1) != 4 {
 		t.Fatal("wrapped write misplaced bytes")
-	}
-	if m.PagesAccessed() != 2 {
-		t.Fatalf("PagesAccessed = %d, want 2", m.PagesAccessed())
-	}
-	pns := m.AccessedPages()
-	if len(pns) != 2 || pns[0] != 0 || pns[1] != PageCount-1 {
-		t.Fatalf("AccessedPages = %v, want [0 %d]", pns, PageCount-1)
 	}
 	var buf [6]byte
 	m.Read(0xFFFF_FFFD, buf[:])
@@ -228,7 +180,6 @@ func TestBulkAccessWrapsAtTop(t *testing.T) {
 
 func BenchmarkStoreWord(b *testing.B) {
 	m := New()
-	m.SetAccessTracking(false)
 	for i := 0; i < b.N; i++ {
 		m.StoreWord(uint32(i*4)%(1<<20), uint32(i))
 	}
@@ -236,7 +187,6 @@ func BenchmarkStoreWord(b *testing.B) {
 
 func BenchmarkLoadWord(b *testing.B) {
 	m := New()
-	m.SetAccessTracking(false)
 	for a := uint32(0); a < 1<<20; a += 4 {
 		m.StoreWord(a, a)
 	}

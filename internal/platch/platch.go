@@ -23,11 +23,9 @@ package platch
 
 import (
 	"context"
-	"fmt"
 
 	"latch/internal/engine"
 	"latch/internal/latch"
-	"latch/internal/pool"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
 	"latch/internal/workload"
@@ -72,16 +70,13 @@ type Config struct {
 
 	Events uint64
 
-	// Workers bounds RunSuite's worker pool; <= 0 selects one worker per
-	// CPU. Results do not depend on it.
-	Workers int
-
 	// Observer, when non-nil, receives the run's telemetry: the module's
 	// check-path events plus a QueueStall per full-FIFO stall of the
 	// LATCH-filtered queue simulations (the unfiltered baselines are not
 	// reported — they would swamp the signal the paper cares about). It
-	// must be safe for concurrent use when RunSuite fans benchmarks out
-	// over workers (telemetry.Metrics is). Observers never affect results.
+	// must be safe for concurrent use when runs on several goroutines share
+	// it, as the experiment harness's per-pass observers are
+	// (telemetry.Metrics is). Observers never affect results.
 	Observer telemetry.Observer
 }
 
@@ -446,23 +441,4 @@ func Run(p workload.Profile, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res.(Result), nil
-}
-
-// RunSuite simulates every benchmark of a suite, in registry order. The
-// benchmarks are independent (each stream has its own deterministic
-// generator), so they run concurrently on a pool of cfg.Workers goroutines;
-// results come back in suite order regardless of scheduling.
-func RunSuite(s workload.Suite, cfg Config) ([]Result, error) {
-	names := workload.BySuite(s)
-	return pool.Map(cfg.Workers, len(names), func(i int) (Result, error) {
-		p, err := workload.Get(names[i])
-		if err != nil {
-			return Result{}, err
-		}
-		r, err := Run(p, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("platch %s: %w", names[i], err)
-		}
-		return r, nil
-	})
 }

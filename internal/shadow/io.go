@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"latch/internal/mem"
 )
@@ -60,7 +61,7 @@ func (s *Shadow) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for _, pn := range pages {
-		p := s.lookup(pn)
+		p := s.pages.Lookup(pn)
 		runs := encodeRuns(&p.tags)
 		if err := write(pn); err != nil {
 			return n, err
@@ -103,24 +104,12 @@ func encodeRuns(tags *[mem.PageSize]Tag) []taintRun {
 	return runs
 }
 
-// taintedPageNumbersNow lists pages currently holding taint, sorted.
+// taintedPageNumbersNow lists the pages holding taint now, ascending: the
+// ever-tainted pages, which include every one of them, that still do.
 func (s *Shadow) taintedPageNumbersNow() []uint32 {
-	var out []uint32
-	for _, pn := range s.allocated {
-		if p := s.dir[pn>>leafBits][pn&(leafSize-1)]; p.taintedBytes > 0 {
-			out = append(out, pn)
-		}
-	}
-	sortUint32(out)
-	return out
-}
-
-func sortUint32(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return slices.DeleteFunc(s.everTainted.Pages(), func(pn uint32) bool {
+		return s.pages.Lookup(pn).taintedBytes == 0
+	})
 }
 
 // ReadSnapshot deserializes a snapshot into a fresh Shadow. The snapshot's

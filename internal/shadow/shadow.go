@@ -7,18 +7,18 @@
 //   - per-domain tainted-byte counts, where a domain is a fixed power-of-two
 //     span of tens of bytes (§4.1 of the paper) — the ground truth for CTT
 //     bits and for the clear-bit machinery of §5.1.4/§5.3.1, and
-//   - per-page tainted-byte counts — the ground truth for the TLB taint bits
-//     of §4.2 and for the page-distribution analysis of Tables 3 and 4.
+//   - per-page tainted-byte counts, which let TaintedAt answer at page
+//     granularity and Reset skip clean pages, plus the set of pages that
+//     ever held taint — the "pages tainted" count of Tables 3 and 4.
 //
-// Domain and page transitions (clean→tainted and tainted→clean) are reported
-// through watcher callbacks so the coarse taint table can stay synchronized
+// Domain transitions (clean→tainted and tainted→clean) are reported through
+// watcher callbacks so the coarse taint table can stay synchronized
 // incrementally, exactly as the hardware update logic in Figure 12 does.
 //
-// Like internal/mem, the tag pages live in a flat two-level page table
-// fronted by a one-entry translation cache, the ever-tainted-pages set is a
-// bitmap, and Reset recycles pages and leaf tables through free lists — the
-// propagate path (Set/Get) performs no hashing and no allocation in steady
-// state.
+// The tag pages run on mem.Table, the page map guest memory uses, and the
+// ever-tainted set is a mem.PageSet, so the propagate path (Set/Get)
+// performs no hashing and no allocation in steady state and Reset costs
+// what the run tainted.
 //
 // Exported entry points validate their arguments and report invalid ones as
 // errors; the Must* variants (MustNew, MustLabel, MustTaintedAt) panic
@@ -77,18 +77,6 @@ const (
 	MaxDomainSize = mem.PageSize
 )
 
-// The two-level tag-page table mirrors internal/mem's geometry: the 20-bit
-// page number splits into a directory index (high bits) and a leaf index.
-const (
-	leafBits = 10
-	leafSize = 1 << leafBits
-	dirBits  = 32 - mem.PageShift - leafBits
-	dirSize  = 1 << dirBits
-)
-
-// bitmapWords is the size of a one-bit-per-page bitmap in 64-bit words.
-const bitmapWords = mem.PageCount / 64
-
 // maxDomPerPage is the per-page domain count at the smallest granularity;
 // domainBytes is sized for it so a page is one allocation at any granularity.
 const maxDomPerPage = mem.PageSize / MinDomainSize
@@ -99,13 +87,10 @@ type page struct {
 	taintedBytes uint16
 }
 
-// pageLeaf is one leaf table of the two-level tag-page table.
-type pageLeaf [leafSize]*page
-
-// Watcher observes transitions of a coarse unit (domain or page) between the
-// clean and tainted states. Units are identified by their global index
-// (address >> log2(unit size)).
-type Watcher func(unit uint32, tainted bool)
+// Watcher observes transitions of a domain between the clean and tainted
+// states. Domains are identified by their global index (address >>
+// log2(domain size)).
+type Watcher func(domain uint32, tainted bool)
 
 // ByteWatcher observes every byte-level taint-status transition (an address
 // changing between clean and tainted). The S-LATCH clear-bit machinery
@@ -115,14 +100,7 @@ type ByteWatcher func(addr uint32, tainted bool)
 
 // Shadow is a sparse byte-precise taint map over the 32-bit address space.
 type Shadow struct {
-	dir [dirSize]*pageLeaf
-
-	// One-entry translation cache over the tag pages; lastPage == nil means
-	// invalid.
-	lastPN   uint32
-	lastPage *page
-	tlcHits  uint64
-	tlcMiss  uint64
+	pages mem.Table[page]
 
 	domainSize uint32
 	domShift   uint
@@ -131,23 +109,12 @@ type Shadow struct {
 	taintedBytes uint64 // global count
 
 	onDomain Watcher
-	onPage   Watcher
 	onByte   ByteWatcher
 
 	// everTainted records pages that have held taint at any point; the
 	// paper's Tables 3/4 count pages that *received* tainted data during the
-	// run, not pages tainted at exit. It is a one-bit-per-page bitmap with a
-	// dirty-word list so Reset clears only what was used.
-	everTainted      []uint64
-	everDirtyWords   []uint32
-	everTaintedCount int
-
-	// allocated lists tag pages currently backed by storage; free holds
-	// zeroed pages and freeLeaves emptied leaf tables, both recycled by
-	// Reset.
-	allocated  []uint32
-	free       []*page
-	freeLeaves []*pageLeaf
+	// run, not pages tainted at exit. Every page holding taint now is in it.
+	everTainted mem.PageSet
 }
 
 // New creates a shadow with the given domain size, which must be a power of
@@ -160,7 +127,7 @@ func New(domainSize uint32) (*Shadow, error) {
 		domainSize:  domainSize,
 		domShift:    uint(bits.TrailingZeros32(domainSize)),
 		domPerPage:  mem.PageSize / domainSize,
-		everTainted: make([]uint64, bitmapWords),
+		everTainted: mem.NewPageSet(),
 	}, nil
 }
 
@@ -186,93 +153,13 @@ func (s *Shadow) DomainBase(d uint32) uint32 { return d << s.domShift }
 // between clean and tainted. Passing nil removes the watcher.
 func (s *Shadow) OnDomainTransition(w Watcher) { s.onDomain = w }
 
-// OnPageTransition registers the watcher called when a page changes between
-// clean and tainted. Passing nil removes the watcher.
-func (s *Shadow) OnPageTransition(w Watcher) { s.onPage = w }
-
 // OnByteTransition registers the watcher called on every byte-level taint
 // status change. Passing nil removes the watcher.
 func (s *Shadow) OnByteTransition(w ByteWatcher) { s.onByte = w }
 
-// lookup returns the page numbered pn or nil, going through the translation
-// cache.
-func (s *Shadow) lookup(pn uint32) *page {
-	if pn == s.lastPN && s.lastPage != nil {
-		s.tlcHits++
-		return s.lastPage
-	}
-	s.tlcMiss++
-	leaf := s.dir[pn>>leafBits]
-	if leaf == nil {
-		return nil
-	}
-	p := leaf[pn&(leafSize-1)]
-	if p != nil {
-		s.lastPN, s.lastPage = pn, p
-	}
-	return p
-}
-
-func (s *Shadow) getPage(pn uint32, create bool) *page {
-	if pn == s.lastPN && s.lastPage != nil {
-		s.tlcHits++
-		return s.lastPage
-	}
-	s.tlcMiss++
-	leaf := s.dir[pn>>leafBits]
-	if leaf == nil {
-		if !create {
-			return nil
-		}
-		if n := len(s.freeLeaves); n > 0 {
-			leaf = s.freeLeaves[n-1]
-			s.freeLeaves[n-1] = nil
-			s.freeLeaves = s.freeLeaves[:n-1]
-		} else {
-			leaf = new(pageLeaf)
-		}
-		s.dir[pn>>leafBits] = leaf
-	}
-	p := leaf[pn&(leafSize-1)]
-	if p == nil {
-		if !create {
-			return nil
-		}
-		if n := len(s.free); n > 0 {
-			p = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-		} else {
-			p = new(page)
-		}
-		leaf[pn&(leafSize-1)] = p
-		s.allocated = append(s.allocated, pn)
-	}
-	s.lastPN, s.lastPage = pn, p
-	return p
-}
-
-// TranslationCacheStats returns the hit and miss counts of the one-entry
-// tag-page translation cache.
-func (s *Shadow) TranslationCacheStats() (hits, misses uint64) {
-	return s.tlcHits, s.tlcMiss
-}
-
-// markEverTainted records page pn in the ever-tainted set.
-func (s *Shadow) markEverTainted(pn uint32) {
-	w, bit := pn>>6, uint64(1)<<(pn&63)
-	if s.everTainted[w]&bit == 0 {
-		if s.everTainted[w] == 0 {
-			s.everDirtyWords = append(s.everDirtyWords, w)
-		}
-		s.everTainted[w] |= bit
-		s.everTaintedCount++
-	}
-}
-
 // Get returns the tag of the byte at addr.
 func (s *Shadow) Get(addr uint32) Tag {
-	p := s.lookup(mem.PageNumber(addr))
+	p := s.pages.Lookup(mem.PageNumber(addr))
 	if p == nil {
 		return TagClean
 	}
@@ -282,13 +169,12 @@ func (s *Shadow) Get(addr uint32) Tag {
 // Set assigns tag to the byte at addr and returns the previous tag.
 func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 	pn := mem.PageNumber(addr)
-	// Translation-cache hit path, hoisted: getPage is too large to inline
-	// and Set is the propagate hot path.
+	// Get and Lookup inline, so a translation-cache hit costs no call on
+	// the propagate hot path.
 	var p *page
-	if pn == s.lastPN && s.lastPage != nil {
-		s.tlcHits++
-		p = s.lastPage
-	} else if p = s.getPage(pn, tag != TagClean); p == nil {
+	if tag != TagClean {
+		p = s.pages.Get(pn)
+	} else if p = s.pages.Lookup(pn); p == nil {
 		return TagClean // clearing an untracked byte: nothing to do
 	}
 	off := addr % mem.PageSize
@@ -307,10 +193,7 @@ func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 			s.onDomain(s.DomainIndex(addr), true)
 		}
 		if p.taintedBytes == 1 {
-			s.markEverTainted(pn)
-			if s.onPage != nil {
-				s.onPage(pn, true)
-			}
+			s.everTainted.Add(pn)
 		}
 		if s.onByte != nil {
 			s.onByte(addr, true)
@@ -321,9 +204,6 @@ func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 		p.domainBytes[di]--
 		if p.domainBytes[di] == 0 && s.onDomain != nil {
 			s.onDomain(s.DomainIndex(addr), false)
-		}
-		if p.taintedBytes == 0 && s.onPage != nil {
-			s.onPage(pn, false)
 		}
 		if s.onByte != nil {
 			s.onByte(addr, false)
@@ -353,8 +233,10 @@ func (s *Shadow) SetRange(addr uint32, n int, tag Tag) {
 // setPageRange applies Set's transition logic to run bytes of page pn
 // starting at page offset off (the span never crosses the page boundary).
 func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
-	p := s.getPage(pn, tag != TagClean)
-	if p == nil {
+	var p *page
+	if tag != TagClean {
+		p = s.pages.Get(pn)
+	} else if p = s.pages.Lookup(pn); p == nil {
 		return // clearing untracked bytes: nothing to do
 	}
 	base := pn << mem.PageShift
@@ -363,9 +245,7 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 		// Clean-span fill: when every domain the span touches holds no
 		// tainted bytes, every byte transitions, so the counters can be set
 		// wholesale. The watcher sequence matches the per-byte order: each
-		// domain fires at its first byte, and the page transition fires right
-		// after the very first domain's — and only if the page held no taint
-		// anywhere before the fill.
+		// domain fires at its first byte.
 		dEnd := (end - 1) >> s.domShift
 		clean := true
 		for d := off >> s.domShift; d <= dEnd; d++ {
@@ -375,7 +255,7 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 			}
 		}
 		if clean {
-			pageWasClean := p.taintedBytes == 0
+			s.everTainted.Add(pn)
 			for i := off; i < end; i++ {
 				p.tags[i] = tag
 			}
@@ -393,12 +273,6 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 				p.domainBytes[d] = uint16(hi - lo)
 				if s.onDomain != nil {
 					s.onDomain((base>>s.domShift)+d, true)
-				}
-				if lo == off && pageWasClean {
-					s.markEverTainted(pn)
-					if s.onPage != nil {
-						s.onPage(pn, true)
-					}
 				}
 			}
 			return
@@ -420,10 +294,7 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 				s.onDomain((base>>s.domShift)+di, true)
 			}
 			if p.taintedBytes == 1 {
-				s.markEverTainted(pn)
-				if s.onPage != nil {
-					s.onPage(pn, true)
-				}
+				s.everTainted.Add(pn)
 			}
 			if s.onByte != nil {
 				s.onByte(base+i, true)
@@ -434,9 +305,6 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 			p.domainBytes[di]--
 			if p.domainBytes[di] == 0 && s.onDomain != nil {
 				s.onDomain((base>>s.domShift)+di, false)
-			}
-			if p.taintedBytes == 0 && s.onPage != nil {
-				s.onPage(pn, false)
 			}
 			if s.onByte != nil {
 				s.onByte(base+i, false)
@@ -485,7 +353,7 @@ func (s *Shadow) RangeCoarseTainted(addr uint32, n int) bool {
 
 // domainCoarseTainted reports whether addr's domain holds any tainted byte.
 func (s *Shadow) domainCoarseTainted(addr uint32) bool {
-	p := s.lookup(mem.PageNumber(addr))
+	p := s.pages.Lookup(mem.PageNumber(addr))
 	return p != nil && p.taintedBytes > 0 && p.domainBytes[(addr%mem.PageSize)>>s.domShift] > 0
 }
 
@@ -499,7 +367,7 @@ func (s *Shadow) DomainTainted(d uint32) bool {
 // has been fully cleared.
 func (s *Shadow) DomainTaintedBytes(d uint32) int {
 	addr := s.DomainBase(d)
-	p := s.lookup(mem.PageNumber(addr))
+	p := s.pages.Lookup(mem.PageNumber(addr))
 	if p == nil {
 		return 0
 	}
@@ -523,13 +391,13 @@ func (s *Shadow) TaintedAt(addr uint32, unitSize uint32) (bool, error) {
 		// looking at any page.
 		pn := mem.PageNumber(base)
 		for i := uint32(0); i < unitSize/mem.PageSize; i++ {
-			if p := s.lookup((pn + i) % mem.PageCount); p != nil && p.taintedBytes > 0 {
+			if p := s.pages.Lookup((pn + i) % mem.PageCount); p != nil && p.taintedBytes > 0 {
 				return true, nil
 			}
 		}
 		return false, nil
 	}
-	p := s.lookup(mem.PageNumber(base))
+	p := s.pages.Lookup(mem.PageNumber(base))
 	if p == nil || p.taintedBytes == 0 {
 		return false, nil
 	}
@@ -561,105 +429,50 @@ func (s *Shadow) MustTaintedAt(addr, unitSize uint32) bool {
 	return ok
 }
 
-// PageTainted reports whether the page currently holds any tainted byte.
-func (s *Shadow) PageTainted(pn uint32) bool {
-	p := s.lookup(pn)
-	return p != nil && p.taintedBytes > 0
-}
-
-// PageTaintedBytes returns the number of tainted bytes currently in page pn.
-func (s *Shadow) PageTaintedBytes(pn uint32) int {
-	p := s.lookup(pn)
-	if p == nil {
-		return 0
-	}
-	return int(p.taintedBytes)
-}
-
 // TaintedBytes returns the total number of currently tainted bytes.
 func (s *Shadow) TaintedBytes() uint64 { return s.taintedBytes }
 
 // PagesAllocated returns the number of tag pages backed by storage.
-func (s *Shadow) PagesAllocated() int { return len(s.allocated) }
+func (s *Shadow) PagesAllocated() int { return s.pages.Len() }
 
 // EverTaintedPages returns the number of distinct pages that have held taint
 // at any point during execution (the "pages tainted" metric of Tables 3/4).
-func (s *Shadow) EverTaintedPages() int { return s.everTaintedCount }
+func (s *Shadow) EverTaintedPages() int { return s.everTainted.Len() }
 
 // EverTaintedPageNumbers returns the sorted page numbers that ever held taint.
-func (s *Shadow) EverTaintedPageNumbers() []uint32 {
-	out := make([]uint32, 0, s.everTaintedCount)
-	for w, word := range s.everTainted {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, uint32(w)<<6+uint32(bits.TrailingZeros64(word)))
-		}
-	}
-	return out
-}
+func (s *Shadow) EverTaintedPageNumbers() []uint32 { return s.everTainted.Pages() }
 
 // ForEachEverTaintedPage calls fn with the number of every page that held
-// taint since the last Reset, in no particular order. It walks only the
-// bitmap words those pages set, so its cost follows the pages the run
-// tainted, not the address space, and it allocates nothing.
-func (s *Shadow) ForEachEverTaintedPage(fn func(pn uint32)) {
-	for _, w := range s.everDirtyWords {
-		for word := s.everTainted[w]; word != 0; word &= word - 1 {
-			fn(w<<6 + uint32(bits.TrailingZeros64(word)))
-		}
-	}
-}
+// taint since the last Reset, in no particular order. Its cost follows the
+// pages the run tainted, not the address space, and it allocates nothing.
+func (s *Shadow) ForEachEverTaintedPage(fn func(pn uint32)) { s.everTainted.ForEach(fn) }
 
 // CurrentTaintedPages returns the number of pages holding taint right now.
-func (s *Shadow) CurrentTaintedPages() int {
-	n := 0
-	for _, pn := range s.allocated {
-		if p := s.dir[pn>>leafBits][pn&(leafSize-1)]; p.taintedBytes > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Shadow) CurrentTaintedPages() int { return len(s.taintedPageNumbersNow()) }
 
 // Reset clears all taint and statistics. Watchers are retained but not
-// invoked for the wholesale clear. The tag pages are zeroed and recycled
-// onto a free list rather than released, so repopulating after a Reset
-// allocates nothing. The leaf tables that mapped them are emptied and
-// recycled too, so what a Shadow keeps across Resets is bounded by the most
-// pages one run tainted, not by every region runs ever touched.
+// invoked for the wholesale clear. The tag pages are zeroed and kept for
+// reuse rather than released, so repopulating after a Reset allocates
+// nothing, and what a Shadow keeps across Resets is bounded by the most
+// pages one run tainted (see mem.Table).
 func (s *Shadow) Reset() {
-	for _, pn := range s.allocated {
-		leaf := s.dir[pn>>leafBits]
-		p := leaf[pn&(leafSize-1)]
+	size, perPage := s.domainSize, s.domPerPage
+	s.pages.Reset(func(p *page) {
 		// The counters say exactly which domains hold nonzero tags; a page
 		// whose taint was already cleared byte-by-byte needs no zeroing at
 		// all, and a sparsely tainted one only domain-sized clears.
-		if p.taintedBytes > 0 {
-			for di, n := range p.domainBytes[:s.domPerPage] {
-				if n > 0 {
-					base := uint32(di) * s.domainSize
-					clear(p.tags[base : base+s.domainSize])
-					p.domainBytes[di] = 0
-				}
+		if p.taintedBytes == 0 {
+			return
+		}
+		for di, n := range p.domainBytes[:perPage] {
+			if n > 0 {
+				base := uint32(di) * size
+				clear(p.tags[base : base+size])
+				p.domainBytes[di] = 0
 			}
-			p.taintedBytes = 0
 		}
-		leaf[pn&(leafSize-1)] = nil
-		s.free = append(s.free, p)
-	}
-	// Every leaf maps only allocated pages, so each is empty now.
-	for _, pn := range s.allocated {
-		if leaf := s.dir[pn>>leafBits]; leaf != nil {
-			s.dir[pn>>leafBits] = nil
-			s.freeLeaves = append(s.freeLeaves, leaf)
-		}
-	}
-	s.allocated = s.allocated[:0]
-	for _, w := range s.everDirtyWords {
-		s.everTainted[w] = 0
-	}
-	s.everDirtyWords = s.everDirtyWords[:0]
-	s.everTaintedCount = 0
+		p.taintedBytes = 0
+	})
+	s.everTainted.Clear()
 	s.taintedBytes = 0
-	s.lastPage = nil
-	s.tlcHits, s.tlcMiss = 0, 0
 }

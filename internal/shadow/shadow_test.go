@@ -118,7 +118,7 @@ func TestDomainTracking(t *testing.T) {
 
 func TestWatchers(t *testing.T) {
 	s := MustNew(64)
-	var domEvents, pageEvents []struct {
+	var domEvents []struct {
 		unit    uint32
 		tainted bool
 	}
@@ -128,22 +128,13 @@ func TestWatchers(t *testing.T) {
 			tainted bool
 		}{u, tt})
 	})
-	s.OnPageTransition(func(u uint32, tt bool) {
-		pageEvents = append(pageEvents, struct {
-			unit    uint32
-			tainted bool
-		}{u, tt})
-	})
-	s.Set(64, MustLabel(0)) // domain 1 taints, page 0 taints
+	s.Set(64, MustLabel(0)) // domain 1 taints
 	s.Set(65, MustLabel(0)) // no transition
 	s.Set(64, TagClean)
-	s.Set(65, TagClean) // domain 1 clears, page 0 clears
+	s.Set(65, TagClean) // domain 1 clears
 	if len(domEvents) != 2 || !domEvents[0].tainted || domEvents[0].unit != 1 ||
 		domEvents[1].tainted || domEvents[1].unit != 1 {
 		t.Fatalf("domain events = %+v", domEvents)
-	}
-	if len(pageEvents) != 2 || !pageEvents[0].tainted || pageEvents[1].tainted {
-		t.Fatalf("page events = %+v", pageEvents)
 	}
 }
 
@@ -238,17 +229,6 @@ func TestEverTaintedPages(t *testing.T) {
 	}
 }
 
-func TestPageCounters(t *testing.T) {
-	s := MustNew(64)
-	s.SetRange(4096, 7, MustLabel(0))
-	if !s.PageTainted(1) || s.PageTaintedBytes(1) != 7 {
-		t.Fatal("page counters wrong")
-	}
-	if s.PageTainted(0) || s.PageTaintedBytes(0) != 0 {
-		t.Fatal("clean page reported tainted")
-	}
-}
-
 func TestReset(t *testing.T) {
 	s := MustNew(64)
 	s.SetRange(0, 100, MustLabel(0))
@@ -258,24 +238,25 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestResetRecyclesLeaves taints a different 4 MiB region, each mapped by
-// its own leaf table, before each of 16 Resets: the leaves must be recycled,
-// not left in the directory, so a Shadow keeps one leaf, not 16.
+// Each run taints one page under its own leaf table of the page map (the
+// regions are 256 MiB apart); once the first run has left a page and a leaf
+// on the free lists, later runs must reuse them and allocate nothing.
 func TestResetRecyclesLeaves(t *testing.T) {
 	s := MustNew(64)
-	for i := uint32(0); i < 16; i++ {
-		s.SetRange(i<<(mem.PageShift+leafBits), 8, MustLabel(0))
+	i := uint32(0)
+	allocs := testing.AllocsPerRun(15, func() {
+		s.SetRange(i<<28, 8, MustLabel(0))
 		s.Reset()
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a run after Reset allocated %v times, want 0", allocs)
 	}
-	for i, leaf := range s.dir {
-		if leaf != nil {
-			t.Fatalf("directory entry %d still holds a leaf after Reset", i)
-		}
+	if s.PagesAllocated() != 0 || s.TaintedBytes() != 0 || s.EverTaintedPages() != 0 {
+		t.Fatalf("Reset left %d pages, %d tainted bytes, %d ever-tainted pages",
+			s.PagesAllocated(), s.TaintedBytes(), s.EverTaintedPages())
 	}
-	if len(s.freeLeaves) != 1 || len(s.free) != 1 {
-		t.Fatalf("kept %d leaves and %d pages, want 1 and 1", len(s.freeLeaves), len(s.free))
-	}
-	if s.Get(15<<(mem.PageShift+leafBits)) != TagClean {
+	if s.Get(15<<28) != TagClean {
 		t.Fatal("a recycled region reads tainted")
 	}
 }

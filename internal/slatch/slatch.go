@@ -26,7 +26,6 @@ import (
 
 	"latch/internal/engine"
 	"latch/internal/latch"
-	"latch/internal/pool"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
 	"latch/internal/workload"
@@ -52,14 +51,11 @@ type Config struct {
 
 	Events uint64 // stream length
 
-	// Workers bounds RunSuite's worker pool; <= 0 selects one worker per
-	// CPU. Results do not depend on it.
-	Workers int
-
 	// Observer, when non-nil, receives the run's telemetry: the module's
 	// check-path events plus an EpochTransition per mode switch. It must be
-	// safe for concurrent use when RunSuite fans benchmarks out over
-	// workers (telemetry.Metrics is). Observers never affect results.
+	// safe for concurrent use when runs on several goroutines share it, as
+	// the experiment harness's per-pass observers are (telemetry.Metrics
+	// is). Observers never affect results.
 	Observer telemetry.Observer
 }
 
@@ -243,23 +239,4 @@ func Run(p workload.Profile, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return res.(Result), nil
-}
-
-// RunSuite simulates every benchmark of a suite, in registry order. The
-// benchmarks are independent (each stream has its own deterministic
-// generator), so they run concurrently on a pool of cfg.Workers goroutines;
-// results come back in suite order regardless of scheduling.
-func RunSuite(s workload.Suite, cfg Config) ([]Result, error) {
-	names := workload.BySuite(s)
-	return pool.Map(cfg.Workers, len(names), func(i int) (Result, error) {
-		p, err := workload.Get(names[i])
-		if err != nil {
-			return Result{}, err
-		}
-		r, err := Run(p, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("slatch %s: %w", names[i], err)
-		}
-		return r, nil
-	})
 }

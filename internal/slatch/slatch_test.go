@@ -136,18 +136,6 @@ func TestBreakdownComponentsPresent(t *testing.T) {
 	}
 }
 
-func TestRunSuite(t *testing.T) {
-	cfg := shortCfg()
-	cfg.Events = 100_000
-	rs, err := RunSuite(workload.SuiteNetwork, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 7 {
-		t.Fatalf("results = %d", len(rs))
-	}
-}
-
 func BenchmarkSLatchApache(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Events = uint64(b.N)

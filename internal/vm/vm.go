@@ -165,14 +165,11 @@ type CPU struct {
 
 	// dcache caches decoded instructions by PC so the steady-state fetch
 	// path skips both the memory load and the decoder — the interpreter's
-	// analog of a DBT code cache. codePages is a one-bit-per-page map of
-	// pages holding cached code; stores consult it so writes over cached
-	// instructions invalidate their decodes (self-modifying-code safety).
-	// codeWords lists the codePages words holding a set bit, so clearing
-	// the map costs the pages marked, not the 128 KiB map.
+	// analog of a DBT code cache. codePages holds the pages with cached
+	// code; stores consult it so writes over cached instructions invalidate
+	// their decodes (self-modifying-code safety).
 	dcache    *isa.DecodeCache
-	codePages []uint64
-	codeWords []uint32
+	codePages mem.PageSet
 
 	// reported* track the counter values already flushed to the observer;
 	// CacheBatch deltas are emitted at Run boundaries, keeping the per-step
@@ -203,7 +200,7 @@ func New() *CPU {
 		Mem:       mem.New(),
 		Env:       NewEnv(),
 		dcache:    isa.NewDecodeCache(isa.DefaultDecodeCacheEntries),
-		codePages: make([]uint64, mem.PageCount/64),
+		codePages: mem.NewPageSet(),
 	}
 }
 
@@ -235,7 +232,7 @@ func (c *CPU) Load(p *isa.Program) {
 	c.Mem.Write(p.Origin, p.Image)
 	c.PC = p.Entry
 	c.dcache.Flush()
-	c.clearCodePages()
+	c.codePages.Clear()
 }
 
 // Reset returns the CPU to its New state — zeroed registers and counters,
@@ -245,16 +242,8 @@ func (c *CPU) Load(p *isa.Program) {
 func (c *CPU) Reset() {
 	c.Mem.Reset()
 	c.dcache.Reset()
-	c.clearCodePages()
-	*c = CPU{Mem: c.Mem, Env: NewEnv(), dcache: c.dcache, codePages: c.codePages, codeWords: c.codeWords}
-}
-
-// clearCodePages empties the code-page map through the words it set.
-func (c *CPU) clearCodePages() {
-	for _, w := range c.codeWords {
-		c.codePages[w] = 0
-	}
-	c.codeWords = c.codeWords[:0]
+	c.codePages.Clear()
+	*c = CPU{Mem: c.Mem, Env: NewEnv(), dcache: c.dcache, codePages: c.codePages}
 }
 
 // DecodeCacheStats returns the decoded-instruction cache's hit and miss
@@ -271,15 +260,6 @@ func (c *CPU) FastLoopStats() (entries, exits, steps uint64) {
 // built.
 func (c *CPU) Fusions() uint64 { return c.dcache.Fusions() }
 
-// markCodePage records that page pn holds at least one cached decode.
-func (c *CPU) markCodePage(pn uint32) {
-	w := pn >> 6
-	if c.codePages[w] == 0 {
-		c.codeWords = append(c.codeWords, w)
-	}
-	c.codePages[w] |= 1 << (pn & 63)
-}
-
 // insertDecode caches a decode and stamps the slot with its fast-loop kind,
 // so dispatch reads the classification from the already-resident entry. Both
 // fill paths (Step and runFast) must go through this helper: an unstamped
@@ -292,39 +272,28 @@ func (c *CPU) insertDecode(pc uint32, in isa.Instr) {
 // addr. The common case — a store to a page holding no cached code — is two
 // loads and a branch per touched page.
 func (c *CPU) noteStore(addr uint32, n uint32) {
-	if n == 0 {
+	if n == 0 || !c.storeHitsCode(addr, n) {
 		return
 	}
-	// The store's byte range wraps at 4 GiB (memory does), so the page walk
-	// wraps as well rather than running off the end of the bitmap.
-	first := mem.PageNumber(addr)
-	end := addr + n - 1
-	last := mem.PageNumber(end)
-	for p := first; ; p = (p + 1) % mem.PageCount {
-		if c.codePages[p>>6]&(1<<(p&63)) != 0 {
-			if end < addr {
-				// Wrapped range: the decode cache's invalidation is
-				// interval-based and cannot express it, so drop everything.
-				c.dcache.Flush()
-			} else {
-				c.dcache.InvalidateRange(addr, end)
-			}
-			return
-		}
-		if p == last {
-			break
-		}
+	if end := addr + n - 1; end < addr {
+		// Wrapped range: the decode cache's invalidation is interval-based
+		// and cannot express it, so drop everything.
+		c.dcache.Flush()
+	} else {
+		c.dcache.InvalidateRange(addr, end)
 	}
 }
 
 // storeHitsCode reports whether a store of n (>= 1) bytes at addr touches a
 // page holding cached decodes — the fast loop's self-modifying-store exit
-// test, the detection half of noteStore without the invalidation.
+// test, the detection half of noteStore without the invalidation. The
+// store's byte range wraps at 4 GiB (memory does), so the page walk wraps
+// as well.
 func (c *CPU) storeHitsCode(addr, n uint32) bool {
 	first := mem.PageNumber(addr)
 	last := mem.PageNumber(addr + n - 1)
 	for p := first; ; p = (p + 1) % mem.PageCount {
-		if c.codePages[p>>6]&(1<<(p&63)) != 0 {
+		if c.codePages.Has(p) {
 			return true
 		}
 		if p == last {
@@ -611,8 +580,8 @@ loop:
 				break // the full loop re-decodes and surfaces the fault
 			}
 			c.insertDecode(pc, in)
-			c.markCodePage(mem.PageNumber(pc))
-			c.markCodePage(mem.PageNumber(pc + isa.WordSize - 1))
+			c.codePages.Add(mem.PageNumber(pc))
+			c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
 			// Fuse opportunistically on fill: backwards (the predecessor may
 			// have been waiting for this decode) and forwards.
 			if pc >= isa.WordSize {
@@ -793,10 +762,9 @@ func (c *CPU) Step() error {
 		}
 		c.insertDecode(pc, in)
 		// Mark every page the instruction word spans so stores over it are
-		// caught. (A decode-cache hit skips LoadWord, but the accessed-pages
-		// set is monotone: this fill already noted the fetch page.)
-		c.markCodePage(mem.PageNumber(pc))
-		c.markCodePage(mem.PageNumber(pc + isa.WordSize - 1))
+		// caught.
+		c.codePages.Add(mem.PageNumber(pc))
+		c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
 		// Build superinstructions on fill so warm code is fused no matter
 		// which loop populated the cache.
 		if pc >= isa.WordSize {

@@ -467,7 +467,6 @@ func BenchmarkInterpreterLoop(b *testing.B) {
 		halt
 	`)
 	c := New()
-	c.Mem.SetAccessTracking(false)
 	c.Load(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -486,7 +485,6 @@ func BenchmarkInterpreterWithDIFT(b *testing.B) {
 		halt
 	`)
 	c := New()
-	c.Mem.SetAccessTracking(false)
 	c.SetTracker(dift.NewEngine(shadow.MustNew(64), policy.Default()))
 	c.Load(p)
 	b.ResetTimer()
@@ -672,15 +670,6 @@ func TestResetMatchesNew(t *testing.T) {
 	c.Reset()
 	fresh := New()
 
-	codeMarks := func(c *CPU) int {
-		n := 0
-		for _, w := range c.codePages {
-			if w != 0 {
-				n++
-			}
-		}
-		return n + len(c.codeWords)
-	}
 	type state struct {
 		regs                              [isa.NumRegs]uint32
 		pc                                uint32
@@ -689,7 +678,7 @@ func TestResetMatchesNew(t *testing.T) {
 		exit                              uint32
 		decodeHits, decodeMisses, fusions uint64
 		fastEntries, fastExits, fastSteps uint64
-		accessed, allocated               int
+		allocated                         int
 		tlcHits, tlcMisses                uint64
 		fileOff, reqIdx, curReq, curConn  int
 		output, codeMarks                 int
@@ -699,10 +688,10 @@ func TestResetMatchesNew(t *testing.T) {
 		s.decodeHits, s.decodeMisses = c.DecodeCacheStats()
 		s.fusions = c.Fusions()
 		s.fastEntries, s.fastExits, s.fastSteps = c.FastLoopStats()
-		s.accessed, s.allocated = c.Mem.PagesAccessed(), c.Mem.PagesAllocated()
+		s.allocated = c.Mem.PagesAllocated()
 		s.tlcHits, s.tlcMisses = c.Mem.TranslationCacheStats()
 		s.fileOff, s.reqIdx, s.curReq, s.curConn = c.Env.fileOff, c.Env.reqIdx, c.Env.curReq, c.Env.curConn
-		s.output, s.codeMarks = c.Env.Output.Len(), codeMarks(c)
+		s.output, s.codeMarks = c.Env.Output.Len(), c.codePages.Len()
 		return s
 	}
 	if got, want := stateOf(c), stateOf(fresh); got != want {
@@ -718,7 +707,7 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Fatalf("run after Reset:\n%+v\nafter New:\n%+v", got, want)
 	}
 	c.Load(a)
-	if n := codeMarks(c); n != 0 {
+	if n := c.codePages.Len(); n != 0 {
 		t.Fatalf("Load left %d code-page marks", n)
 	}
 }

@@ -232,7 +232,7 @@ func TestSystemResetMatchesNew(t *testing.T) {
 		regs                     [16]uint32
 		pc                       uint32
 		instret, cycles          uint64
-		guestPages, accessed     int
+		guestPages               int
 		decodeHits, decodeMisses uint64
 		fastEntries, fastSteps   uint64
 		output                   string
@@ -243,8 +243,7 @@ func TestSystemResetMatchesNew(t *testing.T) {
 			module: s.Module.Stats(), taintedBytes: s.Shadow.TaintedBytes(),
 			everTainted: s.Shadow.EverTaintedPages(), tagPages: s.Shadow.PagesAllocated(),
 			regs: s.Machine.Regs, pc: s.Machine.PC, instret: s.Machine.Instret(), cycles: s.Machine.Cycles(),
-			guestPages: s.Machine.Mem.PagesAllocated(), accessed: s.Machine.Mem.PagesAccessed(),
-			output: s.Machine.Env.Output.String(),
+			guestPages: s.Machine.Mem.PagesAllocated(), output: s.Machine.Env.Output.String(),
 		}
 		st.decodeHits, st.decodeMisses = s.Machine.DecodeCacheStats()
 		st.fastEntries, _, st.fastSteps = s.Machine.FastLoopStats()
