@@ -59,10 +59,11 @@ paper-smoke:
 
 # Service smoke tier: build the real latch-serve binary, boot it, push a
 # clean program job, a job tainting the top page of the address space and
-# the clean job again (same result), a control-flow hijack, and a
-# workload-replay job through the HTTP surface, check the in-service canary
-# agreed with the reference stack, and SIGTERM it to exercise graceful
-# drain.
+# the clean job again (same result), a body one byte over the 1 MiB job cap
+# to each job endpoint (413, never accepted) and the clean job again, a
+# control-flow hijack, and a workload-replay job through the HTTP surface,
+# check the in-service canary agreed with the reference stack, and SIGTERM
+# it to exercise graceful drain.
 serve-smoke:
 	$(GO) run ./tools/serve-smoke
 
@@ -103,9 +104,8 @@ cover:
 # experiment pass against the pre-overhaul baselines), and the concurrent
 # P-LATCH report (BENCH_cplatch.json: serial analytic platch vs the
 # lock-free pipeline at 1/2/4/8 monitor shards, with the zero-alloc
-# producer-step bar enforced), and the selective-tracing frontier
-# (BENCH_sampling.json: detection rate vs S-LATCH overhead across the
-# sampling-fraction sweep).
+# producer-step bar enforced). The selective-tracing frontier is pinned by
+# internal/experiments/testdata/sampling.golden.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 	$(GO) test ./internal/latch -run TestWriteObservabilityBench \
@@ -114,8 +114,6 @@ bench:
 		-hotpath-bench-out $(CURDIR)/BENCH_hotpath.json
 	$(GO) test ./internal/platch -run TestWriteCPlatchBench \
 		-cplatch-bench-out $(CURDIR)/BENCH_cplatch.json
-	$(GO) test ./internal/experiments -run TestWriteSamplingBench \
-		-sampling-bench-out $(CURDIR)/BENCH_sampling.json
 
 # Benchstat-friendly re-run of the hot-path benchmarks with pinned count
 # and benchtime, for diffing against the committed BENCH_hotpath.json:

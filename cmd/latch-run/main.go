@@ -43,7 +43,6 @@ import (
 	"latch/internal/cosim"
 	"latch/internal/isa"
 	"latch/internal/slatch"
-	"latch/internal/trace"
 	"latch/internal/workload"
 )
 
@@ -215,9 +214,6 @@ func run() int {
 	sys.Machine.Env.FileData = input
 	sys.Machine.Env.Requests = requests
 
-	analyzer := trace.NewEpochAnalyzer()
-	sys.Machine.SetHook(analyzer)
-
 	prog, err := assembleOrLoad(src)
 	if err != nil {
 		return fail(err)
@@ -225,12 +221,15 @@ func run() int {
 	sys.Machine.Load(prog)
 	_, runErr := sys.Machine.Run(ctx, *maxSteps)
 	code := sys.Machine.ExitCode()
-	analyzer.Finish()
 
 	fmt.Printf("instructions: %d\n", sys.Machine.Instret())
 	if !*noDift {
-		fmt.Printf("tainted instructions: %d (%.3f%%)\n",
-			analyzer.TaintedInstructions(), analyzer.TaintedPercent())
+		tainted, total := sys.Engine.InstructionsTainted(), sys.Engine.InstructionsTotal()
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(tainted) / float64(total)
+		}
+		fmt.Printf("tainted instructions: %d (%.3f%%)\n", tainted, pct)
 		fmt.Printf("tainted bytes now: %d across %d pages (ever: %d pages)\n",
 			sys.Shadow.TaintedBytes(), sys.Shadow.CurrentTaintedPages(), sys.Shadow.EverTaintedPages())
 		fmt.Printf("coarse taint: %d domains in %d CTT words\n",

@@ -82,7 +82,7 @@ loop:
 
 // sweepCPU builds a tracked CPU over sweepProgram with fracPct percent of the
 // window's stride slots tainted (one byte each, spread evenly), warmed until
-// the decode cache and fusion pairs are hot.
+// the decode cache is hot.
 func sweepCPU(b *testing.B, fracPct int) *vm.CPU {
 	c := vm.New()
 	c.Load(isa.MustAssemble(sweepProgram))

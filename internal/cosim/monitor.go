@@ -133,7 +133,9 @@ func (m *Monitor) Result() engine.Result {
 
 // --- vm.Tracker ---
 
-// Touches delegates the ground-truth predicate to the precise engine.
+// Touches delegates the ground-truth predicate to the precise engine. The VM
+// does not call it: Commit asks the engine directly for each event's
+// Tainted flag.
 func (m *Monitor) Touches(in isa.Instr, addr uint32) bool {
 	return m.Engine.Touches(in, addr)
 }

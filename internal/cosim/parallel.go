@@ -265,7 +265,8 @@ func (p *Parallel) drain() {
 // --- vm.Tracker ---
 
 // Touches: the monitored core has no precise state of its own; ground
-// truth lives with the monitor. Events report untainted.
+// truth lives with the monitor, so it reports untainted. The VM does not
+// call it.
 func (p *Parallel) Touches(isa.Instr, uint32) bool { return false }
 
 // IndirectTarget performs no synchronous check: log-based monitoring

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"testing"
 
 	"latch/internal/policy"
 )
-
-var samplingBenchOut = flag.String("sampling-bench-out", "", "write the selective-tracing sweep JSON artifact to this path")
 
 // TestSamplingFrontierMonotone pins the frontier's shape: as the sampling
 // fraction drops, the detection rate, the mean overhead, and the traced
@@ -86,43 +81,4 @@ func TestSampledPolicyParallelMatchesSerial(t *testing.T) {
 	if sb.String() != pb.String() {
 		t.Errorf("sampled slatch pass differs between serial and parallel runs:\n%s\nvs\n%s", sb, pb)
 	}
-}
-
-// TestWriteSamplingBench renders the selective-tracing sweep into the
-// BENCH_sampling.json perf-trajectory artifact. It is a no-op unless
-// -sampling-bench-out is given (`make bench` passes it), so the normal test
-// run stays fast.
-func TestWriteSamplingBench(t *testing.T) {
-	if *samplingBenchOut == "" {
-		t.Skip("no -sampling-bench-out path")
-	}
-	opts := goldenOptions(manyWorkers())
-	rows, err := NewRunner(opts).Frontier()
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := struct {
-		Benchmark string        `json:"benchmark"`
-		Events    uint64        `json:"events_per_run"`
-		Seeds     int           `json:"sampling_seeds"`
-		Workloads []string      `json:"workloads"`
-		Attacks   []string      `json:"attacks"`
-		Frontier  []FrontierRow `json:"frontier"`
-	}{
-		Benchmark: "experiments.Frontier (selective tracing, S-LATCH)",
-		Events:    opts.Events,
-		Seeds:     frontierSeeds,
-		Workloads: frontierWorkloads,
-		Attacks:   frontierAttacks,
-		Frontier:  rows,
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(*samplingBenchOut, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d frontier points -> %s", len(rows), *samplingBenchOut)
 }

@@ -2,117 +2,38 @@ package isa
 
 import "testing"
 
-func TestFusibleClassification(t *testing.T) {
-	alu := Instr{Op: ADD, Rd: 1, Rs1: 2, Rs2: 3}
-	imm := Instr{Op: MOVI, Rd: 1, Imm: 7}
-	load := Instr{Op: LDW, Rd: 1, Rs1: 2}
-	store := Instr{Op: STW, Rd: 1, Rs1: 2}
-	branch := Instr{Op: BNE, Rd: 1, Rs1: 2, Imm: -4}
-	jmp := Instr{Op: JMP, Imm: -4}
-	jr := Instr{Op: JR, Rs1: 1}
-	sys := Instr{Op: SYS, Imm: 1}
-
-	cases := []struct {
-		name          string
-		first, second Instr
-		want          FuseKind
-	}{
-		{"movi+add", imm, alu, FuseALUALU},
-		{"alu+branch", alu, branch, FuseALUBranch},
-		{"load+alu", load, alu, FuseLoadALU},
-		{"load+branch", load, branch, FuseNone}, // second slot after a load must be reg-only
-		{"store first", store, alu, FuseNone},   // stores are never fused
-		{"alu+store", alu, store, FuseNone},
-		{"branch first", branch, alu, FuseNone}, // first slot must not redirect the PC
-		{"jmp first", jmp, alu, FuseNone},
-		{"alu+jmp", alu, jmp, FuseNone}, // only conditional branches in the second slot
-		{"alu+jr", alu, jr, FuseNone},
-		{"sys anywhere", alu, sys, FuseNone},
-		{"load+load", load, load, FuseNone},
-	}
-	for _, c := range cases {
-		if got := Fusible(c.first, c.second); got != c.want {
-			t.Errorf("%s: Fusible = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestTryFuseAndLookupFused(t *testing.T) {
-	c := NewDecodeCache(64)
-	first := Instr{Op: MOVI, Rd: 1, Imm: 5}
-	second := Instr{Op: ADD, Rd: 2, Rs1: 1, Rs2: 1}
-
-	c.Insert(0x100, first)
-	// Successor not yet cached: no fusion.
-	if k := c.TryFuse(0x100); k != FuseNone {
-		t.Fatalf("TryFuse without successor = %v", k)
-	}
-	c.Insert(0x104, second)
-	if k := c.TryFuse(0x100); k != FuseALUALU {
-		t.Fatalf("TryFuse = %v, want FuseALUALU", k)
-	}
-	if got := c.Fusions(); got != 1 {
-		t.Fatalf("Fusions = %d, want 1", got)
-	}
-	// Repeated TryFuse reports the existing kind without re-counting.
-	if k := c.TryFuse(0x100); k != FuseALUALU {
-		t.Fatalf("repeat TryFuse = %v", k)
-	}
-	if got := c.Fusions(); got != 1 {
-		t.Fatalf("Fusions after repeat = %d, want 1", got)
-	}
-
-	e, ok := c.LookupFused(0x100)
-	if !ok || e.In != first || e.Fuse != FuseALUALU || e.Next != second {
-		t.Fatalf("LookupFused = %+v ok=%v", e, ok)
-	}
-	// The fused copy survives conflict displacement of the successor's slot.
-	c.Insert(0x104+uint32(c.Entries())*WordSize, Instr{Op: NOP})
-	if e, ok = c.LookupFused(0x100); !ok || e.Next != second {
-		t.Fatal("fused successor copy lost to conflict displacement")
-	}
-}
-
-func TestInsertResetsFusion(t *testing.T) {
-	c := NewDecodeCache(64)
-	c.Insert(0x100, Instr{Op: MOVI, Rd: 1, Imm: 5})
-	c.Insert(0x104, Instr{Op: ADD, Rd: 2, Rs1: 1, Rs2: 1})
-	c.TryFuse(0x100)
-	// Re-inserting the first PC (e.g. after invalidation and refill) must
-	// drop the stale superinstruction and the owner's Aux stamp.
-	e, _ := c.LookupFused(0x100)
-	e.Aux = 7
-	c.Insert(0x100, Instr{Op: SUB, Rd: 3, Rs1: 1, Rs2: 1})
-	e, ok := c.LookupFused(0x100)
-	if !ok || e.Fuse != FuseNone || e.Aux != 0 {
-		t.Fatalf("Insert left stale fusion state: %+v ok=%v", e, ok)
-	}
-}
-
-func TestInvalidateRangeFusedSpan(t *testing.T) {
-	// A fused entry at pc covers [pc, pc+2*WordSize): a write over either
-	// word must drop it, a write just past the pair must not.
+func TestInvalidateRangeOneWordSpan(t *testing.T) {
+	// An entry at pc covers [pc, pc+WordSize): a write into that word must
+	// drop it, a write just outside it must not.
 	for _, wr := range []struct {
 		addr uint32
 		hit  bool
 	}{
-		{0x100, true},  // first word
-		{0x104, true},  // second word
-		{0x107, true},  // last byte of the pair
-		{0x108, false}, // first byte past the pair
-		{0x0FF, false}, // byte before the pair
+		{0x100, true},  // first byte
+		{0x103, true},  // last byte
+		{0x0FF, false}, // byte before the word
+		{0x104, false}, // first byte past the word
 	} {
 		c := NewDecodeCache(64)
 		c.Insert(0x100, Instr{Op: MOVI, Rd: 1, Imm: 5})
-		c.Insert(0x104, Instr{Op: ADD, Rd: 2, Rs1: 1, Rs2: 1})
-		if c.TryFuse(0x100) == FuseNone {
-			t.Fatal("pair did not fuse")
-		}
 		c.InvalidateRange(wr.addr, wr.addr)
-		_, ok := c.LookupFused(0x100)
+		_, ok := c.Probe().At(0x100)
 		if ok == wr.hit {
 			t.Errorf("write at %#x: entry survived=%v, want dropped=%v", wr.addr, ok, wr.hit)
 		}
+	}
+}
+
+func TestInsertResetsAux(t *testing.T) {
+	// Re-inserting a PC (e.g. after invalidation and refill) must drop the
+	// owner's stale Aux stamp along with the old decode.
+	c := NewDecodeCache(64)
+	c.Insert(0x100, Instr{Op: MOVI, Rd: 1, Imm: 5}).Aux = 7
+	in := Instr{Op: SUB, Rd: 3, Rs1: 1, Rs2: 1}
+	c.Insert(0x100, in)
+	e, ok := c.Probe().At(0x100)
+	if !ok || e.In != in || e.Aux != 0 {
+		t.Fatalf("Insert left stale slot state: %+v ok=%v", e, ok)
 	}
 }
 

@@ -32,8 +32,8 @@ const (
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
-// Writer serializes events. It implements Sink, so it can be Tee'd with
-// analyzers. Close (or Flush) must be called to drain buffered records.
+// Writer serializes events. It implements Sink, so any event producer can
+// record to it. Flush must be called to drain buffered records.
 type Writer struct {
 	bw    *bufio.Writer
 	count uint64

@@ -1,5 +1,6 @@
 // Package trace defines the canonical per-instruction event record exchanged
-// between the workload generators, the VM, and the LATCH models, plus the
+// between the workload generators, the co-simulation monitor (which builds
+// one per instruction the VM commits), and the LATCH models, plus the
 // analyses the paper performs over such streams: the taint-percentage
 // characterization of Tables 1–2 and the taint-free epoch analysis of
 // Figure 5.
@@ -31,22 +32,6 @@ type SinkFunc func(ev Event)
 // Consume implements Sink.
 func (f SinkFunc) Consume(ev Event) { f(ev) }
 
-// BatchSink is the optional Sink extension for consumers that accept events
-// in batches — the software analog of the paper's commit-stream FIFO, where
-// the monitored core hands the DIFT layer whole log chunks instead of one
-// entry per committed instruction. ConsumeBatch(evs) must be observably
-// equivalent to calling Consume(ev) for each event in order; the slice is
-// owned by the producer and only valid for the duration of the call.
-//
-// Producers that batch (the VM's fast loop, the engine's profile driver)
-// accumulate events in a fixed buffer and flush it at batch-capacity and
-// epoch boundaries, so a BatchSink sees the same events in the same order as
-// a plain Sink — just with far fewer interface calls.
-type BatchSink interface {
-	Sink
-	ConsumeBatch(evs []Event)
-}
-
 // Flusher is the optional Sink extension for buffering sinks. A producer
 // about to mutate state its consumer checks against (the workload
 // generator's churn and re-taint writes) calls Flush first, so every
@@ -54,27 +39,6 @@ type BatchSink interface {
 // under. Non-buffering sinks need not implement it.
 type Flusher interface {
 	Flush()
-}
-
-// DeliverBatch feeds evs to s in order: one ConsumeBatch call when s
-// implements BatchSink, a per-event Consume loop otherwise.
-func DeliverBatch(s Sink, evs []Event) {
-	if bs, ok := s.(BatchSink); ok {
-		bs.ConsumeBatch(evs)
-		return
-	}
-	for _, ev := range evs {
-		s.Consume(ev)
-	}
-}
-
-// Tee returns a sink that forwards each event to all of sinks in order.
-func Tee(sinks ...Sink) Sink {
-	return SinkFunc(func(ev Event) {
-		for _, s := range sinks {
-			s.Consume(ev)
-		}
-	})
 }
 
 // EpochBounds are the taint-free epoch length buckets of Figure 5.
@@ -112,13 +76,6 @@ func (a *EpochAnalyzer) Consume(ev Event) {
 		return
 	}
 	a.run++
-}
-
-// ConsumeBatch implements BatchSink.
-func (a *EpochAnalyzer) ConsumeBatch(evs []Event) {
-	for _, ev := range evs {
-		a.Consume(ev)
-	}
 }
 
 func (a *EpochAnalyzer) closeRun() {

@@ -136,13 +136,3 @@ func TestEpochInstructionConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTee(t *testing.T) {
-	var a, b int
-	s := Tee(SinkFunc(func(Event) { a++ }), SinkFunc(func(Event) { b++ }))
-	s.Consume(Event{})
-	s.Consume(Event{})
-	if a != 2 || b != 2 {
-		t.Fatalf("tee counts = %d, %d", a, b)
-	}
-}

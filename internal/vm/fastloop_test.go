@@ -11,7 +11,6 @@ import (
 	"latch/internal/isa"
 	"latch/internal/policy"
 	"latch/internal/shadow"
-	"latch/internal/trace"
 )
 
 // The fast-loop tests pin the epoch-aware interpreter's exit conditions: the
@@ -127,77 +126,15 @@ func TestFastLoopIndirectJumpFreshTaint(t *testing.T) {
 	}
 }
 
-// batchRecorder records events via ConsumeBatch (and counts batches); its
-// embedded SinkFunc would be used only if the batch path were bypassed.
-type batchRecorder struct {
-	evs     []trace.Event
-	batches int
-	singles int
-}
-
-func (b *batchRecorder) Consume(ev trace.Event) {
-	b.singles++
-	b.evs = append(b.evs, ev)
-}
-
-func (b *batchRecorder) ConsumeBatch(evs []trace.Event) {
-	b.batches++
-	b.evs = append(b.evs, evs...)
-}
-
-// TestFastLoopBatchFlushOrdering: the event stream delivered through a
-// BatchSink must be identical, event for event, to the stream a plain Sink
-// receives — batching only changes delivery granularity, never content or
-// order.
-func TestFastLoopBatchFlushOrdering(t *testing.T) {
-	src := `
-		li   r2, 0x3000
-		movi r4, 0
-		movi r6, 200
-	loop:
-		stw  r4, [r2+0]
-		ldw  r5, [r2+0]
-		addi r4, r4, 1
-		bne  r4, r6, loop
-		halt
-	`
-	runWith := func(hook trace.Sink) []trace.Event {
-		c := New()
-		c.SetTracker(newDift())
-		c.SetHook(hook)
-		c.Load(isa.MustAssemble(src))
-		if _, err := c.Run(context.Background(), 10_000); err != nil {
-			t.Fatal(err)
-		}
-		return nil
-	}
-
-	var plain []trace.Event
-	runWith(trace.SinkFunc(func(ev trace.Event) { plain = append(plain, ev) }))
-	rec := &batchRecorder{}
-	runWith(rec)
-
-	if len(plain) != len(rec.evs) {
-		t.Fatalf("event counts diverge: plain %d, batched %d", len(plain), len(rec.evs))
-	}
-	for i := range plain {
-		if plain[i] != rec.evs[i] {
-			t.Fatalf("event %d diverges:\n plain: %+v\n batch: %+v", i, plain[i], rec.evs[i])
-		}
-	}
-	if rec.batches == 0 {
-		t.Fatal("BatchSink hook never received a batch")
-	}
-}
-
-// FuzzFastLoopVsStep: a program executed through Run (fast loop, fusion,
-// batched events) and through a plain Step loop must agree on every piece of
-// architectural and taint state and on the event stream. This is the
-// semantic anchor for the fast loop's inlined interpreter. Inputs are raw
-// little-endian instruction words plus file-source bytes, so the fuzzer
-// reaches encodings the random program generator never emits (backward and
-// zero-offset branches, wild registers, undecodable words). The seeds are 25
-// generated programs and the regressions the fuzzer found.
+// FuzzFastLoopVsStep: a program executed through Run (fast loop eligible)
+// and through a plain Step loop must agree on every piece of architectural
+// and taint state, on the tracker's committed and tainted instruction
+// counts, and on the program's output. This is the semantic anchor for the
+// fast loop's inlined interpreter. Inputs are raw little-endian instruction
+// words plus file-source bytes, so the fuzzer reaches encodings the random
+// program generator never emits (backward and zero-offset branches, wild
+// registers, undecodable words). The seeds are 25 generated programs and
+// the regressions the fuzzer found.
 func FuzzFastLoopVsStep(f *testing.F) {
 	const (
 		origin   = 0x1000
@@ -240,7 +177,11 @@ func FuzzFastLoopVsStep(f *testing.F) {
 			cycles  uint64
 			halted  bool
 			tainted uint64
-			events  []trace.Event
+			// The tracker's committed and taint-touching instruction counts
+			// (the fast loop settles the first through CommitClean) and the
+			// bytes the program wrote out.
+			committed, touching uint64
+			output              string
 		}
 		exec := func(fast bool) outcome {
 			e := newDift()
@@ -248,7 +189,6 @@ func FuzzFastLoopVsStep(f *testing.F) {
 			c.Env.FileData = append([]byte(nil), file...)
 			c.SetTracker(e)
 			var o outcome
-			c.SetHook(trace.SinkFunc(func(ev trace.Event) { o.events = append(o.events, ev) }))
 			c.Load(p)
 			var err error
 			if fast {
@@ -266,6 +206,8 @@ func FuzzFastLoopVsStep(f *testing.F) {
 			}
 			o.regs, o.pc, o.instret, o.cycles, o.halted = c.Regs, c.PC, c.Instret(), c.Cycles(), c.Halted()
 			o.tainted = e.Shadow.TaintedBytes()
+			o.committed, o.touching = e.InstructionsTotal(), e.InstructionsTainted()
+			o.output = c.Env.Output.String()
 			return o
 		}
 
@@ -277,13 +219,12 @@ func FuzzFastLoopVsStep(f *testing.F) {
 				fast.steps, fast.err, fast.pc, fast.instret, fast.cycles, fast.halted, fast.tainted, fast.regs,
 				slow.steps, slow.err, slow.pc, slow.instret, slow.cycles, slow.halted, slow.tainted, slow.regs)
 		}
-		if len(fast.events) != len(slow.events) {
-			t.Fatalf("event counts diverge: fast %d, slow %d", len(fast.events), len(slow.events))
+		if fast.committed != slow.committed || fast.touching != slow.touching {
+			t.Fatalf("tracker counts diverge: fast committed=%d tainted=%d, slow committed=%d tainted=%d",
+				fast.committed, fast.touching, slow.committed, slow.touching)
 		}
-		for i := range fast.events {
-			if fast.events[i] != slow.events[i] {
-				t.Fatalf("event %d diverges\n fast: %+v\n slow: %+v", i, fast.events[i], slow.events[i])
-			}
+		if fast.output != slow.output {
+			t.Fatalf("output diverges\n fast: %q\n slow: %q", fast.output, slow.output)
 		}
 	})
 }

@@ -1,10 +1,11 @@
 // Package vm implements the LA32 virtual machine: the deterministic
 // interpreter that stands in for the paper's Pin-instrumented x86 host. It
-// executes assembled programs over sparse memory, exposes the per-committed-
-// instruction operand stream that LATCH's extraction logic consumes, routes
-// external input through syscall-level taint sources (file reads, socket
-// receives, per-connection accepts), and lets an attached Tracker — normally
-// the precise DIFT engine — propagate taint and enforce data-use policies.
+// executes assembled programs over sparse memory, routes external input
+// through syscall-level taint sources (file reads, socket receives,
+// per-connection accepts), and reports every committed instruction — with
+// the operand address LATCH's extraction logic consumes — to an attached
+// Tracker, normally the precise DIFT engine, which propagates taint and
+// enforces data-use policies.
 package vm
 
 import (
@@ -18,14 +19,14 @@ import (
 	"latch/internal/mem"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
-	"latch/internal/trace"
 )
 
-// Tracker receives the DIFT-relevant events of execution. *dift.Engine
-// implements it; tests may substitute lighter fakes.
+// Tracker receives the DIFT-relevant events of execution; it is the VM's
+// only channel for committed instructions. *dift.Engine implements it; tests
+// may substitute lighter fakes.
 type Tracker interface {
-	// Touches reports whether the instruction about to execute manipulates
-	// tainted data (consulted before execution, for the event stream).
+	// Touches reports whether an instruction manipulates tainted data. The
+	// VM does not call it; trackers answer it for their own callers.
 	Touches(in isa.Instr, addr uint32) bool
 	// Commit propagates taint after the instruction's semantics executed.
 	Commit(pc uint32, in isa.Instr, addr uint32) error
@@ -50,13 +51,13 @@ var _ Tracker = (*dift.Engine)(nil)
 // taint-free fast loop (the interpreter analog of the paper's §5.1 hardware
 // fast path). When the tracker proves the current epoch taint-free — no
 // register holds taint — Run enters a second interpreter loop that skips
-// every per-operand tracker call: Touches cannot be true, Commit cannot move
-// taint, and no policy check can fire. Memory accesses are screened against
-// the coarse taint state (MemCoarseClean, the TLB-page-taint-bit analog)
-// before executing; the first potentially tainted access exits back to the
-// full loop, as do indirect jumps, syscalls, taint-state opcodes (strf,
-// stnt, ltnt), halts, and self-modifying stores. The skipped per-instruction
-// accounting is settled wholesale through CommitClean.
+// every per-operand tracker call: Commit cannot move taint and no policy
+// check can fire. Memory accesses are screened against the coarse taint
+// state (MemCoarseClean, the TLB-page-taint-bit analog) before executing;
+// the first potentially tainted access exits back to the full loop, as do
+// indirect jumps, syscalls, taint-state opcodes (strf, stnt, ltnt), halts,
+// and self-modifying stores. The skipped per-instruction accounting is
+// settled wholesale through CommitClean.
 //
 // The precise DIFT engine implements it. The co-simulation trackers
 // deliberately do not: their per-instruction protocol (trap modeling, module
@@ -136,12 +137,6 @@ const CancelCheckInterval = 4096
 // the point where the registers went clean before the fast loop resumes.
 const FastRetryInterval = 64
 
-// EventBatchSize is the capacity of the fast loop's event buffer — the
-// commit-stream FIFO depth of the batched hook delivery. The buffer is
-// flushed when full and at every fast-loop exit, in one ConsumeBatch call
-// when the hook implements trace.BatchSink.
-const EventBatchSize = 256
-
 // CPU is the LA32 machine state.
 type CPU struct {
 	Regs [isa.NumRegs]uint32
@@ -150,18 +145,7 @@ type CPU struct {
 	Env  *Env
 
 	tracker Tracker
-	hook    trace.Sink
 	obs     telemetry.Observer
-
-	// hookBatch is hook's BatchSink view when it implements one (resolved
-	// once in SetHook); the fast loop then flushes its event buffer in a
-	// single call instead of one Consume per instruction.
-	hookBatch trace.BatchSink
-	// evbuf is the fast loop's fixed event buffer; evn its fill level. The
-	// buffer is flushed when full and at every fast-loop exit, so outside
-	// runFast it is always empty and the slow path delivers per event.
-	evbuf [EventBatchSize]trace.Event
-	evn   int
 
 	// dcache caches decoded instructions by PC so the steady-state fetch
 	// path skips both the memory load and the decoder — the interpreter's
@@ -207,17 +191,6 @@ func New() *CPU {
 // SetTracker attaches the DIFT tracker (nil detaches).
 func (c *CPU) SetTracker(t Tracker) { c.tracker = t }
 
-// SetHook attaches a per-commit event sink (nil detaches). The events carry
-// the extraction-logic view: PC, memory operand, and — when a tracker is
-// attached — the ground-truth tainted flag. A sink that also implements
-// trace.BatchSink receives the fast loop's events in batches (identical
-// events, identical order, fewer calls); the full loop always delivers per
-// event.
-func (c *CPU) SetHook(h trace.Sink) {
-	c.hook = h
-	c.hookBatch, _ = h.(trace.BatchSink)
-}
-
 // SetObserver attaches obs to the CPU: bytes arriving through taint-source
 // syscalls (SysRead, SysRecv) are emitted through it, before any policy
 // filtering. Nil (the default) disables emission.
@@ -236,8 +209,8 @@ func (c *CPU) Load(p *isa.Program) {
 }
 
 // Reset returns the CPU to its New state — zeroed registers and counters,
-// empty memory, an empty decode cache, a fresh Env, and no tracker, hook,
-// or observer attached — reusing its memory pages, decode cache, and
+// empty memory, an empty decode cache, a fresh Env, and no tracker or
+// observer attached — reusing its memory pages, decode cache, and
 // code-page map in place.
 func (c *CPU) Reset() {
 	c.Mem.Reset()
@@ -256,16 +229,21 @@ func (c *CPU) FastLoopStats() (entries, exits, steps uint64) {
 	return c.fastEntries, c.fastExits, c.fastSteps
 }
 
-// Fusions returns the number of superinstructions the decode cache has
-// built.
-func (c *CPU) Fusions() uint64 { return c.dcache.Fusions() }
-
-// insertDecode caches a decode and stamps the slot with its fast-loop kind,
-// so dispatch reads the classification from the already-resident entry. Both
-// fill paths (Step and runFast) must go through this helper: an unstamped
-// slot reads as fkExit and would pin the fast loop at that PC.
-func (c *CPU) insertDecode(pc uint32, in isa.Instr) {
+// decode fetches and decodes the instruction word at pc and caches it,
+// stamping the slot with its fast-loop kind (so dispatch reads the
+// classification from the already-resident entry) and marking every page
+// the word spans as code (so stores over it are caught). Both loops fill the
+// cache through this helper: an unstamped slot reads as fkExit and would pin
+// the fast loop at that PC.
+func (c *CPU) decode(pc uint32) (isa.Instr, error) {
+	in, err := isa.Decode(c.Mem.LoadWord(pc))
+	if err != nil {
+		return in, err
+	}
 	c.dcache.Insert(pc, in).Aux = fastKinds[in.Op]
+	c.codePages.Add(mem.PageNumber(pc))
+	c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
+	return in, nil
 }
 
 // noteStore invalidates cached decodes overlapped by a write of n bytes at
@@ -299,23 +277,6 @@ func (c *CPU) storeHitsCode(addr, n uint32) bool {
 		if p == last {
 			return false
 		}
-	}
-}
-
-// flushEvents delivers the fast loop's buffered events to the hook: one
-// ConsumeBatch when the hook is a BatchSink, a Consume loop otherwise.
-func (c *CPU) flushEvents() {
-	if c.evn == 0 {
-		return
-	}
-	evs := c.evbuf[:c.evn]
-	c.evn = 0
-	if c.hookBatch != nil {
-		c.hookBatch.ConsumeBatch(evs)
-		return
-	}
-	for i := range evs {
-		c.hook.Consume(evs[i])
 	}
 }
 
@@ -545,21 +506,18 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 	return steps, nil
 }
 
-// runFast is the taint-free fast interpreter loop: no tracker calls, no
-// shadow lookups, events buffered instead of delivered per instruction. It
-// executes at most limit instructions and returns early on the first
-// exit-class instruction (syscall, indirect jump, halt, taint-state op), the
-// first coarse-unclean memory access (guarded mode), the first store into a
-// page holding cached code, or a decode miss that fails — leaving that
-// instruction for the full loop to execute with precise checks. Returns the
-// number of instructions committed.
+// runFast is the taint-free fast interpreter loop: no tracker calls and no
+// shadow lookups. It executes at most limit instructions and returns early
+// on the first exit-class instruction (syscall, indirect jump, halt,
+// taint-state op), the first coarse-unclean memory access (guarded mode),
+// the first store into a page holding cached code, or a decode miss that
+// fails — leaving that instruction for the full loop to execute with precise
+// checks. Returns the number of instructions committed.
 //
 // The caller settles tracker accounting for the returned count via
-// FastTracker.CommitClean; events carry Tainted=false, which is exactly what
-// the full loop's Touches would have reported for a clean epoch.
+// FastTracker.CommitClean: in a clean epoch none of them touched taint.
 func (c *CPU) runFast(ft FastTracker, limit uint64, guarded bool) uint64 {
 	var n uint64
-	hooked := c.hook != nil
 	// Architectural state lives in locals for the duration of the segment —
 	// the PC stays in a register across instructions and the retired/cycle
 	// counters are flushed once on exit instead of read-modify-written per
@@ -574,175 +532,136 @@ loop:
 		e, ok := probe.At(pc)
 		if !ok {
 			misses++
-			word := c.Mem.LoadWord(pc)
-			in, err := isa.Decode(word)
-			if err != nil {
+			if _, err := c.decode(pc); err != nil {
 				break // the full loop re-decodes and surfaces the fault
 			}
-			c.insertDecode(pc, in)
-			c.codePages.Add(mem.PageNumber(pc))
-			c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
-			// Fuse opportunistically on fill: backwards (the predecessor may
-			// have been waiting for this decode) and forwards.
-			if pc >= isa.WordSize {
-				c.dcache.TryFuse(pc - isa.WordSize)
-			}
-			c.dcache.TryFuse(pc)
 			continue
 		}
 		hits++
 		in, k := e.In, e.Aux
-		fused := e.Fuse != isa.FuseNone
-		// The inner loop runs once for a plain entry and twice for a fused
-		// superinstruction: the successor re-enters with fused cleared.
-		// Fusible guarantees the first slot never redirects the PC (so the
-		// successor is architecturally next) and the second slot is
-		// register-only or a branch — always fkReg, never an exit class.
-		for {
-			if k == fkExit {
-				break loop
-			}
-			var addr uint32
-			var size uint8
-			if k != fkReg && (guarded || hooked || k == fkStore) {
-				// The effective address is only needed by the coarse screen,
-				// the self-modifying-store screen, and the event stream; an
-				// unguarded, unhooked load computes it at its opcode alone.
-				addr = r[in.Rs1] + uint32(in.Imm)
-				size = uint8(in.Op.MemSize())
-				if guarded && !ft.MemCoarseClean(addr, int(size)) {
-					break loop // potentially tainted access: full loop re-executes it
-				}
-				if k == fkStore && c.storeHitsCode(addr, uint32(size)) {
-					break loop // self-modifying store: full loop handles invalidation
-				}
-			}
-			// Architectural semantics, mirroring exec for the fast set. A
-			// store reaching this switch passed the code-page screen, so the
-			// noteStore walk exec performs is skipped as a proven no-op.
-			next := pc + isa.WordSize
-			switch in.Op {
-			case isa.NOP:
-			case isa.MOV:
-				r[in.Rd] = r[in.Rs1]
-			case isa.MOVI:
-				r[in.Rd] = uint32(in.Imm)
-			case isa.LUI:
-				r[in.Rd] = uint32(uint16(in.Imm)) << 16
-			case isa.ORI:
-				r[in.Rd] = r[in.Rs1] | uint32(uint16(in.Imm))
-			case isa.ADD:
-				r[in.Rd] = r[in.Rs1] + r[in.Rs2]
-			case isa.SUB:
-				r[in.Rd] = r[in.Rs1] - r[in.Rs2]
-			case isa.AND:
-				r[in.Rd] = r[in.Rs1] & r[in.Rs2]
-			case isa.OR:
-				r[in.Rd] = r[in.Rs1] | r[in.Rs2]
-			case isa.XOR:
-				r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
-			case isa.SHL:
-				r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 31)
-			case isa.SHR:
-				r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 31)
-			case isa.SAR:
-				r[in.Rd] = uint32(int32(r[in.Rs1]) >> (r[in.Rs2] & 31))
-			case isa.MUL:
-				r[in.Rd] = r[in.Rs1] * r[in.Rs2]
-			case isa.DIVU:
-				if r[in.Rs2] == 0 {
-					r[in.Rd] = ^uint32(0)
-				} else {
-					r[in.Rd] = r[in.Rs1] / r[in.Rs2]
-				}
-			case isa.SLT:
-				if int32(r[in.Rs1]) < int32(r[in.Rs2]) {
-					r[in.Rd] = 1
-				} else {
-					r[in.Rd] = 0
-				}
-			case isa.SLTU:
-				if r[in.Rs1] < r[in.Rs2] {
-					r[in.Rd] = 1
-				} else {
-					r[in.Rd] = 0
-				}
-			case isa.ADDI:
-				r[in.Rd] = r[in.Rs1] + uint32(in.Imm)
-			case isa.ANDI:
-				r[in.Rd] = r[in.Rs1] & uint32(uint16(in.Imm))
-			case isa.XORI:
-				r[in.Rd] = r[in.Rs1] ^ uint32(uint16(in.Imm))
-			case isa.LDB:
-				r[in.Rd] = uint32(c.Mem.LoadByte(r[in.Rs1] + uint32(in.Imm)))
-			case isa.LDH:
-				r[in.Rd] = uint32(c.Mem.LoadHalf(r[in.Rs1] + uint32(in.Imm)))
-			case isa.LDW:
-				r[in.Rd] = c.Mem.LoadWord(r[in.Rs1] + uint32(in.Imm))
-			case isa.STB:
-				c.Mem.StoreByte(addr, byte(r[in.Rd]))
-			case isa.STH:
-				c.Mem.StoreHalf(addr, uint16(r[in.Rd]))
-			case isa.STW:
-				c.Mem.StoreWord(addr, r[in.Rd])
-			case isa.BEQ:
-				if r[in.Rd] == r[in.Rs1] {
-					next = branchTarget(pc, in.Imm)
-					cycles += redirectPenalty(pc, next)
-				}
-			case isa.BNE:
-				if r[in.Rd] != r[in.Rs1] {
-					next = branchTarget(pc, in.Imm)
-					cycles += redirectPenalty(pc, next)
-				}
-			case isa.BLT:
-				if int32(r[in.Rd]) < int32(r[in.Rs1]) {
-					next = branchTarget(pc, in.Imm)
-					cycles += redirectPenalty(pc, next)
-				}
-			case isa.BGE:
-				if int32(r[in.Rd]) >= int32(r[in.Rs1]) {
-					next = branchTarget(pc, in.Imm)
-					cycles += redirectPenalty(pc, next)
-				}
-			case isa.JMP:
-				next = branchTarget(pc, in.Imm)
-			case isa.CALL:
-				r[isa.RegLR] = next
-				next = branchTarget(pc, in.Imm)
-			default:
-				// Defensive: fastKinds admits nothing else.
-				break loop
-			}
-			cycles += uint64(cycleTable[in.Op])
-			instret++
-			n++
-			if hooked {
-				c.evbuf[c.evn] = trace.Event{
-					Seq:     instret,
-					PC:      pc,
-					IsMem:   k != fkReg,
-					IsWrite: k == fkStore,
-					Addr:    addr,
-					Size:    size,
-				}
-				c.evn++
-				if c.evn == EventBatchSize {
-					c.flushEvents()
-				}
-			}
-			pc = next
-			if !fused || n >= limit {
-				break
-			}
-			in, k, fused = e.Next, fkReg, false
+		if k == fkExit {
+			break
 		}
+		var addr uint32
+		if k != fkReg && (guarded || k == fkStore) {
+			// The effective address is only needed by the coarse screen and
+			// the self-modifying-store screen; an unguarded load computes it
+			// at its opcode alone.
+			addr = r[in.Rs1] + uint32(in.Imm)
+			size := in.Op.MemSize()
+			if guarded && !ft.MemCoarseClean(addr, size) {
+				break // potentially tainted access: full loop re-executes it
+			}
+			if k == fkStore && c.storeHitsCode(addr, uint32(size)) {
+				break // self-modifying store: full loop handles invalidation
+			}
+		}
+		// Architectural semantics, mirroring exec for the fast set. A store
+		// reaching this switch passed the code-page screen, so the noteStore
+		// walk exec performs is skipped as a proven no-op.
+		next := pc + isa.WordSize
+		switch in.Op {
+		case isa.NOP:
+		case isa.MOV:
+			r[in.Rd] = r[in.Rs1]
+		case isa.MOVI:
+			r[in.Rd] = uint32(in.Imm)
+		case isa.LUI:
+			r[in.Rd] = uint32(uint16(in.Imm)) << 16
+		case isa.ORI:
+			r[in.Rd] = r[in.Rs1] | uint32(uint16(in.Imm))
+		case isa.ADD:
+			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+		case isa.SUB:
+			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+		case isa.AND:
+			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+		case isa.OR:
+			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+		case isa.XOR:
+			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+		case isa.SHL:
+			r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 31)
+		case isa.SHR:
+			r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 31)
+		case isa.SAR:
+			r[in.Rd] = uint32(int32(r[in.Rs1]) >> (r[in.Rs2] & 31))
+		case isa.MUL:
+			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
+		case isa.DIVU:
+			if r[in.Rs2] == 0 {
+				r[in.Rd] = ^uint32(0)
+			} else {
+				r[in.Rd] = r[in.Rs1] / r[in.Rs2]
+			}
+		case isa.SLT:
+			if int32(r[in.Rs1]) < int32(r[in.Rs2]) {
+				r[in.Rd] = 1
+			} else {
+				r[in.Rd] = 0
+			}
+		case isa.SLTU:
+			if r[in.Rs1] < r[in.Rs2] {
+				r[in.Rd] = 1
+			} else {
+				r[in.Rd] = 0
+			}
+		case isa.ADDI:
+			r[in.Rd] = r[in.Rs1] + uint32(in.Imm)
+		case isa.ANDI:
+			r[in.Rd] = r[in.Rs1] & uint32(uint16(in.Imm))
+		case isa.XORI:
+			r[in.Rd] = r[in.Rs1] ^ uint32(uint16(in.Imm))
+		case isa.LDB:
+			r[in.Rd] = uint32(c.Mem.LoadByte(r[in.Rs1] + uint32(in.Imm)))
+		case isa.LDH:
+			r[in.Rd] = uint32(c.Mem.LoadHalf(r[in.Rs1] + uint32(in.Imm)))
+		case isa.LDW:
+			r[in.Rd] = c.Mem.LoadWord(r[in.Rs1] + uint32(in.Imm))
+		case isa.STB:
+			c.Mem.StoreByte(addr, byte(r[in.Rd]))
+		case isa.STH:
+			c.Mem.StoreHalf(addr, uint16(r[in.Rd]))
+		case isa.STW:
+			c.Mem.StoreWord(addr, r[in.Rd])
+		case isa.BEQ:
+			if r[in.Rd] == r[in.Rs1] {
+				next = branchTarget(pc, in.Imm)
+				cycles += redirectPenalty(pc, next)
+			}
+		case isa.BNE:
+			if r[in.Rd] != r[in.Rs1] {
+				next = branchTarget(pc, in.Imm)
+				cycles += redirectPenalty(pc, next)
+			}
+		case isa.BLT:
+			if int32(r[in.Rd]) < int32(r[in.Rs1]) {
+				next = branchTarget(pc, in.Imm)
+				cycles += redirectPenalty(pc, next)
+			}
+		case isa.BGE:
+			if int32(r[in.Rd]) >= int32(r[in.Rs1]) {
+				next = branchTarget(pc, in.Imm)
+				cycles += redirectPenalty(pc, next)
+			}
+		case isa.JMP:
+			next = branchTarget(pc, in.Imm)
+		case isa.CALL:
+			r[isa.RegLR] = next
+			next = branchTarget(pc, in.Imm)
+		default:
+			// Defensive: fastKinds admits nothing else.
+			break loop
+		}
+		cycles += uint64(cycleTable[in.Op])
+		instret++
+		n++
+		pc = next
 	}
 	c.PC = pc
 	c.cycles = cycles
 	c.instret = instret
 	c.dcache.AddStats(hits, misses)
-	c.flushEvents()
 	return n
 }
 
@@ -754,38 +673,16 @@ func (c *CPU) Step() error {
 	pc := c.PC
 	in, ok := c.dcache.Lookup(pc)
 	if !ok {
-		word := c.Mem.LoadWord(pc)
 		var err error
-		in, err = isa.Decode(word)
-		if err != nil {
+		if in, err = c.decode(pc); err != nil {
 			return Fault{PC: pc, Reason: err.Error()}
 		}
-		c.insertDecode(pc, in)
-		// Mark every page the instruction word spans so stores over it are
-		// caught.
-		c.codePages.Add(mem.PageNumber(pc))
-		c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
-		// Build superinstructions on fill so warm code is fused no matter
-		// which loop populated the cache.
-		if pc >= isa.WordSize {
-			c.dcache.TryFuse(pc - isa.WordSize)
-		}
-		c.dcache.TryFuse(pc)
 	}
 
 	// Effective address for memory operands, known before execution.
 	var addr uint32
-	var size uint8
-	writesMem := in.WritesMem()
-	isMem := in.ReadsMem() || writesMem
-	if isMem {
+	if in.ReadsMem() || in.WritesMem() {
 		addr = c.Regs[in.Rs1] + uint32(in.Imm)
-		size = uint8(in.Op.MemSize())
-	}
-
-	touches := false
-	if c.tracker != nil {
-		touches = c.tracker.Touches(in, addr)
 	}
 
 	// Pre-execution check: tainted indirect control transfers must be
@@ -807,17 +704,6 @@ func (c *CPU) Step() error {
 		}
 	}
 	c.instret++
-	if c.hook != nil {
-		c.hook.Consume(trace.Event{
-			Seq:     c.instret,
-			PC:      pc,
-			IsMem:   isMem,
-			IsWrite: writesMem,
-			Addr:    addr,
-			Size:    size,
-			Tainted: touches,
-		})
-	}
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"latch/internal/isa"
 	"latch/internal/policy"
 	"latch/internal/shadow"
-	"latch/internal/trace"
 )
 
 // run assembles src, executes it (with an optional tracker), and returns the
@@ -317,50 +316,6 @@ func TestStepAfterHalt(t *testing.T) {
 	}
 	if err := c.Step(); err == nil {
 		t.Fatal("step after halt succeeded")
-	}
-}
-
-func TestHookEventStream(t *testing.T) {
-	e := dift.NewEngine(shadow.MustNew(64), policy.Default())
-	p := isa.MustAssemble(`
-		li   r1, 0x3000
-		movi r2, 2
-		sys  2
-		li   r3, 0x3000
-		ldw  r4, [r3]   ; tainted load
-		movi r5, 1      ; clean
-		stw  r5, [r3+64]; clean store (taint is at 0x3000..0x3001)
-		halt
-	`)
-	c := New()
-	c.Env.FileData = []byte("hi")
-	c.SetTracker(e)
-	var evs []trace.Event
-	c.SetHook(trace.SinkFunc(func(ev trace.Event) { evs = append(evs, ev) }))
-	c.Load(p)
-	if _, err := c.Run(context.Background(), 1000); err != nil {
-		t.Fatal(err)
-	}
-	var taintedLoads, cleanStores int
-	for _, ev := range evs {
-		if ev.IsMem && !ev.IsWrite && ev.Tainted {
-			taintedLoads++
-			if ev.Addr != 0x3000 || ev.Size != 4 {
-				t.Errorf("tainted load ev = %+v", ev)
-			}
-		}
-		if ev.IsMem && ev.IsWrite && !ev.Tainted {
-			cleanStores++
-		}
-	}
-	if taintedLoads != 1 || cleanStores != 1 {
-		t.Fatalf("taintedLoads=%d cleanStores=%d", taintedLoads, cleanStores)
-	}
-	// Seq must be strictly increasing.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatal("Seq not increasing")
-		}
 	}
 }
 
@@ -676,7 +631,7 @@ func TestResetMatchesNew(t *testing.T) {
 		instret, cycles                   uint64
 		halted                            bool
 		exit                              uint32
-		decodeHits, decodeMisses, fusions uint64
+		decodeHits, decodeMisses          uint64
 		fastEntries, fastExits, fastSteps uint64
 		allocated                         int
 		tlcHits, tlcMisses                uint64
@@ -686,7 +641,6 @@ func TestResetMatchesNew(t *testing.T) {
 	stateOf := func(c *CPU) state {
 		s := state{regs: c.Regs, pc: c.PC, instret: c.Instret(), cycles: c.Cycles(), halted: c.Halted(), exit: c.ExitCode()}
 		s.decodeHits, s.decodeMisses = c.DecodeCacheStats()
-		s.fusions = c.Fusions()
 		s.fastEntries, s.fastExits, s.fastSteps = c.FastLoopStats()
 		s.allocated = c.Mem.PagesAllocated()
 		s.tlcHits, s.tlcMisses = c.Mem.TranslationCacheStats()

@@ -1,16 +1,19 @@
 // Command serve-smoke is the CI smoke test for cmd/latch-serve: it builds
 // the real binary, boots it on a local port, exercises the serving surface
 // end to end — health, a clean program job, a job tainting the top page of
-// the address space followed by the clean job again, a hijack (violation)
-// job, a workload-replay job, the canary report, expvar — and then shuts the
-// process down with SIGTERM to check the graceful-drain path. Run via
-// `make serve-smoke`.
+// the address space followed by the clean job again, a body one byte over
+// the job cap on both job endpoints followed by the clean job again, a
+// hijack (violation) job, a workload-replay job, the canary report, expvar —
+// and then shuts the process down with SIGTERM to check the graceful-drain
+// path. Run via `make serve-smoke`.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -22,6 +25,9 @@ import (
 )
 
 const addr = "127.0.0.1:18341"
+
+// maxJobBytes is latch-serve's fixed cap on a job request body.
+const maxJobBytes = 1 << 20
 
 func main() {
 	if err := run(); err != nil {
@@ -87,6 +93,38 @@ func run() error {
 	}
 	if !reflect.DeepEqual(withoutElapsed(again), withoutElapsed(final)) {
 		return fmt.Errorf("clean job after the top-page job: %v, first run %v", again, final)
+	}
+
+	// A body one byte over the cap must be refused with 413 on both job
+	// endpoints before it is accepted into the queue, and the clean job
+	// after it must still match its first run.
+	acceptedBefore, err := accepted(base)
+	if err != nil {
+		return err
+	}
+	oversized := []byte(`{"source":"` + strings.Repeat(" ", maxJobBytes+1-len(`{"source":""}`)) + `"}`)
+	for _, path := range []string{"/v1/program", "/v1/run"} {
+		code, err := postStatus(base+path, oversized)
+		if err != nil {
+			return fmt.Errorf("oversized body to %s: %w", path, err)
+		}
+		if code != http.StatusRequestEntityTooLarge {
+			return fmt.Errorf("oversized body to %s: status %d, want %d", path, code, http.StatusRequestEntityTooLarge)
+		}
+	}
+	acceptedAfter, err := accepted(base)
+	if err != nil {
+		return err
+	}
+	if acceptedAfter != acceptedBefore {
+		return fmt.Errorf("oversized bodies moved accepted from %d to %d", acceptedBefore, acceptedAfter)
+	}
+	again, err = programResult(base, clean)
+	if err != nil {
+		return fmt.Errorf("clean job after the oversized bodies: %w", err)
+	}
+	if !reflect.DeepEqual(withoutElapsed(again), withoutElapsed(final)) {
+		return fmt.Errorf("clean job after the oversized bodies: %v, first run %v", again, final)
 	}
 
 	// A hijack must stream the violation live and in the result.
@@ -242,6 +280,26 @@ func postJob(url string, body any) ([]map[string]any, error) {
 		return nil, fmt.Errorf("empty stream")
 	}
 	return lines, nil
+}
+
+// postStatus posts a raw JSON body and returns the response status.
+func postStatus(url string, body []byte) (int, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// accepted reads the server's accepted-job counter from /debug/stats.
+func accepted(base string) (uint64, error) {
+	var stats struct {
+		Accepted uint64 `json:"accepted"`
+	}
+	err := getJSON(base+"/debug/stats", &stats)
+	return stats.Accepted, err
 }
 
 func getJSON(url string, v any) error {
