@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke paper paper-smoke
+.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke paper paper-smoke examples
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,17 @@ race:
 		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence' \
 		./internal/ring ./internal/platch ./internal/diffcheck
 
-verify: fmt test vet race diffcheck serve-smoke paper-smoke
+verify: fmt test vet race diffcheck serve-smoke paper-smoke examples
+
+# Example tier: run every program under examples/ (each finishes in under a
+# second) and fail on the first non-zero exit. `go build ./...` only compiles
+# them; running them catches what an example checks about itself, such as
+# parallelmonitor exiting 1 when its hijack goes undetected.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "$$d exited non-zero"; exit 1; }; \
+	done
 
 # Paper-grade reproduction: run the default experiment grid (repeats,
 # backend/shard/sampling/geometry sweeps, catalog experiments) into a
@@ -60,10 +70,12 @@ paper-smoke:
 # Service smoke tier: build the real latch-serve binary, boot it, push a
 # clean program job, a job tainting the top page of the address space and
 # the clean job again (same result), a body one byte over the 1 MiB job cap
-# to each job endpoint (413, never accepted) and the clean job again, a
-# control-flow hijack, and a workload-replay job through the HTTP surface,
-# check the in-service canary agreed with the reference stack, and SIGTERM
-# it to exercise graceful drain.
+# to each job endpoint (413, never accepted) and the clean job again, a wild
+# jump into never-mapped memory (an unmapped-fetch error line, not a
+# deadline) and the clean job again, a control-flow hijack, and a
+# workload-replay job through the HTTP surface, check the in-service canary
+# agreed with the reference stack, and SIGTERM it to exercise graceful
+# drain.
 serve-smoke:
 	$(GO) run ./tools/serve-smoke
 
@@ -78,25 +90,20 @@ diffcheck:
 
 # Coverage gates: every backend, the experiment harness, and the CLIs sit
 # on internal/engine, every taint decision flows through the declarative
-# internal/policy layer, and guest memory and shadow tags run on
-# internal/mem's page map — all three must hold statement coverage at or
-# above 85%.
+# internal/policy layer, guest memory and shadow tags run on internal/mem's
+# page map, internal/shadow is the byte-precise taint state the coarse
+# tables are derived from, and internal/vm is the interpreter — each must
+# hold statement coverage at or above 85%.
+COVER_PKGS = policy mem engine shadow vm
+
 cover:
-	$(GO) test -coverprofile=/tmp/policy.cover ./internal/policy
-	@total="$$($(GO) tool cover -func=/tmp/policy.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/policy coverage: $$total%"; \
-	awk "BEGIN { exit !($$total >= 85) }" || \
-		{ echo "internal/policy coverage $$total% is below the 85% floor"; exit 1; }
-	$(GO) test -coverprofile=/tmp/mem.cover ./internal/mem
-	@total="$$($(GO) tool cover -func=/tmp/mem.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/mem coverage: $$total%"; \
-	awk "BEGIN { exit !($$total >= 85) }" || \
-		{ echo "internal/mem coverage $$total% is below the 85% floor"; exit 1; }
-	$(GO) test -coverprofile=/tmp/engine.cover ./internal/engine
-	@total="$$($(GO) tool cover -func=/tmp/engine.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/engine coverage: $$total%"; \
-	awk "BEGIN { exit !($$total >= 85) }" || \
-		{ echo "internal/engine coverage $$total% is below the 85% floor"; exit 1; }
+	@for p in $(COVER_PKGS); do \
+		$(GO) test -coverprofile=/tmp/$$p.cover ./internal/$$p || exit 1; \
+		total="$$($(GO) tool cover -func=/tmp/$$p.cover | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
+		echo "internal/$$p coverage: $$total%"; \
+		awk "BEGIN { exit !($$total >= 85) }" || \
+			{ echo "internal/$$p coverage $$total% is below the 85% floor"; exit 1; }; \
+	done
 
 # Root-package benchmarks, plus the committed perf artifacts: the
 # observability-overhead report (BENCH_observability.json), the hot-path
@@ -146,13 +153,15 @@ bench-gate:
 	$(GO) run ./tools/bench-gate -baseline $(CURDIR)/BENCH_hotpath.json
 
 # Short fuzz passes: the shared page map (FuzzPageTable runs random
-# lookups, writes, resets and page-set operations against map models), the
-# LA32 assembler/decoder round-trip properties (FuzzAssembleDecode also
-# cross-checks the decode cache against direct Decode, through invalidation
-# and refill), the interpreter differential (FuzzFastLoopVsStep runs raw
-# instruction words through the fast loop and through Step and compares
-# every piece of state), then the backend-equivalence fuzzer, which drives
-# the differential checker from random case seeds.
+# lookups, writes, uncounted Mapped tests, resets and page-set operations
+# against map models), the LA32 assembler/decoder round-trip properties
+# (FuzzAssembleDecode also cross-checks the decode cache against direct
+# Decode, through invalidation and refill), the interpreter differential
+# (FuzzFastLoopVsStep runs raw instruction words through the fast loop and
+# through Step and compares every piece of state; its seeds include wild
+# jumps into unmapped memory and taint resident in memory, so guarded mode
+# runs), then the backend-equivalence fuzzer, which drives the differential
+# checker from random case seeds.
 fuzz:
 	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s

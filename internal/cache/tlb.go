@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"latch/internal/mem"
 )
@@ -21,25 +22,30 @@ import (
 type TLB struct {
 	cache       *Cache
 	pageDomains int
-	fills       uint64
+	// pdShift is log2 of the page-level domain size: a page offset shifted
+	// right by it is the offset's taint bit.
+	pdShift uint
+	fills   uint64
 }
 
 // NewTLB builds a TLB with the given number of entries (a positive power of
 // two) organized fully associatively, carrying pageDomains taint bits per
-// entry (1..32, one bit per page-level domain). Invalid arguments are
-// reported as errors; use MustNewTLB for statically known configurations.
+// entry (a power of two in [1,32], one bit per page-level domain, so the
+// domains tile the page exactly). Invalid arguments are reported as errors;
+// use MustNewTLB for statically known configurations.
 func NewTLB(entries, pageDomains int) (*TLB, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("tlb: entries %d must be a positive power of two", entries)
 	}
-	if pageDomains <= 0 || pageDomains > 32 {
-		return nil, fmt.Errorf("tlb: pageDomains %d out of range [1,32]", pageDomains)
+	if pageDomains <= 0 || pageDomains > 32 || pageDomains&(pageDomains-1) != 0 {
+		return nil, fmt.Errorf("tlb: pageDomains %d must be a power of two in [1,32]", pageDomains)
 	}
 	c, err := New(Config{Name: "tlb", Sets: 1, Ways: entries, LineSize: mem.PageSize})
 	if err != nil {
 		return nil, err
 	}
-	return &TLB{cache: c, pageDomains: pageDomains}, nil
+	shift := uint(mem.PageShift - bits.TrailingZeros(uint(pageDomains)))
+	return &TLB{cache: c, pageDomains: pageDomains, pdShift: shift}, nil
 }
 
 // MustNewTLB is NewTLB panicking on error.
@@ -55,12 +61,12 @@ func MustNewTLB(entries, pageDomains int) *TLB {
 func (t *TLB) PageDomains() int { return t.pageDomains }
 
 // PageDomainSize returns the size in bytes of one page-level taint domain.
-func (t *TLB) PageDomainSize() uint32 { return mem.PageSize / uint32(t.pageDomains) }
+func (t *TLB) PageDomainSize() uint32 { return 1 << t.pdShift }
 
 // pageDomainOf returns the index within the page of the page-level domain
 // containing addr.
 func (t *TLB) pageDomainOf(addr uint32) uint {
-	return uint((addr % mem.PageSize) / t.PageDomainSize())
+	return uint((addr % mem.PageSize) >> t.pdShift)
 }
 
 // Access translates addr. On a miss the entry is filled with taint bits

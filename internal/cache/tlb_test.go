@@ -13,6 +13,11 @@ func TestNewTLBValidation(t *testing.T) {
 	if _, err := NewTLB(128, 33); err == nil {
 		t.Error("pageDomains 33 accepted")
 	}
+	// 3 domains cannot tile a 4 KiB page: offset 4095 would map to bit 3,
+	// which no fill sets, so a tainted last domain would read clean.
+	if _, err := NewTLB(128, 3); err == nil {
+		t.Error("non-power-of-two pageDomains 3 accepted")
+	}
 	if _, err := NewTLB(0, 2); err == nil {
 		t.Error("0 entries accepted")
 	}

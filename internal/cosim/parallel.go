@@ -201,17 +201,21 @@ func (p *Parallel) Stats() ParallelStats { return p.stats }
 // Violations returns the monitor's deferred detections.
 func (p *Parallel) Violations() []DeferredViolation { return p.violations }
 
-// Run assembles src, executes it, and drains the monitor at exit.
+// Run assembles src, executes it, and drains the monitor when the machine
+// stops. A fault is a sync point like exit: the log is drained before the
+// fault is returned, so violations the lagging monitor had not reached yet
+// are still reported.
 func (p *Parallel) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
 	prog, err := isa.Assemble(src)
 	if err != nil {
 		return 0, err
 	}
 	p.Machine.Load(prog)
-	if _, err := p.Machine.Run(ctx, maxSteps); err != nil {
+	_, err = p.Machine.Run(ctx, maxSteps)
+	p.drain()
+	if err != nil {
 		return 0, err
 	}
-	p.drain()
 	return p.Machine.ExitCode(), nil
 }
 

@@ -9,7 +9,10 @@
 // describes: the hardware AND-chain of H-LATCH, which keeps the coarse state
 // exact on every taint update (§5.3.1), and the lazy clear-bit scheme of
 // S-LATCH, in which coarse taint is only retired by explicit scans at mode
-// switches and CTC evictions (§5.1.4).
+// switches and CTC evictions (§5.1.4). The lazy scheme's byte watcher
+// (Module.onByteTransition) relies on shadow.ByteWatcher's contract that a
+// write reports its taint assertions once per domain: repeats would only
+// re-probe the CTC and rewrite the same bits.
 package latch
 
 import (

@@ -148,9 +148,11 @@ type Module struct {
 
 	ctt *CTT
 	// pdCount holds the tainted-domain count of each page-level taint
-	// domain, indexed directly by global page-domain index. Pre-sized from
-	// Config.AddressSpan; grown geometrically beyond it.
+	// domain, indexed directly by global page-domain index (the address
+	// shifted right by pdShift; the page-domain size is a power of two).
+	// Pre-sized from Config.AddressSpan; grown geometrically beyond it.
 	pdCount []uint32
+	pdShift uint
 	trf     TRF
 
 	tlb        *cache.TLB
@@ -184,7 +186,8 @@ func New(cfg Config, sh *shadow.Shadow) (*Module, error) {
 			Ways:     cfg.CTCEntries,
 			LineSize: cfg.WordCoverage(),
 		}),
-		tcache: cache.MustNew(cfg.TCache),
+		tcache:  cache.MustNew(cfg.TCache),
+		pdShift: uint(bits.TrailingZeros32(cfg.PageDomainSize())),
 	}
 	if cfg.BaselineTCache {
 		base := cfg.TCache
@@ -231,11 +234,8 @@ func (m *Module) TRF() *TRF { return &m.trf }
 // TLBStats returns the TLB's cache statistics.
 func (m *Module) TLBStats() cache.Stats { return m.tlb.Stats() }
 
-// pdSize returns the page-domain size in bytes.
-func (m *Module) pdSize() uint32 { return m.cfg.PageDomainSize() }
-
 // pdIndex returns the global page-domain index of addr.
-func (m *Module) pdIndex(addr uint32) uint32 { return addr / m.pdSize() }
+func (m *Module) pdIndex(addr uint32) uint32 { return addr >> m.pdShift }
 
 // PageTaintBits returns the authoritative page-level taint bit vector for
 // page pn — what a page-table walk would deliver to the TLB (§4.2). Bit i
@@ -304,8 +304,15 @@ func (m *Module) onDomainTransition(d uint32, tainted bool) {
 }
 
 // onByteTransition implements the lazy clear-bit discipline: it fires on
-// every byte-level taint change, before domain-granularity knowledge is
+// byte-level taint changes, before domain-granularity knowledge is
 // consulted, matching the stnt hardware which sees only the written tag.
+//
+// It relies on shadow.ByteWatcher's contract that a write reports its taint
+// assertions once per domain: an assertion depends only on the byte's
+// domain, and only probes the CTC — no counter, no LRU state — before
+// writing bits the domain's first byte already wrote, so a repeat within the
+// same write would change nothing. Each clear is a counted, LRU-moving CTC
+// write access and is reported per byte.
 func (m *Module) onByteTransition(addr uint32, tainted bool) {
 	d := m.Shadow.DomainIndex(addr)
 	if tainted {

@@ -1,7 +1,10 @@
 // Package mem implements the sparse, paged 32-bit memory used by the LA32
 // virtual machine, and the page map it and the shadow taint memory share.
-// Pages are allocated lazily on first write; reads of unallocated memory
-// return zeros without allocating.
+// Pages are allocated lazily on first write; data reads of unallocated memory
+// return zeros without allocating. Mapped tells a zero read from an
+// unallocated page apart from zeros stored on a mapped one, without counting
+// a lookup — the VM's instruction fetch uses it to fault on never-mapped
+// pages.
 //
 // Table is the page map: a flat two-level radix table fronted by a
 // one-entry translation cache, whose Reset recycles pages and leaf tables
@@ -142,6 +145,11 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) {
 	binary.LittleEndian.PutUint16(b[:], v)
 	m.Write(addr, b[:])
 }
+
+// Mapped reports whether the page holding addr is backed by storage. It is
+// not counted in TranslationCacheStats and leaves the translation cache as it
+// is.
+func (m *Memory) Mapped(addr uint32) bool { return m.pages.Mapped(PageNumber(addr)) }
 
 // PagesAllocated returns the number of pages backed by storage.
 func (m *Memory) PagesAllocated() int { return m.pages.Len() }

@@ -35,6 +35,26 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMapped: a load from an unmapped page reads zero and maps nothing; a
+// store maps its page, zero or not. Mapped reports which is which without
+// counting a lookup.
+func TestMapped(t *testing.T) {
+	m := New()
+	if m.LoadWord(0x5000) != 0 || m.Mapped(0x5000) {
+		t.Fatal("a load mapped its page")
+	}
+	m.StoreByte(0x5FFF, 0)
+	if !m.Mapped(0x5000) || !m.Mapped(0x5FFF) || m.Mapped(0x6000) || m.Mapped(0x4FFF) {
+		t.Fatal("Mapped disagrees with the one page the store mapped")
+	}
+	h, mi := m.TranslationCacheStats()
+	m.Mapped(0x5000)
+	m.Mapped(0x9000)
+	if h2, mi2 := m.TranslationCacheStats(); h2 != h || mi2 != mi {
+		t.Fatalf("Mapped counted lookups: %d/%d -> %d/%d", h, mi, h2, mi2)
+	}
+}
+
 func TestHalfRoundTrip(t *testing.T) {
 	m := New()
 	m.StoreHalf(0x2001, 0xBEEF)

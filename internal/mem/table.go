@@ -59,6 +59,13 @@ func (t *Table[P]) Get(pn uint32) *P {
 	return t.walk(pn, true)
 }
 
+// Mapped reports whether page pn is mapped. Unlike Lookup it is not counted
+// in Stats and leaves the translation cache as it is.
+func (t *Table[P]) Mapped(pn uint32) bool {
+	leaf := t.dir[pn>>leafBits]
+	return leaf != nil && leaf[pn&(leafSize-1)] != nil
+}
+
 // walk resolves pn through the directory on a translation-cache miss,
 // mapping it when create is set, and caches the page it finds.
 func (t *Table[P]) walk(pn uint32, create bool) *P {

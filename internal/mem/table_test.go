@@ -16,9 +16,11 @@ func pageOf(b byte) uint32 {
 
 // FuzzPageTable runs operation pairs {op, page byte} on a Table and a
 // PageSet and checks both against map models after every step: contents,
-// Len, and hits plus misses equal to lookups since the last Reset. After
-// each Reset the directory must be empty and the table must keep no more
-// pages and leaf tables than its largest run mapped.
+// Len, and hits plus misses equal to lookups since the last Reset. Mapped
+// must agree with the model without counting a lookup or touching the
+// translation cache. After each Reset the directory must be empty and the
+// table must keep no more pages and leaf tables than its largest run
+// mapped.
 func FuzzPageTable(f *testing.F) {
 	// Sixteen runs, each mapping one page under its own leaf table: the
 	// table must keep one page and one leaf, not sixteen.
@@ -29,6 +31,7 @@ func FuzzPageTable(f *testing.F) {
 	f.Add(recycle)
 	f.Add([]byte{1, 0x00, 1, 0xFF, 0, 0xFF, 0, 0x0F, 3, 0xFF, 3, 0x00, 4, 0xF0, 5, 0, 4, 0xFF, 2, 0, 0, 0x00})
 	f.Add([]byte{1, 0x11, 0, 0x11, 0, 0x12, 1, 0x12, 1, 0x21, 2, 0, 1, 0x21, 0, 0x11, 3, 0x11, 3, 0x11, 4, 0x11})
+	f.Add([]byte{6, 0x11, 1, 0x11, 6, 0x11, 6, 0x12, 6, 0x21, 0, 0x21, 6, 0x11, 2, 0, 6, 0x11})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var tab Table[[8]byte]
 		set := NewPageSet()
@@ -38,7 +41,7 @@ func FuzzPageTable(f *testing.F) {
 		maxPages, maxLeaves := 0, 0
 		for i := 0; i+1 < len(ops); i += 2 {
 			pn := pageOf(ops[i+1])
-			switch ops[i] % 6 {
+			switch ops[i] % 7 {
 			case 0:
 				lookups++
 				p := tab.Lookup(pn)
@@ -87,6 +90,14 @@ func FuzzPageTable(f *testing.F) {
 					}
 				}
 				clear(inSet)
+			case 6:
+				key, last := tab.lastKey, tab.last
+				if _, ok := pages[pn]; tab.Mapped(pn) != ok {
+					t.Fatalf("step %d: Mapped(%#x) = %v, want %v", i/2, pn, !ok, ok)
+				}
+				if tab.lastKey != key || tab.last != last {
+					t.Fatalf("step %d: Mapped(%#x) moved the translation cache", i/2, pn)
+				}
 			}
 			if hits, misses := tab.Stats(); hits+misses != lookups {
 				t.Fatalf("step %d: %d hits + %d misses, want %d lookups", i/2, hits, misses, lookups)

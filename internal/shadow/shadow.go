@@ -14,6 +14,10 @@
 // Domain transitions (clean→tainted and tainted→clean) are reported through
 // watcher callbacks so the coarse taint table can stay synchronized
 // incrementally, exactly as the hardware update logic in Figure 12 does.
+// Byte-level transitions go to a second watcher (OnByteTransition), which
+// sees every clear but only one taint assertion per domain per write: the
+// hardware's update is per domain, so a multi-kilobyte taint write costs a
+// watcher call per domain, not per byte.
 //
 // The tag pages run on mem.Table, the page map guest memory uses, and the
 // ever-tainted set is a mem.PageSet, so the propagate path (Set/Get)
@@ -92,10 +96,17 @@ type page struct {
 // log2(domain size)).
 type Watcher func(domain uint32, tainted bool)
 
-// ByteWatcher observes every byte-level taint-status transition (an address
+// ByteWatcher observes byte-level taint-status transitions (an address
 // changing between clean and tainted). The S-LATCH clear-bit machinery
 // subscribes to it: every zero-write to a previously tainted byte asserts
 // the domain's clear bit, every taint re-assertion retires it (§5.1.4).
+//
+// Clears are reported once per byte. Taint assertions are reported once per
+// domain per write: a Set or SetRange call reports each domain it taints
+// bytes of once, at the first byte it changes there, and stays silent for
+// the rest of that domain's bytes. A watcher whose response to an assertion
+// depends only on the byte's domain and repeats idempotently therefore sees
+// the same effect as with one report per byte.
 type ByteWatcher func(addr uint32, tainted bool)
 
 // Shadow is a sparse byte-precise taint map over the 32-bit address space.
@@ -153,8 +164,9 @@ func (s *Shadow) DomainBase(d uint32) uint32 { return d << s.domShift }
 // between clean and tainted. Passing nil removes the watcher.
 func (s *Shadow) OnDomainTransition(w Watcher) { s.onDomain = w }
 
-// OnByteTransition registers the watcher called on every byte-level taint
-// status change. Passing nil removes the watcher.
+// OnByteTransition registers the watcher called on byte-level taint status
+// changes, under ByteWatcher's once-per-domain contract for taint
+// assertions. Passing nil removes the watcher.
 func (s *Shadow) OnByteTransition(w ByteWatcher) { s.onByte = w }
 
 // Get returns the tag of the byte at addr.
@@ -214,9 +226,11 @@ func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 
 // SetRange assigns tag to n bytes starting at addr. It is observably
 // equivalent to n ascending Set calls — identical counter updates and
-// watcher callback sequence — but resolves each tag page once, so the
-// taint initialization of multi-kilobyte inputs does not pay a page lookup
-// per byte.
+// domain-watcher callback sequence, and the byte watcher's sequence with
+// each domain's repeated taint assertions dropped (see ByteWatcher) — but
+// resolves each tag page once, and fills spans over clean domains
+// wholesale, so the taint initialization of multi-kilobyte inputs does not
+// pay a page lookup or a watcher call per byte.
 func (s *Shadow) SetRange(addr uint32, n int, tag Tag) {
 	for n > 0 {
 		off := addr % mem.PageSize
@@ -241,11 +255,11 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 	}
 	base := pn << mem.PageShift
 	end := off + uint32(run)
-	if tag != TagClean && s.onByte == nil {
+	if tag != TagClean {
 		// Clean-span fill: when every domain the span touches holds no
 		// tainted bytes, every byte transitions, so the counters can be set
-		// wholesale. The watcher sequence matches the per-byte order: each
-		// domain fires at its first byte.
+		// wholesale. The watcher sequence matches the per-byte path: each
+		// domain fires both watchers at its first byte.
 		dEnd := (end - 1) >> s.domShift
 		clean := true
 		for d := off >> s.domShift; d <= dEnd; d++ {
@@ -274,10 +288,14 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 				if s.onDomain != nil {
 					s.onDomain((base>>s.domShift)+d, true)
 				}
+				if s.onByte != nil {
+					s.onByte(base+lo, true)
+				}
 			}
 			return
 		}
 	}
+	reported := ^uint32(0) // the domain whose taint assertion was reported last
 	for i := off; i < end; i++ {
 		old := p.tags[i]
 		if old == tag {
@@ -296,7 +314,8 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 			if p.taintedBytes == 1 {
 				s.everTainted.Add(pn)
 			}
-			if s.onByte != nil {
+			if s.onByte != nil && di != reported {
+				reported = di
 				s.onByte(base+i, true)
 			}
 		case old != TagClean && tag == TagClean:

@@ -138,6 +138,71 @@ func TestWatchers(t *testing.T) {
 	}
 }
 
+// byteEvent is one ByteWatcher report.
+type byteEvent struct {
+	addr    uint32
+	tainted bool
+}
+
+// TestByteWatcherOncePerDomain pins the ByteWatcher contract: a write
+// reports a taint assertion once per domain it changes, at the first byte
+// it changes there — on SetRange's clean-span fill and on its per-byte path
+// alike — while clears are reported per byte, and single-byte Sets report
+// every transition.
+func TestByteWatcherOncePerDomain(t *testing.T) {
+	s := MustNew(64)
+	var got []byteEvent
+	var domains []uint32
+	s.OnByteTransition(func(a uint32, tt bool) { got = append(got, byteEvent{a, tt}) })
+	s.OnDomainTransition(func(d uint32, tt bool) {
+		if tt {
+			domains = append(domains, d)
+		}
+	})
+	expect := func(step string, want ...byteEvent) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: events %v, want %v", step, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: events %v, want %v", step, got, want)
+			}
+		}
+		got = got[:0]
+	}
+
+	// Span path: three clean domains, entered mid-domain, across a page
+	// boundary (domains 63 and 64 sit on pages 0 and 1).
+	s.SetRange(4000, 200, MustLabel(0))
+	expect("clean span", byteEvent{4000, true}, byteEvent{4032, true}, byteEvent{4096, true},
+		byteEvent{4160, true})
+	if len(domains) != 4 || domains[0] != 62 || domains[3] != 65 {
+		t.Fatalf("domain events %v, want 62..65", domains)
+	}
+	// Per-byte path: domain 0 is partly tainted, so the span cannot fill
+	// wholesale; byte 10 is already tainted and does not transition.
+	s.Set(10, MustLabel(1))
+	expect("single byte", byteEvent{10, true})
+	s.SetRange(8, 120, MustLabel(0))
+	expect("partial span", byteEvent{8, true}, byteEvent{64, true})
+	// A rewrite with another label changes no taint status: no report.
+	s.SetRange(8, 120, MustLabel(2))
+	expect("retag")
+	// Clears are per byte, and so are single-byte Sets.
+	s.SetRange(60, 6, TagClean)
+	expect("clear", byteEvent{60, false}, byteEvent{61, false}, byteEvent{62, false},
+		byteEvent{63, false}, byteEvent{64, false}, byteEvent{65, false})
+	s.Set(61, MustLabel(0))
+	s.Set(62, MustLabel(0))
+	expect("sets", byteEvent{61, true}, byteEvent{62, true})
+	// Removing the watcher silences it on both paths.
+	s.OnByteTransition(nil)
+	s.SetRange(0x9000, 64, MustLabel(0))
+	s.SetRange(0, 200, MustLabel(0))
+	expect("no watcher")
+}
+
 func TestRangeTag(t *testing.T) {
 	s := MustNew(64)
 	s.Set(10, MustLabel(0))

@@ -133,8 +133,10 @@ func TestFastLoopIndirectJumpFreshTaint(t *testing.T) {
 // fast loop's inlined interpreter. Inputs are raw little-endian instruction
 // words plus file-source bytes, so the fuzzer reaches encodings the random
 // program generator never emits (backward and zero-offset branches, wild
-// registers, undecodable words). The seeds are 25 generated programs and
-// the regressions the fuzzer found.
+// registers, undecodable words, jumps into unmapped memory). The seeds are
+// 25 generated programs, the regressions the fuzzer found, two wild jumps,
+// and a program that runs the fast loop guarded — taint resident in memory,
+// registers clean — around tainted loads and stores.
 func FuzzFastLoopVsStep(f *testing.F) {
 	const (
 		origin   = 0x1000
@@ -162,6 +164,42 @@ func FuzzFastLoopVsStep(f *testing.F) {
 		movi r3, 1
 		halt
 	`).Image, []byte(nil))
+	// Jumps into never-mapped memory fault at the first fetch: the fast
+	// loop takes the jmp itself and must fault exactly where Step does.
+	f.Add(isa.MustAssemble("movi r1, 5\njmp 30000").Image, []byte(nil))
+	f.Add(isa.MustAssemble("li r1, 0x40000000\njr r1").Image, []byte(nil))
+	// Taint resident in memory while the registers are clean: the fast loop
+	// runs guarded, keeps the clean loads and stores around the tainted
+	// buffer, and must exit for every access into it — the loaded word and
+	// the store of it carry taint only through the full loop's checks.
+	guarded := isa.MustAssemble(`
+		li   r1, 0x3000
+		movi r2, 16
+		sys  2            ; 16 tainted bytes at 0x3000
+		li   r3, 0x3000
+		li   r5, 0x3100   ; clean scratch, another domain of the same page
+		movi r6, 100
+		movi r7, 0
+	clean:
+		ldw  r4, [r5]     ; clean load: passes the coarse screen
+		stw  r6, [r5+4]   ; clean store
+		addi r6, r6, -1
+		bne  r6, r7, clean
+		ldw  r4, [r3+4]   ; tainted load
+		stw  r4, [r5+8]   ; taints 0x3108
+		movi r4, 0
+		movi r6, 100
+	again:
+		ldb  r8, [r3+15]  ; tainted byte load, each pass of a clean epoch
+		movi r8, 0
+		stw  r6, [r5+4]
+		addi r6, r6, -1
+		bne  r6, r7, again
+		stw  r7, [r3]     ; clears 4 tainted bytes
+		halt
+	`)
+	f.Add(guarded.Image, []byte("attacker-chosen!"))
+	f.Add(guarded.Image, []byte{0xFF, 0x00, 0x7F})
 
 	f.Fuzz(func(t *testing.T, code, file []byte) {
 		code = code[:min(len(code), maxWords*isa.WordSize)&^(isa.WordSize-1)]

@@ -6,6 +6,12 @@
 // the operand address LATCH's extraction logic consumes — to an attached
 // Tracker, normally the precise DIFT engine, which propagates taint and
 // enforces data-use policies.
+//
+// Data loads from a never-mapped page (one no store, input syscall or
+// program image wrote) read zeros, but an instruction fetch from one faults
+// (ErrUnmappedFetch, "instruction fetch from unmapped page"), in Step and in
+// Run's fast loop alike: a wild or hijacked jump ends at its first fetch. A
+// zero word on a mapped page still executes as nop.
 package vm
 
 import (
@@ -110,7 +116,8 @@ func NewEnv() *Env { return &Env{curReq: -1, curConn: -1} }
 // with the transferred count returned in r1 as write(2) would.
 const MaxSysWriteBytes = 1 << 16
 
-// Fault describes a machine fault (bad instruction, step limit, ...).
+// Fault describes a machine fault (bad instruction, unmapped fetch, step
+// limit, ...).
 type Fault struct {
 	PC     uint32
 	Reason string
@@ -122,6 +129,13 @@ func (f Fault) Error() string { return fmt.Sprintf("vm: fault at pc=%#x: %s", f.
 // ErrStepLimit is wrapped in the fault returned when Run exhausts its
 // instruction budget.
 var ErrStepLimit = errors.New("step limit reached")
+
+// ErrUnmappedFetch is wrapped in the fault returned when the PC reaches a
+// page no store or program image ever mapped. Data loads there read zeros, but
+// an instruction fetch faults as it would on hardware, so a wild or hijacked
+// jump ends at its first fetch instead of sliding through zero words (nop)
+// to the step budget.
+var ErrUnmappedFetch = errors.New("instruction fetch from unmapped page")
 
 // CancelCheckInterval is Run's cancellation granularity in instructions: the
 // context is polled every this many committed steps (a power of two, so the
@@ -235,8 +249,16 @@ func (c *CPU) FastLoopStats() (entries, exits, steps uint64) {
 // the word spans as code (so stores over it are caught). Both loops fill the
 // cache through this helper: an unstamped slot reads as fkExit and would pin
 // the fast loop at that PC.
+//
+// A zero word read from pages none of which is mapped fails with
+// ErrUnmappedFetch. The fetch costs the one counted lookup any fetch does;
+// the mapped test behind it is uncounted and runs only for zero words.
 func (c *CPU) decode(pc uint32) (isa.Instr, error) {
-	in, err := isa.Decode(c.Mem.LoadWord(pc))
+	w := c.Mem.LoadWord(pc)
+	if w == 0 && !c.Mem.Mapped(pc) && !c.Mem.Mapped(pc+isa.WordSize-1) {
+		return isa.Instr{}, ErrUnmappedFetch
+	}
+	in, err := isa.Decode(w)
 	if err != nil {
 		return in, err
 	}
@@ -476,7 +498,7 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 			if rem := maxSteps - steps; rem < limit {
 				limit = rem
 			}
-			n := c.runFast(ft, limit, guarded)
+			n, err := c.runFast(ft, limit, guarded)
 			if n > 0 {
 				steps += n
 				c.fastSteps += n
@@ -497,6 +519,11 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 				c.fastExits++
 				resident = false
 			}
+			if err != nil {
+				// The fetch failed in the fast loop: fault as Step would,
+				// without fetching again.
+				return steps, Fault{PC: c.PC, Reason: err.Error()}
+			}
 		}
 		if err := c.Step(); err != nil {
 			return steps, err
@@ -510,14 +537,16 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 // shadow lookups. It executes at most limit instructions and returns early
 // on the first exit-class instruction (syscall, indirect jump, halt,
 // taint-state op), the first coarse-unclean memory access (guarded mode),
-// the first store into a page holding cached code, or a decode miss that
-// fails — leaving that instruction for the full loop to execute with precise
-// checks. Returns the number of instructions committed.
+// or the first store into a page holding cached code — leaving that
+// instruction for the full loop to execute with precise checks — or on a
+// fetch that fails to decode, whose error it returns with the PC left at the
+// failed fetch. Returns the number of instructions committed.
 //
 // The caller settles tracker accounting for the returned count via
 // FastTracker.CommitClean: in a clean epoch none of them touched taint.
-func (c *CPU) runFast(ft FastTracker, limit uint64, guarded bool) uint64 {
+func (c *CPU) runFast(ft FastTracker, limit uint64, guarded bool) (uint64, error) {
 	var n uint64
+	var fetchErr error
 	// Architectural state lives in locals for the duration of the segment —
 	// the PC stays in a register across instructions and the retired/cycle
 	// counters are flushed once on exit instead of read-modify-written per
@@ -533,7 +562,8 @@ loop:
 		if !ok {
 			misses++
 			if _, err := c.decode(pc); err != nil {
-				break // the full loop re-decodes and surfaces the fault
+				fetchErr = err
+				break
 			}
 			continue
 		}
@@ -662,7 +692,7 @@ loop:
 	c.cycles = cycles
 	c.instret = instret
 	c.dcache.AddStats(hits, misses)
-	return n
+	return n, fetchErr
 }
 
 // Step executes one instruction.

@@ -2,8 +2,9 @@
 // the real binary, boots it on a local port, exercises the serving surface
 // end to end — health, a clean program job, a job tainting the top page of
 // the address space followed by the clean job again, a body one byte over
-// the job cap on both job endpoints followed by the clean job again, a
-// hijack (violation) job, a workload-replay job, the canary report, expvar —
+// the job cap on both job endpoints followed by the clean job again, a wild
+// jump into never-mapped memory followed by the clean job again, a hijack
+// (violation) job, a workload-replay job, the canary report, expvar —
 // and then shuts the process down with SIGTERM to check the graceful-drain
 // path. Run via `make serve-smoke`.
 package main
@@ -125,6 +126,30 @@ func run() error {
 	}
 	if !reflect.DeepEqual(withoutElapsed(again), withoutElapsed(final)) {
 		return fmt.Errorf("clean job after the oversized bodies: %v, first run %v", again, final)
+	}
+
+	// A jump into a never-mapped page must end at its first fetch with an
+	// error naming it — not run to its huge step budget or its deadline —
+	// and the clean job after it must still match its first run.
+	wild := map[string]any{
+		"source":    "li r1, 0x40000000\n jr r1",
+		"max_steps": uint64(1) << 40,
+		"deadline":  "2s",
+	}
+	lines, err = postJob(base+"/v1/program", wild)
+	if err != nil {
+		return fmt.Errorf("wild-jump job: %w", err)
+	}
+	if last := lines[len(lines)-1]; last["type"] != "error" ||
+		!strings.Contains(fmt.Sprint(last["error"]), "instruction fetch from unmapped page") {
+		return fmt.Errorf("wild-jump job: want an unmapped-fetch error line, got %v", last)
+	}
+	again, err = programResult(base, clean)
+	if err != nil {
+		return fmt.Errorf("clean job after the wild jump: %w", err)
+	}
+	if !reflect.DeepEqual(withoutElapsed(again), withoutElapsed(final)) {
+		return fmt.Errorf("clean job after the wild jump: %v, first run %v", again, final)
 	}
 
 	// A hijack must stream the violation live and in the result.
