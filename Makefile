@@ -92,9 +92,12 @@ diffcheck:
 # on internal/engine, every taint decision flows through the declarative
 # internal/policy layer, guest memory and shadow tags run on internal/mem's
 # page map, internal/shadow is the byte-precise taint state the coarse
-# tables are derived from, and internal/vm is the interpreter — each must
-# hold statement coverage at or above 85%.
-COVER_PKGS = policy mem engine shadow vm
+# tables are derived from, internal/vm is the interpreter, internal/cache
+# models the TLB and taint caches every coarse check goes through,
+# internal/workload generates every replayed stream, and internal/platch is
+# P-LATCH's filter and queue models — each must hold statement coverage at
+# or above 85%.
+COVER_PKGS = policy mem engine shadow vm cache workload platch
 
 cover:
 	@for p in $(COVER_PKGS); do \
@@ -154,7 +157,9 @@ bench-gate:
 
 # Short fuzz passes: the shared page map (FuzzPageTable runs random
 # lookups, writes, uncounted Mapped tests, resets and page-set operations
-# against map models), the LA32 assembler/decoder round-trip properties
+# against map models), the cache model (FuzzCacheLRU runs Access, Probe,
+# Invalidate, Flush and ForEach on a 128-way and a 4x4 cache, over blocks
+# that share way-hint slots, against a plain reference LRU), the LA32 assembler/decoder round-trip properties
 # (FuzzAssembleDecode also cross-checks the decode cache against direct
 # Decode, through invalidation and refill), the interpreter differential
 # (FuzzFastLoopVsStep runs raw instruction words through the fast loop and
@@ -164,6 +169,7 @@ bench-gate:
 # checker from random case seeds.
 fuzz:
 	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
+	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=10s
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s

@@ -82,9 +82,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	unfiltered, _ := platch.BaselineQueueOverhead(pl.Events, plCfg)
 	fmt.Println("\n--- P-LATCH: filtered two-core monitoring ---")
 	fmt.Printf("active windows %.1f%%, overhead %.1f%% (unfiltered LBA: %.0f%%)\n",
-		100*pl.ActiveWindowFraction, 100*pl.OverheadSimple, 100*pl.QueueBaselineSimple)
+		100*pl.ActiveWindowFraction, 100*pl.OverheadSimple, 100*unfiltered)
 	fmt.Printf("log carries %.2f%% of instructions\n", 100*pl.EnqueuedFraction)
 
 	s := metrics.Snapshot()

@@ -4,7 +4,9 @@
 //
 // The same model instantiates all three structures in the H-LATCH caching
 // stack: the 16-entry fully-associative Coarse Taint Cache, the small 4-way
-// precise taint cache, and the 128-entry TLB (§6.3/§6.4).
+// precise taint cache, and the 128-entry TLB (§6.3/§6.4). A way hint per
+// block-number slot makes a hit one compare instead of a scan of the set,
+// without changing any modeled outcome.
 package cache
 
 import (
@@ -84,14 +86,29 @@ func (c Config) Validate() error {
 func (c Config) CapacityBytes() int { return c.Sets * c.Ways * int(c.LineSize) }
 
 // Cache is a set-associative cache with LRU replacement.
+//
+// Lookups check a way hint before scanning the set: hint, indexed by the
+// low bits of the block number (which include the set index), holds the way
+// that last hit or was filled for a block with those bits. A tag is resident
+// at most once per set, so when the hinted line is valid and carries the
+// tag it is the line the scan would find; a stale or colliding hint only
+// costs the scan. LRU stamps, victim choice, evictions and Stats are those
+// of the plain scan.
 type Cache struct {
 	cfg       Config
 	lineShift uint
+	setShift  uint
 	setMask   uint32
 	sets      [][]Line
+	hint      []uint32
+	hintMask  uint32
 	clock     uint64
 	stats     Stats
 }
+
+// hintsPerLine sizes the way-hint table: hintsPerLine slots per line,
+// rounded up to a power of two.
+const hintsPerLine = 2
 
 // New builds a cache from cfg.
 func New(cfg Config) (*Cache, error) {
@@ -102,11 +119,15 @@ func New(cfg Config) (*Cache, error) {
 	for i := range sets {
 		sets[i] = make([]Line, cfg.Ways)
 	}
+	slots := 1 << bits.Len(uint(hintsPerLine*cfg.Sets*cfg.Ways-1))
 	return &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros32(cfg.LineSize)),
+		setShift:  uint(bits.TrailingZeros32(uint32(cfg.Sets))),
 		setMask:   uint32(cfg.Sets - 1),
 		sets:      sets,
+		hint:      make([]uint32, slots),
+		hintMask:  uint32(slots - 1),
 	}, nil
 }
 
@@ -128,20 +149,25 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint32) (set int, tag uint32) {
-	block := addr >> c.lineShift
-	return int(block & c.setMask), block >> bits.TrailingZeros32(uint32(c.cfg.Sets))
+// index splits addr into its block number, set and tag.
+func (c *Cache) index(addr uint32) (block uint32, set int, tag uint32) {
+	block = addr >> c.lineShift
+	return block, int(block & c.setMask), block >> c.setShift
 }
 
 // BlockBase returns the base address of the block containing addr.
 func (c *Cache) BlockBase(addr uint32) uint32 { return addr &^ (c.cfg.LineSize - 1) }
 
-// Probe looks up addr without updating statistics, LRU state, or contents.
+// Probe looks up addr without updating statistics, LRU state, contents or
+// the way hint.
 func (c *Cache) Probe(addr uint32) (*Line, bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
+	block, set, tag := c.index(addr)
+	ways := c.sets[set]
+	if l := &ways[c.hint[block&c.hintMask]]; l.valid && l.tag == tag {
+		return l, true
+	}
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == tag {
 			return l, true
 		}
 	}
@@ -155,29 +181,35 @@ func (c *Cache) Probe(addr uint32) (*Line, bool) {
 func (c *Cache) Access(addr uint32) (line *Line, hit bool, ev Eviction) {
 	c.stats.Accesses++
 	c.clock++
-	set, tag := c.index(addr)
+	block, set, tag := c.index(addr)
 	ways := c.sets[set]
+	h := &c.hint[block&c.hintMask]
+	if l := &ways[*h]; l.valid && l.tag == tag {
+		l.lru = c.clock
+		c.stats.Hits++
+		return l, true, Eviction{}
+	}
 	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
+		if l := &ways[i]; l.valid && l.tag == tag {
 			l.lru = c.clock
 			c.stats.Hits++
+			*h = uint32(i)
 			return l, true, Eviction{}
 		}
 	}
 	c.stats.Misses++
 	// Fill: prefer an invalid way, else the least recently used.
-	victim := &ways[0]
+	v := 0
 	for i := range ways {
-		l := &ways[i]
-		if !l.valid {
-			victim = l
+		if !ways[i].valid {
+			v = i
 			break
 		}
-		if l.lru < victim.lru {
-			victim = l
+		if ways[i].lru < ways[v].lru {
+			v = i
 		}
 	}
+	victim := &ways[v]
 	if victim.valid {
 		c.stats.Evictions++
 		ev = Eviction{
@@ -192,19 +224,19 @@ func (c *Cache) Access(addr uint32) (line *Line, hit bool, ev Eviction) {
 	victim.lru = c.clock
 	victim.Data = 0
 	victim.Aux = 0
+	*h = uint32(v)
 	return victim, false, ev
 }
 
 // addrOf reconstructs a block base address from set and tag.
 func (c *Cache) addrOf(set int, tag uint32) uint32 {
-	block := tag<<bits.TrailingZeros32(uint32(c.cfg.Sets)) | uint32(set)
-	return block << c.lineShift
+	return (tag<<c.setShift | uint32(set)) << c.lineShift
 }
 
 // Invalidate drops the block containing addr if resident, returning its
 // former contents.
 func (c *Cache) Invalidate(addr uint32) (Eviction, bool) {
-	set, tag := c.index(addr)
+	_, set, tag := c.index(addr)
 	for i := range c.sets[set] {
 		l := &c.sets[set][i]
 		if l.valid && l.tag == tag {

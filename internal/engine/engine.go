@@ -12,6 +12,10 @@
 // lives here. Adding a fourth integration is one package: implement
 // Backend, call Register from init, and the experiment harness, the public
 // facade, and the CLI `-backend` flag pick it up by name.
+//
+// RunProfile is the one profile driver: the generator fills batches of
+// EventBatchSize events, and a canceled run stops fewer than
+// CancelCheckEvents events after its cancellation.
 package engine
 
 import (
@@ -112,17 +116,17 @@ type Result interface {
 }
 
 // CancelCheckEvents is the profile driver's cancellation granularity: the
-// run's context is polled every this many stream events (a power of two, so
-// the check is a mask test). A canceled run stops — with its backend fully
-// finalized, monitor shards joined — within at most CancelCheckEvents events
-// of the cancellation.
+// run's context is polled whenever Session.Events reaches a multiple of this
+// (a power of two, so the check is a mask test). A run canceled while its
+// backend consumes event N stops — with its backend fully finalized, monitor
+// shards joined — with Session.Events - N < CancelCheckEvents.
 const CancelCheckEvents = 4096
 
-// EventBatchSize is the profile driver's delivery batch: for BatchBackend
-// integrations, events accumulate in a fixed buffer handed over in slices of
-// at most this many. It divides CancelCheckEvents, so batch boundaries land
-// exactly on cancellation-poll boundaries and the poll granularity is
-// unchanged.
+// EventBatchSize is the profile driver's delivery batch: the generator
+// writes events into a buffer of this many and closes a batch at every
+// multiple of it in the stream, and earlier before each shadow mutation.
+// Mutations add boundaries but never move the grid, and EventBatchSize
+// divides CancelCheckEvents, so every cancellation poll lands on a batch end.
 const EventBatchSize = 512
 
 // RunOptions parameterizes one profile-driven run.
@@ -152,10 +156,12 @@ type RunOptions struct {
 // generator's event stream, and collect its result. This is the single
 // driver loop the per-scheme packages used to duplicate.
 //
-// Cancellation: ctx is polled every CancelCheckEvents events. On
-// cancellation the stream stops, the backend is still finalized (so
-// concurrent backends join their monitor shards and leak nothing), the
-// partial result is discarded, and ctx.Err() is returned.
+// Cancellation: ctx is polled whenever the stream reaches a multiple of
+// CancelCheckEvents events, so the stream stops fewer than
+// CancelCheckEvents events after the cancellation. On cancellation the
+// backend is still finalized (so concurrent backends join their monitor
+// shards and leak nothing), the partial result is discarded, and ctx.Err()
+// is returned.
 func RunProfile(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
 	res, _, err := RunProfileSession(ctx, b, p, opts)
 	return res, err
@@ -207,33 +213,29 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	if err := b.Init(s); err != nil {
 		return nil, nil, err
 	}
+	// One driver for every backend. Batches close on the EventBatchSize grid
+	// and before every shadow mutation, so each event is checked against the
+	// state it was generated under, and every multiple of CancelCheckEvents
+	// is a batch end, where ctx is polled.
 	done := ctx.Done()
-	if bb, ok := b.(BatchBackend); ok {
-		// Batched delivery: identical events, identical order, identical
-		// cursor positions — one StepBatch call per buffer instead of one
-		// interface call per event. The generator drains the buffer (via
-		// trace.Flusher) before every shadow mutation, so each event is
-		// checked against the same state as under per-event delivery.
-		bs := &batchingSink{bb: bb, s: s, g: g, done: done}
-		g.Run(opts.Events, bs)
-		// A canceled run drops the undelivered tail, exactly as the
-		// per-event driver stops at the poll boundary.
-		if !g.Stopped() {
-			bs.Flush()
-		}
-	} else {
-		g.Run(opts.Events, trace.SinkFunc(func(ev trace.Event) {
-			s.Events++
-			b.Step(s, ev)
-			if s.Events&(CancelCheckEvents-1) == 0 && done != nil {
-				select {
-				case <-done:
-					g.Stop()
-				default:
-				}
+	bb, batched := b.(BatchBackend)
+	g.RunBatches(opts.Events, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+		if batched {
+			bb.StepBatch(s, evs)
+		} else {
+			for i := range evs {
+				s.Events++
+				b.Step(s, evs[i])
 			}
-		}))
-	}
+		}
+		if s.Events&(CancelCheckEvents-1) == 0 && done != nil {
+			select {
+			case <-done:
+				g.Stop()
+			default:
+			}
+		}
+	})
 	// Finalize unconditionally: for sharded backends Finish closes the
 	// rings and joins the monitor goroutines, which must happen on the
 	// cancellation path too.
@@ -242,50 +244,6 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 		return nil, s, ctx.Err()
 	}
 	return res, s, nil
-}
-
-// batchingSink is the profile driver's buffering sink for BatchBackend
-// integrations: the commit-stream FIFO between the generator and the
-// monitor. Events accumulate in a fixed buffer delivered in one StepBatch
-// call when full — or earlier, when the generator calls Flush before
-// mutating the shadow state. Cancellation is polled on the flush after each
-// CancelCheckEvents-sized stretch of the stream (barrier flushes shift batch
-// boundaries, so the poll keys off a watermark rather than an alignment
-// mask).
-type batchingSink struct {
-	bb       BatchBackend
-	s        *Session
-	g        *workload.Generator
-	done     <-chan struct{}
-	buf      [EventBatchSize]trace.Event
-	n        int
-	lastPoll uint64
-}
-
-// Consume implements trace.Sink.
-func (k *batchingSink) Consume(ev trace.Event) {
-	k.buf[k.n] = ev
-	k.n++
-	if k.n == EventBatchSize {
-		k.Flush()
-	}
-}
-
-// Flush implements trace.Flusher: deliver the buffered events now.
-func (k *batchingSink) Flush() {
-	if k.n == 0 {
-		return
-	}
-	k.bb.StepBatch(k.s, k.buf[:k.n])
-	k.n = 0
-	if k.s.Events-k.lastPoll >= CancelCheckEvents && k.done != nil {
-		k.lastPoll = k.s.Events
-		select {
-		case <-k.done:
-			k.g.Stop()
-		default:
-		}
-	}
 }
 
 // RunScheme runs the named registered backend, in its paper-default

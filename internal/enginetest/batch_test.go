@@ -22,15 +22,60 @@ type stepOnly struct {
 
 func (s stepOnly) Step(sess *engine.Session, ev trace.Event) { s.Backend.Step(sess, ev) }
 
-// TestBatchBackendEquivalence: every backend that opts into batched delivery
-// must produce a result identical to its own per-event path over the same
-// workload — batching is a delivery optimization, never a semantic change.
-func TestBatchBackendEquivalence(t *testing.T) {
-	p, err := workload.Get("gcc")
+// runPerEvent is the driver's reference semantics: the same set-up as
+// engine.RunProfileSession, with every event stepped the moment the
+// generator produces it.
+func runPerEvent(t *testing.T, b engine.Backend, p workload.Profile, events uint64) engine.Result {
+	t.Helper()
+	s, err := engine.NewSession(b.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := engine.RunOptions{Events: 200_000}
+	g, err := workload.NewGeneratorOn(p, s.Shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Module.ResetStats()
+	s.Profile = p
+	s.Target = events
+	if err := b.Init(s); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(events, trace.SinkFunc(func(ev trace.Event) {
+		s.Events++
+		b.Step(s, ev)
+	}))
+	return b.Finish(s)
+}
+
+// withoutRing clears a cplatch result's Ring stats, which report real,
+// scheduling-dependent pipeline occupancy; everything else (flag digest,
+// monitor taint hash, shard queues) must match exactly.
+func withoutRing(r engine.Result) engine.Result {
+	if cr, ok := r.(platch.ConcurrentResult); ok {
+		cr.Ring = platch.RingStats{}
+		return cr
+	}
+	return r
+}
+
+// TestBatchBackendEquivalence: every backend that opts into batched delivery
+// must produce a result identical to its own per-event Step over the same
+// workload, and both must equal stepping each event as it is generated —
+// batching is a delivery optimization, never a semantic change.
+func TestBatchBackendEquivalence(t *testing.T) {
+	for _, pname := range []string{"gcc", "apache"} {
+		p, err := workload.Get(pname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchEquivalence(t, p)
+	}
+}
+
+func batchEquivalence(t *testing.T, p workload.Profile) {
+	const events = 200_000
+	opts := engine.RunOptions{Events: events}
 	for _, name := range []string{"slatch", "hlatch", "platch", "cplatch"} {
 		sch, err := engine.Lookup(name)
 		if err != nil {
@@ -49,19 +94,12 @@ func TestBatchBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s stepped: %v", name, err)
 		}
-		// P-LATCH's Ring stats report real, scheduling-dependent pipeline
-		// occupancy; everything else (flag digest, monitor taint hash,
-		// shard queues) must match exactly.
-		if cr, ok := rb.(platch.ConcurrentResult); ok {
-			cr.Ring = platch.RingStats{}
-			rb = cr
-		}
-		if cr, ok := rs.(platch.ConcurrentResult); ok {
-			cr.Ring = platch.RingStats{}
-			rs = cr
-		}
+		rb, rs = withoutRing(rb), withoutRing(rs)
 		if !reflect.DeepEqual(rb, rs) {
-			t.Errorf("%s: batched and per-event results diverge\n batched: %+v\n stepped: %+v", name, rb, rs)
+			t.Errorf("%s/%s: batched and per-event results diverge\n batched: %+v\n stepped: %+v", p.Name, name, rb, rs)
+		}
+		if ref := withoutRing(runPerEvent(t, sch.New(), p, events)); !reflect.DeepEqual(rb, ref) {
+			t.Errorf("%s/%s: driver and as-generated delivery diverge\n driver:    %+v\n reference: %+v", p.Name, name, rb, ref)
 		}
 	}
 }

@@ -61,6 +61,55 @@ func TestRunProfileCancellationPerBackend(t *testing.T) {
 	}
 }
 
+// cancelAtBackend cancels its run's context from inside StepBatch when the
+// cursor reaches at, the way a deadline can expire while a batch is being
+// consumed.
+type cancelAtBackend struct {
+	countBackend
+	at     uint64
+	cancel context.CancelFunc
+}
+
+func (b *cancelAtBackend) StepBatch(s *engine.Session, evs []trace.Event) {
+	for range evs {
+		s.Events++
+		if s.Events == b.at {
+			b.cancel()
+		}
+	}
+}
+
+// TestCancelWithinPollInterval pins engine.CancelCheckEvents' promise: a run
+// canceled while its backend consumes event N stops with Session.Events - N
+// below CancelCheckEvents, whatever shadow-mutation barriers closed batches
+// early. The points include both sides of poll boundaries, and 295,927 on
+// apache, where batches shifted by barriers once ran 4,526 events past the
+// cancellation.
+func TestCancelWithinPollInterval(t *testing.T) {
+	points := []uint64{1, 511, 512, 4095, 4096, 4097, 8191, 8192, 295_927, 299_999}
+	for i := uint64(0); i < 95; i++ {
+		points = append(points, 1+i*3121)
+	}
+	for _, name := range []string{"apache", "mysql"} {
+		p := workload.MustGet(name)
+		var sess *engine.Session
+		for _, at := range points {
+			ctx, cancel := context.WithCancel(context.Background())
+			b := &cancelAtBackend{countBackend: countBackend{cfg: latch.DefaultConfig()}, at: at, cancel: cancel}
+			res, s, err := engine.RunProfileSession(ctx, b, p, engine.RunOptions{Events: 1 << 40, Session: sess})
+			cancel()
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("%s canceled at %d: res=%v err=%v, want nil result and context.Canceled", name, at, res, err)
+			}
+			if s.Events < at || s.Events-at >= engine.CancelCheckEvents {
+				t.Errorf("%s canceled at event %d stopped at %d: %d past the cancellation, want < %d",
+					name, at, s.Events, s.Events-at, engine.CancelCheckEvents)
+			}
+			sess = s
+		}
+	}
+}
+
 // TestSessionRecyclingDeterminism pins the recycled-session contract for
 // every registered backend: a run on a worker's recycled session is
 // result-identical to a run on a fresh one. This is what lets the server

@@ -15,8 +15,8 @@ func TestQueueSimEmitsStalls(t *testing.T) {
 	}
 	mx := telemetry.NewMetrics()
 	depth := 256
-	withObs := queueSim(evs, depth, 3.38, mx)
-	plain := queueSim(evs, depth, 3.38, nil)
+	withObs := simulate(evs, depth, 3.38, mx)
+	plain := simulate(evs, depth, 3.38, nil)
 	if withObs != plain {
 		t.Errorf("observer changed the overhead: %v vs %v", withObs, plain)
 	}
@@ -36,7 +36,7 @@ func TestQueueSimNoStallsWhenDrained(t *testing.T) {
 		evs[i] = true
 	}
 	mx := telemetry.NewMetrics()
-	queueSim(evs, 1024, 3.38, mx)
+	simulate(evs, 1024, 3.38, mx)
 	if s := mx.Snapshot(); s.QueueStalls != 0 {
 		t.Errorf("sparse stream stalled %d times", s.QueueStalls)
 	}

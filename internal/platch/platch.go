@@ -13,8 +13,9 @@
 //     contain coarse-positive activity;
 //
 //   - a discrete queue simulation (producer / bounded FIFO / consumer) as a
-//     finer-grained cross-check, which also reproduces the baseline LBA
-//     overheads from first principles.
+//     finer-grained cross-check, stepped with the stream in O(QueueDepth)
+//     memory; BaselineQueueOverhead runs the same simulation unfiltered and
+//     reproduces the baseline LBA overheads from first principles.
 //
 // The scheme is an engine.Backend over the shared Session; this package
 // contributes the filtering policy, the window accounting, and the queue
@@ -72,11 +73,11 @@ type Config struct {
 
 	// Observer, when non-nil, receives the run's telemetry: the module's
 	// check-path events plus a QueueStall per full-FIFO stall of the
-	// LATCH-filtered queue simulations (the unfiltered baselines are not
-	// reported — they would swamp the signal the paper cares about). It
-	// must be safe for concurrent use when runs on several goroutines share
-	// it, as the experiment harness's per-pass observers are
-	// (telemetry.Metrics is). Observers never affect results.
+	// LATCH-filtered queue simulations (BaselineQueueOverhead's unfiltered
+	// runs are not reported — they would swamp the signal the paper cares
+	// about). It must be safe for concurrent use when runs on several
+	// goroutines share it, as the experiment harness's per-pass observers
+	// are (telemetry.Metrics is). Observers never affect results.
 	Observer telemetry.Observer
 }
 
@@ -259,12 +260,10 @@ type Result struct {
 	OverheadSimple    float64
 	OverheadOptimized float64
 
-	// Queue-simulation overheads (cross-check / ablation).
+	// Queue-simulation overheads (cross-check / ablation). The unfiltered
+	// baselines come from BaselineQueueOverhead.
 	QueueOverheadSimple    float64
 	QueueOverheadOptimized float64
-	// Unfiltered queue baselines reproduced by the same simulator.
-	QueueBaselineSimple    float64
-	QueueBaselineOptimized float64
 
 	EnqueuedFraction float64 // share of instructions enqueued under filtering
 
@@ -294,64 +293,98 @@ func (r Result) Columns() []engine.Column {
 	}
 }
 
-// queueSim models a producer at 1 instruction/cycle feeding a bounded FIFO
-// drained by a consumer at serviceCycles per entry. It returns the
-// fractional overhead over native execution caused by full-queue stalls,
-// reporting each stall (with the queue occupancy, always the full depth)
-// through obs when non-nil.
-func queueSim(enqueued []bool, depth int, serviceCycles float64, obs telemetry.Observer) float64 {
-	if len(enqueued) == 0 {
+// queue models a producer at 1 instruction/cycle feeding a bounded FIFO
+// drained by a consumer at service cycles per entry, one committed
+// instruction per step. Each full-queue stall is reported (with the queue
+// occupancy, always the full depth) through obs when non-nil.
+type queue struct {
+	ring        []float64 // completion times of in-flight entries
+	head, count int
+	service     float64
+	now         float64 // producer clock
+	srvEnd      float64 // consumer's last completion time
+	steps       uint64
+	obs         telemetry.Observer
+}
+
+func newQueue(depth int, service float64, obs telemetry.Observer) queue {
+	return queue{ring: make([]float64, depth), service: service, obs: obs}
+}
+
+// step advances the producer by one instruction, enqueueing it when enq.
+func (q *queue) step(enq bool) {
+	q.steps++
+	q.now++
+	if !enq {
+		return
+	}
+	depth := len(q.ring)
+	// Retire completed entries.
+	for q.count > 0 && q.ring[q.head] <= q.now {
+		q.head = (q.head + 1) % depth
+		q.count--
+	}
+	if q.count == depth {
+		// Stall until the oldest entry completes.
+		if q.obs != nil {
+			q.obs.QueueStall(q.count)
+		}
+		q.now = q.ring[q.head]
+		q.head = (q.head + 1) % depth
+		q.count--
+	}
+	start := q.srvEnd
+	if start < q.now {
+		start = q.now
+	}
+	q.srvEnd = start + q.service
+	q.ring[(q.head+q.count)%depth] = q.srvEnd
+	q.count++
+}
+
+// overhead returns the fractional overhead over native execution of the
+// steps so far caused by full-queue stalls. The monitored program also
+// cannot complete before the monitor drains the log (the paper's LBA
+// semantics: analysis lags execution).
+func (q *queue) overhead() float64 {
+	if q.steps == 0 {
 		return 0
 	}
-	// Ring buffer of completion times for in-flight entries.
-	ring := make([]float64, depth)
-	head, count := 0, 0
-	var now float64    // producer clock
-	var srvEnd float64 // consumer's last completion time
-	for _, enq := range enqueued {
-		now++
-		if !enq {
-			continue
-		}
-		// Retire completed entries.
-		for count > 0 && ring[head] <= now {
-			head = (head + 1) % depth
-			count--
-		}
-		if count == depth {
-			// Stall until the oldest entry completes.
-			if obs != nil {
-				obs.QueueStall(count)
-			}
-			now = ring[head]
-			head = (head + 1) % depth
-			count--
-		}
-		start := srvEnd
-		if start < now {
-			start = now
-		}
-		srvEnd = start + serviceCycles
-		ring[(head+count)%depth] = srvEnd
-		count++
+	total := q.now
+	if q.srvEnd > total {
+		total = q.srvEnd
 	}
-	// The monitored program also cannot complete before the monitor drains
-	// the log (the paper's LBA semantics: analysis lags execution).
-	total := now
-	if srvEnd > total {
-		total = srvEnd
+	return total/float64(q.steps) - 1
+}
+
+// serviceCycles derives the monitor's per-entry service time from a
+// reported LBA overhead: an overhead of k means ~1+k cycles of monitor work
+// per monitored instruction when everything is enqueued.
+func serviceCycles(lbaOverhead float64) float64 { return 1 + lbaOverhead }
+
+// BaselineQueueOverhead runs the queue simulation unfiltered — every one of
+// events instructions enqueued, as under plain LBA — at cfg's queue depth
+// and both reported LBA service rates.
+func BaselineQueueOverhead(events uint64, cfg Config) (simple, optimized float64) {
+	sq := newQueue(cfg.QueueDepth, serviceCycles(cfg.SimpleLBAOverhead), nil)
+	oq := newQueue(cfg.QueueDepth, serviceCycles(cfg.OptimizedLBAOverhead), nil)
+	for i := uint64(0); i < events; i++ {
+		sq.step(true)
+		oq.step(true)
 	}
-	return total/float64(len(enqueued)) - 1
+	return sq.overhead(), oq.overhead()
 }
 
 // backend is the P-LATCH per-event policy: coarse filtering into the log,
-// window-activity accounting, and the pending-update FIFO.
+// window-activity accounting, the pending-update FIFO, and the two
+// LATCH-filtered queue simulations.
 type backend struct {
 	cfg Config
 
-	enqueued []bool
-	filt     *filter
-	win      windows
+	filt           *filter
+	win            windows
+	queueSimple    queue
+	queueOptimized queue
 }
 
 // Name implements engine.Backend.
@@ -362,22 +395,15 @@ func (b *backend) Config() latch.Config { return b.cfg.Latch }
 
 // Init implements engine.Backend.
 func (b *backend) Init(s *engine.Session) error {
-	// Cap the upfront reservation: Target is a budget, not a promise (a
-	// canceled run may see a sliver of it), and a huge target would turn
-	// this into a multi-hundred-MB allocation before the first event.
-	// Growth past the cap is geometric append as usual.
-	capHint := s.Target
-	if capHint > 1<<22 {
-		capHint = 1 << 22
-	}
-	b.enqueued = make([]bool, 0, capHint)
 	b.filt = newFilter(b.cfg.PendingEntries, b.cfg.PendingLagInstrs)
 	b.win = windows{size: b.cfg.WindowInstrs}
+	b.queueSimple = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.SimpleLBAOverhead), s.Observer)
+	b.queueOptimized = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.OptimizedLBAOverhead), s.Observer)
 	return nil
 }
 
 // Step implements engine.Backend. P-LATCH charges no check cycles on the
-// monitored core: the cost model is the queue, evaluated in Finish.
+// monitored core: the cost model is the queue.
 func (b *backend) Step(s *engine.Session, ev trace.Event) {
 	enq, _ := b.filt.decide(s, ev)
 	// The analytic model localizes LBA overheads to "periods of active
@@ -385,7 +411,8 @@ func (b *backend) Step(s *engine.Session, ev trace.Event) {
 	// manipulated. Coarse false positives still enter the queue (enq)
 	// but do not by themselves make a window an active-propagation one.
 	b.win.step(ev.Tainted)
-	b.enqueued = append(b.enqueued, enq)
+	b.queueSimple.step(enq)
+	b.queueOptimized.step(enq)
 }
 
 // StepBatch implements engine.BatchBackend. The pending-window filter keys
@@ -398,19 +425,9 @@ func (b *backend) StepBatch(s *engine.Session, evs []trace.Event) {
 }
 
 // Finish implements engine.Backend: close the last window, then evaluate
-// the analytical window model and the queue simulations.
+// the analytical window model and read the queue simulations.
 func (b *backend) Finish(s *engine.Session) engine.Result {
 	f := b.win.fraction()
-
-	// Queue simulation: service rates derived from the reported LBA
-	// overheads (an overhead of k means ~1+k cycles of monitor work per
-	// monitored instruction when everything is enqueued).
-	simpleService := 1 + b.cfg.SimpleLBAOverhead
-	optService := 1 + b.cfg.OptimizedLBAOverhead
-	all := make([]bool, len(b.enqueued))
-	for i := range all {
-		all[i] = true
-	}
 	// A zero-event stream has no positives to enqueue; avoid 0/0 = NaN,
 	// which would poison downstream aggregation and break Result equality.
 	enqueuedFrac := 0.0
@@ -424,10 +441,8 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 		ActiveWindowFraction:   f,
 		OverheadSimple:         f * b.cfg.SimpleLBAOverhead,
 		OverheadOptimized:      f * b.cfg.OptimizedLBAOverhead,
-		QueueOverheadSimple:    queueSim(b.enqueued, b.cfg.QueueDepth, simpleService, s.Observer),
-		QueueOverheadOptimized: queueSim(b.enqueued, b.cfg.QueueDepth, optService, s.Observer),
-		QueueBaselineSimple:    queueSim(all, b.cfg.QueueDepth, simpleService, nil),
-		QueueBaselineOptimized: queueSim(all, b.cfg.QueueDepth, optService, nil),
+		QueueOverheadSimple:    b.queueSimple.overhead(),
+		QueueOverheadOptimized: b.queueOptimized.overhead(),
 		EnqueuedFraction:       enqueuedFrac,
 		PendingExtraPositives:  b.filt.pendingExtra,
 	}

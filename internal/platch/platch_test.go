@@ -19,7 +19,7 @@ func TestQueueSimSaturated(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	got := queueSim(all, 1024, 3.38, nil)
+	got := simulate(all, 1024, 3.38, nil)
 	if math.Abs(got-2.38) > 0.1 {
 		t.Fatalf("saturated overhead = %.3f, want ~2.38", got)
 	}
@@ -27,10 +27,10 @@ func TestQueueSimSaturated(t *testing.T) {
 
 func TestQueueSimEmpty(t *testing.T) {
 	none := make([]bool, 100_000)
-	if got := queueSim(none, 1024, 3.38, nil); got != 0 {
+	if got := simulate(none, 1024, 3.38, nil); got != 0 {
 		t.Fatalf("empty queue overhead = %v", got)
 	}
-	if got := queueSim(nil, 16, 2, nil); got != 0 {
+	if got := simulate(nil, 16, 2, nil); got != 0 {
 		t.Fatalf("nil stream overhead = %v", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestQueueSimSparse(t *testing.T) {
 	for i := 0; i < len(evs); i += 100 {
 		evs[i] = true
 	}
-	if got := queueSim(evs, 1024, 3.38, nil); got > 0.01 {
+	if got := simulate(evs, 1024, 3.38, nil); got > 0.01 {
 		t.Fatalf("sparse overhead = %.4f, want ~0", got)
 	}
 }
@@ -73,7 +73,7 @@ func TestQueueSimBursty(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		evs[i] = true
 	}
-	got := queueSim(evs, 256, 3.38, nil)
+	got := simulate(evs, 256, 3.38, nil)
 	if got <= 0 || got >= 2.38 {
 		t.Fatalf("bursty overhead = %.4f", got)
 	}
@@ -94,12 +94,13 @@ func TestRunInvariants(t *testing.T) {
 		t.Fatal("simple should cost more than optimized")
 	}
 	// Filtering must beat the unfiltered baseline by a wide margin.
-	if r.QueueOverheadSimple >= r.QueueBaselineSimple {
-		t.Fatalf("filtered %.3f >= baseline %.3f", r.QueueOverheadSimple, r.QueueBaselineSimple)
+	baseline, _ := BaselineQueueOverhead(r.Events, shortCfg())
+	if r.QueueOverheadSimple >= baseline {
+		t.Fatalf("filtered %.3f >= baseline %.3f", r.QueueOverheadSimple, baseline)
 	}
 	// Baseline LBA reproduces its reported overhead.
-	if math.Abs(r.QueueBaselineSimple-2.38) > 0.15 {
-		t.Fatalf("queue baseline = %.3f, want ~2.38", r.QueueBaselineSimple)
+	if math.Abs(baseline-2.38) > 0.15 {
+		t.Fatalf("queue baseline = %.3f, want ~2.38", baseline)
 	}
 	if r.EnqueuedFraction <= 0 || r.EnqueuedFraction > 0.5 {
 		t.Fatalf("enqueued fraction = %v", r.EnqueuedFraction)

@@ -32,15 +32,6 @@ type SinkFunc func(ev Event)
 // Consume implements Sink.
 func (f SinkFunc) Consume(ev Event) { f(ev) }
 
-// Flusher is the optional Sink extension for buffering sinks. A producer
-// about to mutate state its consumer checks against (the workload
-// generator's churn and re-taint writes) calls Flush first, so every
-// already-emitted event is consumed against the state it was generated
-// under. Non-buffering sinks need not implement it.
-type Flusher interface {
-	Flush()
-}
-
 // EpochBounds are the taint-free epoch length buckets of Figure 5.
 var EpochBounds = []uint64{100, 1_000, 10_000, 100_000, 1_000_000}
 

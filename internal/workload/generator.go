@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"latch/internal/mem"
 	"latch/internal/policy"
@@ -17,7 +16,7 @@ import (
 // benchmark's Table 1/2 taint percentage by construction.
 type Generator struct {
 	p   Profile
-	rng *rand.Rand
+	rng *rng
 	sh  *shadow.Shadow
 
 	// Selective tracing: when sampled is set (a SampleFraction strictly
@@ -60,21 +59,33 @@ type Generator struct {
 	activeCarry  float64
 	seq          uint64
 
-	// stopped is set by Stop: Run returns at the next event boundary. Once
-	// stopped the stream must not be continued — the abandoned epoch
-	// schedule state would skew subsequent epochs.
+	// stopped is set by Stop: RunBatches returns at the next event
+	// boundary and delivers nothing more. Once stopped the stream must not
+	// be continued — the abandoned epoch schedule state would skew
+	// subsequent epochs.
 	stopped bool
 
-	// flusher is the sink's trace.Flusher view (resolved per Run call, nil
-	// for non-buffering sinks). The stream interleaves shadow mutations with
-	// events, and a buffering consumer checks events against live state — so
-	// every mutation is preceded by a barrier draining the buffer.
-	flusher trace.Flusher
+	// The current RunBatches call's batch: events are written in place into
+	// batch[:n] and handed to deliver. gridLeft counts the events until the
+	// next multiple of len(batch) in the stream sequence, where a batch
+	// always closes.
+	batch    []trace.Event
+	n        int
+	gridLeft int
+	deliver  func([]trace.Event)
+
+	// one is Run's single-event batch.
+	one [1]trace.Event
 }
 
 // basePage is the page number where generated footprints start
 // (0x10000000 >> 12).
 const basePage = 0x10000
+
+// maxPagesAccessed (983,040) is the largest footprint a profile may have:
+// its pages start at basePage and must all lie below the top of the 32-bit
+// address space, or page addresses would wrap and alias each other.
+const maxPagesAccessed = 1<<(32-mem.PageShift) - basePage
 
 // NewGenerator builds a generator for profile p over a fresh shadow with the
 // given taint-domain size.
@@ -119,7 +130,7 @@ func NewSampledGeneratorOn(p Profile, sh *shadow.Shadow, spl policy.Sampling) (*
 	}
 	g := &Generator{
 		p:            p,
-		rng:          rand.New(rand.NewSource(p.Seed)),
+		rng:          newRNG(p.Seed),
 		sh:           sh,
 		base:         basePage,
 		taintStart:   (p.PagesAccessed - p.PagesTainted) / 2,
@@ -364,7 +375,7 @@ func (g *Generator) nextTaintAddr() (addr uint32, finishedRun int) {
 			// consistent with the byte-precise state.
 			g.taintIdx = 0
 			if len(g.freed) > 0 {
-				g.barrier()
+				g.closeBatch()
 			}
 			for _, f := range g.freed {
 				g.restoreRun(f.idx, f.n)
@@ -376,11 +387,18 @@ func (g *Generator) nextTaintAddr() (addr uint32, finishedRun int) {
 	return addr, finishedRun
 }
 
-// barrier drains any buffering sink before a shadow mutation, keeping
-// batched delivery observably identical to per-event delivery.
-func (g *Generator) barrier() {
-	if g.flusher != nil {
-		g.flusher.Flush()
+// closeBatch hands the events written so far to deliver. Besides the grid
+// lines, the stream closes the batch before every shadow mutation, so each
+// event is consumed against the state it was generated under: batched
+// delivery stays observably identical to per-event delivery.
+func (g *Generator) closeBatch() {
+	if g.n == 0 {
+		return
+	}
+	n := g.n
+	g.n = 0
+	if !g.stopped {
+		g.deliver(g.batch[:n])
 	}
 }
 
@@ -424,7 +442,7 @@ func (g *Generator) applyRetaints() {
 	if !due {
 		return
 	}
-	g.barrier()
+	g.closeBatch()
 	n := 0
 	for _, r := range g.pending {
 		if r.due > g.seq {
@@ -442,46 +460,51 @@ func (g *Generator) flushRetaints() {
 	if len(g.pending) == 0 {
 		return
 	}
-	g.barrier()
+	g.closeBatch()
 	for _, r := range g.pending {
 		g.restoreRun(r.idx, r.n)
 	}
 	g.pending = g.pending[:0]
 }
 
-// emit sends one event.
-func (g *Generator) emit(sink trace.Sink, isMem bool, addr uint32, size uint8, tainted bool) {
+// emit writes one event into the batch, closing the batch at the grid line.
+func (g *Generator) emit(isMem bool, addr uint32, size uint8, tainted bool) {
 	g.seq++
-	ev := trace.Event{Seq: g.seq, PC: 0x1000 + uint32(g.seq%4096)*4, Tainted: tainted}
+	ev := &g.batch[g.n]
+	g.n++
+	*ev = trace.Event{Seq: g.seq, PC: 0x1000 + uint32(g.seq%4096)*4, Tainted: tainted}
 	if isMem {
 		ev.IsMem = true
 		ev.Addr = addr
 		ev.Size = size
 		ev.IsWrite = g.rng.Float64() < 0.3
 	}
-	sink.Consume(ev)
+	if g.gridLeft--; g.gridLeft == 0 {
+		g.gridLeft = len(g.batch)
+		g.closeBatch()
+	}
 }
 
 // cleanInstr emits one taint-free instruction; nearProb is the probability
 // that a memory access wanders into the tainted block's clean bytes.
-func (g *Generator) cleanInstr(sink trace.Sink, nearProb float64) {
+func (g *Generator) cleanInstr(nearProb float64) {
 	if g.rng.Float64() >= g.p.MemFraction {
-		g.emit(sink, false, 0, 0, false)
+		g.emit(false, 0, 0, false)
 		return
 	}
 	u := g.rng.Float64()
 	switch {
 	case u < nearProb:
-		g.emit(sink, true, g.nearTaintAddr(), 1, false)
+		g.emit(true, g.nearTaintAddr(), 1, false)
 	case u < nearProb+(1-nearProb)*g.p.HotFraction:
-		g.emit(sink, true, g.hotWords[g.rng.Intn(len(g.hotWords))], 4, false)
+		g.emit(true, g.hotWords[g.rng.Intn(len(g.hotWords))], 4, false)
 	default:
-		g.emit(sink, true, g.nextCleanAddr(), 4, false)
+		g.emit(true, g.nextCleanAddr(), 4, false)
 	}
 }
 
 // activeInstr emits one instruction inside a taint-handling burst.
-func (g *Generator) activeInstr(sink trace.Sink) {
+func (g *Generator) activeInstr() {
 	g.applyRetaints()
 	if g.rng.Float64() < g.density {
 		// The run's sampling decision is the event's taint status: a
@@ -489,7 +512,7 @@ func (g *Generator) activeInstr(sink trace.Sink) {
 		// unsampled stream) but observed clean.
 		tainted := g.runSampled(g.taintIdx / g.p.RunLen)
 		addr, finishedRun := g.nextTaintAddr()
-		g.emit(sink, true, addr, 1, tainted)
+		g.emit(true, addr, 1, tainted)
 		// Churn: once the cursor moves past a run, the workload may
 		// overwrite the whole run with clean data (the event above observed
 		// the pre-write state) and re-taint it later in the phase. Clearing
@@ -498,7 +521,7 @@ func (g *Generator) activeInstr(sink trace.Sink) {
 		if finishedRun >= 0 && g.p.ChurnProb > 0 && g.rng.Float64() < g.p.ChurnProb {
 			// The event above observed the pre-write state: drain it before
 			// clearing.
-			g.barrier()
+			g.closeBatch()
 			g.setRunTaint(finishedRun*g.p.RunLen, g.p.RunLen, shadow.TagClean)
 			r := retaint{idx: finishedRun * g.p.RunLen, n: g.p.RunLen, due: g.seq + 64}
 			if g.rng.Float64() < 0.5 {
@@ -513,23 +536,46 @@ func (g *Generator) activeInstr(sink trace.Sink) {
 		}
 		return
 	}
-	g.cleanInstr(sink, g.p.BurstNearTaint)
+	g.cleanInstr(g.p.BurstNearTaint)
 }
 
-// Stop makes Run return at the next event boundary. It exists for
-// cancellation: the engine's driver calls it from inside the sink when the
-// run's context is canceled. A stopped generator must not be run again —
-// the interrupted epoch schedule is abandoned, not resumable.
+// Stop makes RunBatches return at the next event boundary, delivering
+// nothing more. It exists for cancellation: the engine's driver calls it
+// from inside deliver when the run's context is canceled. A stopped
+// generator must not be run again — the interrupted epoch schedule is
+// abandoned, not resumable.
 func (g *Generator) Stop() { g.stopped = true }
 
 // Stopped reports whether Stop has been called.
 func (g *Generator) Stopped() bool { return g.stopped }
 
-// Run generates n events into sink. Repeated calls continue the stream.
-// A sink implementing trace.Flusher is drained before every shadow mutation,
-// so buffered delivery observes the same state per event as direct delivery.
+// Run generates n events into sink, one at a time. Repeated calls continue
+// the stream.
 func (g *Generator) Run(n uint64, sink trace.Sink) {
-	g.flusher, _ = sink.(trace.Flusher)
+	g.RunBatches(n, g.one[:], func(evs []trace.Event) { sink.Consume(evs[0]) })
+}
+
+// RunBatches generates n events, writing each in place into buf and handing
+// deliver the filled prefix as one batch. A batch closes at every multiple
+// of len(buf) in the stream sequence (Seq), before every shadow mutation —
+// so each event is consumed against the state it was generated under — and
+// at the end of the call, unless the generator was stopped. Mutations add
+// batch boundaries but never move the grid. deliver must not retain the
+// slice past its return; buf is reused for the next batch. Repeated calls
+// continue the stream.
+func (g *Generator) RunBatches(n uint64, buf []trace.Event, deliver func([]trace.Event)) {
+	if len(buf) == 0 {
+		panic("workload: RunBatches with an empty buffer")
+	}
+	g.batch, g.deliver, g.n = buf, deliver, 0
+	g.gridLeft = len(buf) - int(g.seq%uint64(len(buf)))
+	g.run(n)
+	g.closeBatch()
+	g.batch, g.deliver = nil, nil
+}
+
+// run generates n events into the current batch.
+func (g *Generator) run(n uint64) {
 	var emitted uint64
 	r := g.p.ActiveShare / (1 - g.p.ActiveShare)
 	for emitted < n {
@@ -567,7 +613,7 @@ func (g *Generator) Run(n uint64, sink trace.Sink) {
 			if g.stopped {
 				return
 			}
-			g.cleanInstr(sink, g.p.CleanNearTaint)
+			g.cleanInstr(g.p.CleanNearTaint)
 		}
 		emitted += cleanLen
 		g.emittedClean[best] += float64(cleanLen)
@@ -582,7 +628,7 @@ func (g *Generator) Run(n uint64, sink trace.Sink) {
 			if g.stopped {
 				return
 			}
-			g.activeInstr(sink)
+			g.activeInstr()
 		}
 		emitted += burst
 		// Half the time the phase finishes its buffer reuse before control

@@ -1,69 +1,150 @@
 package workload
 
 import (
+	"hash"
 	"hash/fnv"
 	"testing"
 
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/trace"
 )
 
-// streamDigest hashes the first n events of a benchmark's stream. It guards
-// the calibration: the EXPERIMENTS.md results were produced from exactly
-// these streams, so an unintended change to the generator, the profile
-// constants, or the PRNG usage shows up as a digest change. When a change
-// is deliberate (recalibration), update the golden values and rerun the
-// experiment suite so EXPERIMENTS.md stays truthful.
-func streamDigest(t *testing.T, name string, n uint64) uint64 {
-	t.Helper()
-	g := MustNewGenerator(MustGet(name), shadow.DefaultDomainSize)
-	h := fnv.New64a()
-	var buf [18]byte
-	g.Run(n, trace.SinkFunc(func(ev trace.Event) {
-		buf[0] = byte(ev.Seq)
-		buf[1] = byte(ev.Seq >> 8)
-		buf[2] = byte(ev.PC)
-		buf[3] = byte(ev.PC >> 8)
-		buf[4] = byte(ev.Addr)
-		buf[5] = byte(ev.Addr >> 8)
-		buf[6] = byte(ev.Addr >> 16)
-		buf[7] = byte(ev.Addr >> 24)
-		buf[8] = ev.Size
-		buf[9] = 0
-		if ev.IsMem {
-			buf[9] |= 1
-		}
-		if ev.IsWrite {
-			buf[9] |= 2
-		}
-		if ev.Tainted {
-			buf[9] |= 4
-		}
-		h.Write(buf[:10])
-	}))
-	return h.Sum64()
+// eventDigest hashes a stream of events field by field.
+type eventDigest struct {
+	h   hash.Hash64
+	buf [10]byte
 }
 
-func TestGoldenStreamDigests(t *testing.T) {
-	// Golden values recorded at calibration time. See the comment on
-	// streamDigest before "fixing" a mismatch here.
-	golden := map[string]uint64{}
-	names := []string{"astar", "gcc", "sphinx3", "apache", "mysql"}
-	for _, name := range names {
-		golden[name] = streamDigest(t, name, 50_000)
+func newEventDigest() *eventDigest { return &eventDigest{h: fnv.New64a()} }
+
+func (d *eventDigest) add(ev trace.Event) {
+	d.buf[0] = byte(ev.Seq)
+	d.buf[1] = byte(ev.Seq >> 8)
+	d.buf[2] = byte(ev.PC)
+	d.buf[3] = byte(ev.PC >> 8)
+	d.buf[4] = byte(ev.Addr)
+	d.buf[5] = byte(ev.Addr >> 8)
+	d.buf[6] = byte(ev.Addr >> 16)
+	d.buf[7] = byte(ev.Addr >> 24)
+	d.buf[8] = ev.Size
+	d.buf[9] = 0
+	if ev.IsMem {
+		d.buf[9] |= 1
 	}
-	// Digests must at minimum be distinct per benchmark and stable across
-	// repeated generation in the same build.
-	seen := map[uint64]string{}
-	for name, d := range golden {
-		if prev, dup := seen[d]; dup {
-			t.Errorf("benchmarks %s and %s share a digest", prev, name)
+	if ev.IsWrite {
+		d.buf[9] |= 2
+	}
+	if ev.Tainted {
+		d.buf[9] |= 4
+	}
+	d.h.Write(d.buf[:])
+}
+
+const goldenDigestEvents = 50_000
+
+// digestCase is one stream: a profile, its sampling spec, and its digest
+// (0: compared across buffer lengths only).
+type digestCase struct {
+	name   string
+	sample policy.Sampling
+	digest uint64
+}
+
+// goldenDigests pins the first 50,000 events of each stream. They guard the
+// calibration: the EXPERIMENTS.md results were produced from exactly these
+// streams, so an unintended change to the generator, the profile constants,
+// or the RNG's draws shows up as a digest change. When a change is
+// deliberate (recalibration), update the values here and rerun the
+// experiment suite so EXPERIMENTS.md stays truthful.
+var goldenDigests = []digestCase{
+	{"astar", policy.Sampling{}, 0x8aaf6d5bc190a5b4},
+	{"gcc", policy.Sampling{}, 0x66c8c71fbcdca87c},
+	{"sphinx3", policy.Sampling{}, 0x53657093f52461fc},
+	{"apache", policy.Sampling{}, 0xfbb8ef7afbc3201a},
+	{"mysql", policy.Sampling{}, 0x8db030e1e7918d50},
+	{"apache", policy.Sampling{SampleFraction: 0.5, SampleSeed: 7}, 0x25a688c21fc0dcc2},
+}
+
+// deliveryDigests runs a fresh generator for p through RunBatches with a
+// size-event buffer and returns the stream's digest plus a digest of the
+// shadow's tainted-byte count at each event's delivery. Every mutation the
+// stream makes changes that count, so an event delivered after a mutation it
+// preceded reads a different one. It also checks the batch boundaries: each
+// batch is non-empty, continues the stream and stays within one
+// size-event cell of the grid.
+func deliveryDigests(t *testing.T, p Profile, spl policy.Sampling, size int) (stream, state uint64) {
+	t.Helper()
+	g, err := NewSampledGenerator(p, shadow.DefaultDomainSize, spl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, st := newEventDigest(), fnv.New64a()
+	var next uint64 = 1
+	g.RunBatches(goldenDigestEvents, make([]trace.Event, size), func(evs []trace.Event) {
+		if len(evs) == 0 || len(evs) > size {
+			t.Fatalf("batch of %d events from a %d-event buffer", len(evs), size)
 		}
-		seen[d] = name
+		first, last := evs[0].Seq, evs[len(evs)-1].Seq
+		if first != next || (first-1)/uint64(size) != (last-1)/uint64(size) {
+			t.Fatalf("batch %d..%d crosses the %d-event grid or skips events (next %d)", first, last, size, next)
+		}
+		next = last + 1
+		n := g.Shadow().TaintedBytes()
+		for _, ev := range evs {
+			d.add(ev)
+			st.Write([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)})
+		}
+	})
+	if next != goldenDigestEvents+1 {
+		t.Fatalf("%s at buffer %d: delivered %d events", p.Name, size, next-1)
 	}
-	for _, name := range names {
-		if again := streamDigest(t, name, 50_000); again != golden[name] {
-			t.Errorf("%s stream is not reproducible: %x vs %x", name, again, golden[name])
+	return d.h.Sum64(), st.Sum64()
+}
+
+// TestGoldenStreamDigests: Run's per-event stream matches the recorded
+// digests. See goldenDigests before "fixing" a mismatch here.
+func TestGoldenStreamDigests(t *testing.T) {
+	for _, c := range goldenDigests {
+		g, err := NewSampledGenerator(MustGet(c.name), shadow.DefaultDomainSize, c.sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newEventDigest()
+		g.Run(goldenDigestEvents, trace.SinkFunc(d.add))
+		if got := d.h.Sum64(); got != c.digest {
+			t.Errorf("%s %+v: stream digest %#016x, golden %#016x", c.name, c.sample, got, c.digest)
+		}
+	}
+}
+
+// TestRunBatchesDigests: RunBatches delivers the golden streams at buffer
+// lengths 1, 7 and 512, and each event meets the shadow state it was
+// generated under: the same as with one-event batches, which are delivered
+// as they are generated. The wrap profile walks its one tainted page in a
+// few hundred tainted accesses, so its taint cursor wraps, restoring the
+// runs churn released, several times.
+func TestRunBatchesDigests(t *testing.T) {
+	wrap := MustGet("apache")
+	wrap.Name, wrap.PagesTainted, wrap.TaintReuse = "apache-wrap", 1, 1
+	cases := append([]digestCase{{name: wrap.Name}}, goldenDigests...)
+	for _, c := range cases {
+		p := wrap
+		if c.name != wrap.Name {
+			p = MustGet(c.name)
+		}
+		stream1, state1 := deliveryDigests(t, p, c.sample, 1)
+		if c.digest != 0 && stream1 != c.digest {
+			t.Errorf("%s %+v: digest %#016x, golden %#016x", c.name, c.sample, stream1, c.digest)
+		}
+		for _, size := range []int{7, 512} {
+			stream, state := deliveryDigests(t, p, c.sample, size)
+			if stream != stream1 {
+				t.Errorf("%s %+v at buffer %d: digest %#016x, %#016x at buffer 1", c.name, c.sample, size, stream, stream1)
+			}
+			if state != state1 {
+				t.Errorf("%s %+v at buffer %d: shadow state at delivery differs from buffer 1", c.name, c.sample, size)
+			}
 		}
 	}
 }

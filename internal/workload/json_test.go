@@ -45,6 +45,23 @@ func TestReadProfileRejections(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+	// A footprint past the 32-bit top would wrap page addresses, so clean
+	// pages would alias the tainted block. The largest footprint that fits
+	// is accepted; one page more is not.
+	for _, c := range []struct {
+		pages int
+		ok    bool
+	}{{2_100_000, false}, {maxPagesAccessed + 1, false}, {maxPagesAccessed, true}} {
+		p := MustGet("gcc")
+		p.Name, p.PagesAccessed = "huge-app", c.pages
+		var buf bytes.Buffer
+		if err := WriteProfile(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadProfile(&buf); (err == nil) != c.ok {
+			t.Errorf("PagesAccessed %d: err = %v, want accepted = %v", c.pages, err, c.ok)
+		}
+	}
 	// A valid custom profile with a built-in name is rejected explicitly.
 	p := MustGet("gcc")
 	var buf bytes.Buffer

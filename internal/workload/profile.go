@@ -14,6 +14,13 @@
 // (Figures 13–15) — are *computed* by running the generated streams through
 // this repository's independent LATCH implementation, not copied from the
 // paper.
+//
+// A Generator draws its stream from a concrete copy of math/rand's stream:
+// seeded by math/rand itself, then continued by the same lagged-Fibonacci
+// recurrence, so every profile's stream is what rand.New(rand.NewSource(
+// Seed)) would produce. RunBatches writes events in place into a caller's
+// buffer and hands it over in batches that close on a fixed grid and before
+// every shadow mutation; Run delivers the same stream one event at a time.
 package workload
 
 import (
@@ -70,7 +77,8 @@ type Profile struct {
 	Epochs []EpochClass
 
 	// PagesAccessed and PagesTainted give the memory footprint of Tables
-	// 3–4.
+	// 3–4. PagesAccessed is at most 983,040: the footprint starts at page
+	// 0x10000 and must end below the top of the 32-bit address space.
 	PagesAccessed int
 	PagesTainted  int
 
@@ -166,6 +174,10 @@ func (p Profile) Validate() error {
 	}
 	if p.PagesAccessed <= 0 || p.PagesTainted < 0 || p.PagesTainted > p.PagesAccessed {
 		return fmt.Errorf("workload %s: bad page footprint %d/%d", p.Name, p.PagesTainted, p.PagesAccessed)
+	}
+	if p.PagesAccessed > maxPagesAccessed {
+		return fmt.Errorf("workload %s: PagesAccessed %d exceeds %d: the footprint would pass the top of the 32-bit address space",
+			p.Name, p.PagesAccessed, maxPagesAccessed)
 	}
 	if p.RunLen <= 0 || p.GapLen < 0 {
 		return fmt.Errorf("workload %s: bad run/gap %d/%d", p.Name, p.RunLen, p.GapLen)

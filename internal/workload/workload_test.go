@@ -247,9 +247,17 @@ func TestSuiteString(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate measures the engine's path: RunBatches into a reused
+// 512-event buffer. It must stay at 0 allocs/op.
 func BenchmarkGenerate(b *testing.B) {
 	g := MustNewGenerator(MustGet("gcc"), shadow.DefaultDomainSize)
-	sink := trace.SinkFunc(func(trace.Event) {})
+	buf := make([]trace.Event, 512)
+	var events int
+	deliver := func(evs []trace.Event) { events += len(evs) }
+	b.ReportAllocs()
 	b.ResetTimer()
-	g.Run(uint64(b.N), sink)
+	g.RunBatches(uint64(b.N), buf, deliver)
+	if events != b.N {
+		b.Fatalf("delivered %d of %d events", events, b.N)
+	}
 }
