@@ -28,16 +28,18 @@ vet:
 # TestRunnerSafeForConcurrentCallers, pool tests) all fan work out across
 # goroutines, so this catches data races in the pool, the suite runners,
 # and the per-job simulation state. The second pass re-runs the
-# truly-concurrent P-LATCH tier — the SPSC ring stress/fuzz seeds, the
-# sharded-monitor determinism pin, and the shard-sweep equivalence check —
-# a second time for extra schedule diversity on the lock-free paths.
+# truly-concurrent tier — the SPSC ring stress/fuzz seeds, the
+# sharded-monitor determinism pin, the shard-sweep equivalence check, and
+# concurrent profile runs sharing engine.RunProfile's idle-session list —
+# a second time for extra schedule diversity on the lock-free and locked
+# paths.
 # -timeout 30m: the experiments package alone needs ~8 minutes under the
 # race detector on a single-CPU box, too close to Go's 10m default.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count=2 \
-		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence' \
-		./internal/ring ./internal/platch ./internal/diffcheck
+		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence|TestRunProfileConcurrent' \
+		./internal/ring ./internal/platch ./internal/diffcheck ./internal/enginetest
 
 verify: fmt test vet race diffcheck serve-smoke paper-smoke examples
 
@@ -94,10 +96,11 @@ diffcheck:
 # page map, internal/shadow is the byte-precise taint state the coarse
 # tables are derived from, internal/vm is the interpreter, internal/cache
 # models the TLB and taint caches every coarse check goes through,
-# internal/workload generates every replayed stream, and internal/platch is
-# P-LATCH's filter and queue models — each must hold statement coverage at
-# or above 85%.
-COVER_PKGS = policy mem engine shadow vm cache workload platch
+# internal/workload generates every replayed stream, internal/platch is
+# P-LATCH's filter and queue models, and internal/latch is the module
+# itself, including the reconfiguration recycled sessions run through —
+# each must hold statement coverage at or above 85%.
+COVER_PKGS = policy mem engine shadow vm cache workload platch latch
 
 cover:
 	@for p in $(COVER_PKGS); do \

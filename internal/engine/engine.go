@@ -16,6 +16,15 @@
 // RunProfile is the one profile driver: the generator fills batches of
 // EventBatchSize events, and a canceled run stops fewer than
 // CancelCheckEvents events after its cancellation.
+//
+// Runs do not build their Session: like the paper's LATCH module, which is
+// cleared between runs rather than rebuilt (§5.1), a session is recycled.
+// RunProfile takes one from a process-wide idle list, Session.Recycle
+// reconfigures it in place for the backend's geometry, and the run puts it
+// back. The list holds at most GOMAXPROCS sessions, and a session returns to
+// it only while its shadow maps at most 8,192 tag pages and its coarse
+// tables kept the size Config.AddressSpan gives them, so the idle sessions
+// a process keeps stay bounded (about 56 MiB each) whatever it ran.
 package engine
 
 import (
@@ -137,23 +146,19 @@ type RunOptions struct {
 	// check-path events plus whatever the backend emits (epoch
 	// transitions, queue stalls). Observers never affect results.
 	Observer telemetry.Observer
-	// Session, when non-nil, is a recycled Session to run on instead of
-	// building a fresh one — the serving path reuses each worker's session
-	// the way the mem/shadow free lists reuse pages. It is Recycled before
-	// use and its module geometry must match the backend's Config.
-	Session *Session
 	// Policy is the run's taint policy. For profile-driven runs only the
 	// Sampling spec has an effect (it selects which of the profile's
 	// taint runs are materialized and observed tainted); the zero value
 	// — sampling disabled — reproduces the unsampled pipeline exactly.
-	// The policy is validated on every run, including recycled sessions,
-	// and travels with the Session for the run's duration.
+	// The policy is validated on every run and travels with the Session
+	// for the run's duration.
 	Policy policy.Policy
 }
 
 // RunProfile streams one calibrated workload profile through a backend:
-// build the shared Session, let the backend initialize, feed it the
-// generator's event stream, and collect its result. This is the single
+// take an idle Session recycled for the backend's geometry (or build one),
+// let the backend initialize, feed it the generator's event stream, collect
+// its result, and put the session back on the idle list. This is the single
 // driver loop the per-scheme packages used to duplicate.
 //
 // Cancellation: ctx is polled whenever the stream reaches a multiple of
@@ -163,38 +168,40 @@ type RunOptions struct {
 // shards and leak nothing), the partial result is discarded, and ctx.Err()
 // is returned.
 func RunProfile(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
-	res, _, err := RunProfileSession(ctx, b, p, opts)
+	res, s, err := RunProfileSession(ctx, b, p, opts)
+	if s != nil {
+		releaseSession(s)
+	}
 	return res, err
 }
 
-// RunProfileSession is RunProfile returning the run's Session alongside the
-// result, so callers can capture a Snapshot of the shared state — the
-// differential checker compares Snapshots across replays of the same seed.
+// RunProfileSession is RunProfile handing the run's Session to the caller
+// instead of putting it back, so callers can capture a Snapshot of the
+// shared state — the differential checker compares Snapshots across replays
+// of the same seed. The session is returned on cancellation too, and is nil
+// only when none was taken.
 func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, *Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := opts.Policy.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
-	s := opts.Session
-	if s != nil {
-		if got, want := s.Module.Config(), b.Config(); got != want {
-			return nil, nil, fmt.Errorf("engine: recycled session geometry %+v does not match backend %s config %+v", got, b.Name(), want)
-		}
-		// Recycle clears the previous run's policy; the validated one for
-		// this run is installed below.
-		s.Recycle()
-	} else {
-		var err error
-		if s, err = NewSession(b.Config()); err != nil {
-			return nil, nil, err
-		}
+	s, err := takeSession(b.Config())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.run(ctx, b, p, opts)
+	return res, s, err
+}
+
+// run drives one profile through b on s, which NewSession or Recycle has just
+// prepared for b's geometry.
+func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	s.Policy = opts.Policy
 	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, opts.Policy.Sampling)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Layout materialization populated the coarse state through the shadow
 	// watchers; measure only the steady-state reference stream. The
@@ -208,10 +215,10 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	// A context canceled before the stream starts aborts here, before the
 	// backend spins up any per-run machinery (monitor shards included).
 	if err := ctx.Err(); err != nil {
-		return nil, s, err
+		return nil, err
 	}
 	if err := b.Init(s); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// One driver for every backend. Batches close on the EventBatchSize grid
 	// and before every shadow mutation, so each event is checked against the
@@ -241,9 +248,9 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 	// cancellation path too.
 	res := b.Finish(s)
 	if g.Stopped() {
-		return nil, s, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return res, s, nil
+	return res, nil
 }
 
 // RunScheme runs the named registered backend, in its paper-default
@@ -259,7 +266,8 @@ func RunScheme(ctx context.Context, name string, p workload.Profile, opts RunOpt
 // NewSession builds the per-run state every backend shares: the
 // byte-precise shadow taint state and the latch module attached to it.
 // Profile-driven runs go through RunProfile, which also owns the stream
-// cursor; program-driven runs (the co-simulations) drive Step themselves.
+// cursor and recycles sessions instead of building them; program-driven
+// runs (the co-simulations) drive Step themselves.
 func NewSession(cfg latch.Config) (*Session, error) {
 	sh, err := shadow.New(cfg.DomainSize)
 	if err != nil {

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"latch/internal/engine"
@@ -95,56 +94,5 @@ func TestRunProfileBatchedCancel(t *testing.T) {
 	}
 	if s.Events < cancelAt || s.Events > cancelAt+engine.CancelCheckEvents+engine.EventBatchSize {
 		t.Fatalf("stream stopped at event %d, canceled at %d", s.Events, cancelAt)
-	}
-}
-
-// TestRunProfileRecycledSession: a session that already carried a run of
-// another workload and is passed back through RunOptions.Session must
-// produce exactly what a fresh session produces.
-func TestRunProfileRecycledSession(t *testing.T) {
-	gcc := mustProfile(t, "gcc")
-	opts := engine.RunOptions{Events: 30_000}
-	want, ws, err := engine.RunProfileSession(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, gcc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := engine.NewSession(latch.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := engine.RunOptions{Events: 20_000, Session: s}
-	if _, err := engine.RunProfile(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, mustProfile(t, "apache"), dirty); err != nil {
-		t.Fatal(err)
-	}
-	opts.Session = s
-	got, gs, err := engine.RunProfileSession(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, gcc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs != s {
-		t.Fatal("recycled run did not run on the given session")
-	}
-	if got != want {
-		t.Fatalf("recycled result %+v, fresh %+v", got, want)
-	}
-	if gs.Snapshot() != ws.Snapshot() {
-		t.Fatalf("recycled session %+v, fresh %+v", gs.Snapshot(), ws.Snapshot())
-	}
-}
-
-// TestRunProfileRecycledGeometryMismatch: a recycled session only serves
-// backends with the module geometry it was built for.
-func TestRunProfileRecycledGeometryMismatch(t *testing.T) {
-	cfg := latch.DefaultConfig()
-	cfg.DomainSize *= 2
-	s, err := engine.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = engine.RunProfile(context.Background(), &fakeBackend{cfg: latch.DefaultConfig()}, mustProfile(t, "gcc"),
-		engine.RunOptions{Events: 1_000, Session: s})
-	if err == nil || !strings.Contains(err.Error(), "geometry") {
-		t.Fatalf("mismatched recycled session: err = %v, want a geometry error", err)
 	}
 }

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"runtime"
+	"sync"
+
 	"latch/internal/latch"
 	"latch/internal/policy"
 	"latch/internal/shadow"
@@ -45,8 +48,8 @@ type Session struct {
 	Observer telemetry.Observer
 
 	// Policy is the validated taint policy of the current run; it travels
-	// with the session (RunProfileSession installs it after validation,
-	// Recycle clears it with the rest of the per-run state).
+	// with the session (RunProfile installs it after validation, Recycle
+	// clears it with the rest of the per-run state).
 	Policy policy.Policy
 
 	// Target is the requested stream length — a sizing hint for backends;
@@ -79,38 +82,83 @@ type Session struct {
 	lastMisses   uint64
 }
 
-// Recycle returns the session to its just-constructed state so it can carry
-// another run without reallocating: the module's coarse state (CTT,
-// page-domain counts, TRF, caches) is cleared over the pages the last run
-// tainted, the shadow taint state is then reset onto its page free lists
-// (in that order: the module finds those pages through the shadow), and
-// every per-run counter, cycle category, and the epoch state machine are
-// zeroed. The configuration-derived miss penalty is retained — a recycled
-// session only serves backends with the geometry it was built for, which
-// RunProfileSession enforces.
-func (s *Session) Recycle() {
+// Recycle returns the session to the state NewSession(cfg) builds, whatever
+// geometry it had before, reusing its storage. The module's coarse state is
+// cleared first, over the pages the last run tainted, which the module
+// finds through the shadow at the old domain size; then the shadow is reset
+// onto its page free lists and regranulated to cfg.DomainSize, and the
+// module is reconfigured for cfg (latch.Module.Reconfigure, the path New
+// builds through). Every per-run counter, cycle category and the epoch state
+// machine are zeroed, the miss penalty is taken from cfg, and the session
+// keeps no reference to the last run's observer, policy or profile. An
+// invalid cfg is reported before anything is touched.
+func (s *Session) Recycle(cfg latch.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	s.Module.Reset()
 	s.Shadow.Reset()
-	s.Observer = nil
-	s.Module.SetObserver(nil)
-	s.Profile = workload.Profile{}
+	if err := s.Shadow.Regranulate(cfg.DomainSize); err != nil {
+		return err
+	}
+	if err := s.Module.Reconfigure(cfg); err != nil {
+		return err
+	}
+	*s = Session{Module: s.Module, Shadow: s.Shadow, missPenalty: cfg.CTCMissPenalty}
+	return nil
+}
+
+// maxIdlePages bounds the tag pages a session may map and still go back on
+// the idle list: 8,192 pages of 5 KiB is 40 MiB. The largest registered
+// layout, sphinx3, maps 4,133. With the coarse tables of the finest domain
+// size (16 MiB at 8-byte domains) an idle session keeps at most about
+// 56 MiB, whatever geometries it served.
+const maxIdlePages = 8192
+
+// idle is the free list RunProfile and RunProfileSession take their
+// sessions from. It holds at most GOMAXPROCS sessions. A process that holds
+// more sessions at once, such as a latch-serve with more workers than CPUs
+// whose jobs keep theirs while they stream, builds a fresh one for each run
+// that finds the list empty.
+var idle struct {
+	mu       sync.Mutex
+	sessions []*Session
+}
+
+// takeSession returns an idle session recycled for cfg, or a new one when
+// none is idle.
+func takeSession(cfg latch.Config) (*Session, error) {
+	idle.mu.Lock()
+	var s *Session
+	if n := len(idle.sessions); n > 0 {
+		s = idle.sessions[n-1]
+		idle.sessions[n-1] = nil
+		idle.sessions = idle.sessions[:n-1]
+	}
+	idle.mu.Unlock()
+	if s != nil && s.Recycle(cfg) == nil {
+		return s, nil
+	}
+	return NewSession(cfg)
+}
+
+// releaseSession puts a session whose run is over back on the idle list,
+// unless the list is full or the run left it holding more than the bound:
+// more than maxIdlePages tag pages, or coarse tables grown past
+// Config.AddressSpan. It drops the session's references to the run's
+// observer, policy and profile either way.
+func releaseSession(s *Session) {
+	s.AttachObserver(nil)
 	s.Policy = policy.Policy{}
-	s.Target = 0
-	s.Events = 0
-	s.Cycles = Cycles{}
-	s.HWInstrs = 0
-	s.SWInstrs = 0
-	s.Switches = 0
-	s.Returns = 0
-	s.Traps = 0
-	s.FalseTraps = 0
-	s.mode = ModeHardware
-	s.sinceTaint = 0
-	s.swFrac = 0
-	s.swExtra = 0
-	s.costs = Costs{}
-	s.codeCacheLat = 0
-	s.lastMisses = 0
+	s.Profile = workload.Profile{}
+	if s.Shadow.PagesAllocated() > maxIdlePages || s.Module.TablesGrown() {
+		return
+	}
+	idle.mu.Lock()
+	if len(idle.sessions) < runtime.GOMAXPROCS(0) {
+		idle.sessions = append(idle.sessions, s)
+	}
+	idle.mu.Unlock()
 }
 
 // AttachObserver wires obs into the session and its module. Callers choose

@@ -23,14 +23,21 @@ type stepOnly struct {
 func (s stepOnly) Step(sess *engine.Session, ev trace.Event) { s.Backend.Step(sess, ev) }
 
 // runPerEvent is the driver's reference semantics: the same set-up as
-// engine.RunProfileSession, with every event stepped the moment the
-// generator produces it.
+// engine.RunProfileSession on a fresh session, with every event stepped the
+// moment the generator produces it.
 func runPerEvent(t *testing.T, b engine.Backend, p workload.Profile, events uint64) engine.Result {
 	t.Helper()
 	s, err := engine.NewSession(b.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runOn(t, s, b, p, events)
+}
+
+// runOn is runPerEvent on s, a session NewSession or Recycle has just
+// prepared for b's geometry.
+func runOn(t *testing.T, s *engine.Session, b engine.Backend, p workload.Profile, events uint64) engine.Result {
+	t.Helper()
 	g, err := workload.NewGeneratorOn(p, s.Shadow)
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,12 @@ func TestRunProfileCancellationPerBackend(t *testing.T) {
 
 // cancelAtBackend cancels its run's context from inside StepBatch when the
 // cursor reaches at, the way a deadline can expire while a batch is being
-// consumed.
+// consumed, and records where the stream stopped.
 type cancelAtBackend struct {
 	countBackend
-	at     uint64
-	cancel context.CancelFunc
+	at      uint64
+	cancel  context.CancelFunc
+	stopped uint64
 }
 
 func (b *cancelAtBackend) StepBatch(s *engine.Session, evs []trace.Event) {
@@ -77,6 +78,11 @@ func (b *cancelAtBackend) StepBatch(s *engine.Session, evs []trace.Event) {
 			b.cancel()
 		}
 	}
+}
+
+func (b *cancelAtBackend) Finish(s *engine.Session) engine.Result {
+	b.stopped = s.Events
+	return b.countBackend.Finish(s)
 }
 
 // TestCancelWithinPollInterval pins engine.CancelCheckEvents' promise: a run
@@ -92,28 +98,28 @@ func TestCancelWithinPollInterval(t *testing.T) {
 	}
 	for _, name := range []string{"apache", "mysql"} {
 		p := workload.MustGet(name)
-		var sess *engine.Session
 		for _, at := range points {
 			ctx, cancel := context.WithCancel(context.Background())
 			b := &cancelAtBackend{countBackend: countBackend{cfg: latch.DefaultConfig()}, at: at, cancel: cancel}
-			res, s, err := engine.RunProfileSession(ctx, b, p, engine.RunOptions{Events: 1 << 40, Session: sess})
+			res, err := engine.RunProfile(ctx, b, p, engine.RunOptions{Events: 1 << 40})
 			cancel()
 			if !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("%s canceled at %d: res=%v err=%v, want nil result and context.Canceled", name, at, res, err)
 			}
-			if s.Events < at || s.Events-at >= engine.CancelCheckEvents {
+			if b.stopped < at || b.stopped-at >= engine.CancelCheckEvents {
 				t.Errorf("%s canceled at event %d stopped at %d: %d past the cancellation, want < %d",
-					name, at, s.Events, s.Events-at, engine.CancelCheckEvents)
+					name, at, b.stopped, b.stopped-at, engine.CancelCheckEvents)
 			}
-			sess = s
 		}
 	}
 }
 
 // TestSessionRecyclingDeterminism pins the recycled-session contract for
-// every registered backend: a run on a worker's recycled session is
-// result-identical to a run on a fresh one. This is what lets the server
-// keep sessions hot without risking cross-job state bleed.
+// every registered backend: runs on sessions from RunProfile's idle list —
+// the second after a run of another workload dirtied the session — are
+// result-identical to a run on a fresh session, and the first run's result
+// is untouched by the later reuse of its session. This is what lets every
+// profile run reuse sessions without risking cross-run state bleed.
 func TestSessionRecyclingDeterminism(t *testing.T) {
 	p := workload.MustGet("gcc")
 	const events = 100_000
@@ -123,31 +129,43 @@ func TestSessionRecyclingDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, sess, err := engine.RunProfileSession(context.Background(),
+			want := render(runPerEvent(t, sch.New(), p, events))
+			first, err := engine.RunProfile(context.Background(),
 				sch.New(), p, engine.RunOptions{Events: events})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Dirty the session with a different workload before recycling,
-			// so the test catches any state the reset misses.
-			if _, _, err := engine.RunProfileSession(context.Background(),
-				sch.New(), workload.MustGet("bzip2"), engine.RunOptions{Events: 50_000, Session: sess}); err != nil {
+			if got := render(first); got != want {
+				t.Fatalf("run on an idle-list session diverged:\nfresh    %s\nrecycled %s", want, got)
+			}
+			// Dirty the idle session with a different workload before the
+			// measured run takes it, so the test catches any state the
+			// recycling misses.
+			if _, err := engine.RunProfile(context.Background(),
+				sch.New(), workload.MustGet("bzip2"), engine.RunOptions{Events: 50_000}); err != nil {
 				t.Fatal(err)
 			}
-			recycled, _, err := engine.RunProfileSession(context.Background(),
-				sch.New(), p, engine.RunOptions{Events: events, Session: sess})
+			recycled, err := engine.RunProfile(context.Background(),
+				sch.New(), p, engine.RunOptions{Events: events})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := render(recycled), render(fresh); got != want {
+			if got := render(recycled); got != want {
 				t.Fatalf("recycled session diverged:\nfresh    %s\nrecycled %s", want, got)
+			}
+			if got := render(first); got != want {
+				t.Fatalf("a result changed after its session was reused:\nbefore %s\nafter  %s", want, got)
 			}
 		})
 	}
 }
 
-// TestSessionGeometryMismatchRejected: recycling a session into a backend
-// with different hardware geometry must fail loudly, not corrupt results.
+// TestSessionGeometryMismatchRejected: a run never steps a backend on a
+// session of another hardware geometry. The idle session a run of one domain
+// size leaves is reconfigured for the next backend's geometry, and that run
+// matches the per-event reference on a fresh session; a geometry no session
+// can take is rejected loudly, and a rejected Recycle leaves its session's
+// geometry and taint as they were.
 func TestSessionGeometryMismatchRejected(t *testing.T) {
 	p := workload.MustGet("gcc")
 	sch, err := engine.Lookup(engine.Names()[0])
@@ -159,17 +177,52 @@ func TestSessionGeometryMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sess.Module.Config()
+	// Leave an idle session of the backend's own geometry for the
+	// mismatched run to take.
+	if _, err := engine.RunProfile(context.Background(),
+		sch.New(), p, engine.RunOptions{Events: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+	orig := sess.Module.Config()
+	cfg := orig
 	cfg.DomainSize *= 2
-	mismatched := &countBackend{cfg: cfg}
-	if _, _, err := engine.RunProfileSession(context.Background(),
-		mismatched, p, engine.RunOptions{Events: 10_000, Session: sess}); err == nil {
-		t.Fatal("geometry mismatch accepted")
+	res, ms, err := engine.RunProfileSession(context.Background(),
+		&countBackend{cfg: cfg}, p, engine.RunOptions{Events: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.Module.Config() != cfg || ms.Shadow.DomainSize() != cfg.DomainSize {
+		t.Fatalf("a backend of geometry %+v ran on module geometry %+v, shadow domain %d B",
+			cfg, ms.Module.Config(), ms.Shadow.DomainSize())
+	}
+	if got, want := render(res), render(runPerEvent(t, &countBackend{cfg: cfg}, p, 10_000)); got != want {
+		t.Fatalf("run on a reconfigured session diverged:\nfresh    %s\nrecycled %s", want, got)
+	}
+
+	bad := cfg
+	bad.DomainSize = 48
+	if _, err := engine.RunProfile(context.Background(),
+		&countBackend{cfg: bad}, p, engine.RunOptions{Events: 10_000}); err == nil {
+		t.Fatal("a run on an invalid geometry accepted")
+	}
+	tainted := sess.Shadow.TaintedBytes()
+	if tainted == 0 {
+		t.Fatal("the handed-out session holds no taint to check a rejected Recycle against")
+	}
+	if err := sess.Recycle(bad); err == nil {
+		t.Fatal("Recycle accepted an invalid geometry")
+	}
+	if sess.Module.Config() != orig || sess.Shadow.DomainSize() != orig.DomainSize {
+		t.Fatalf("a rejected Recycle changed the session's geometry to %+v, shadow domain %d B",
+			sess.Module.Config(), sess.Shadow.DomainSize())
+	}
+	if got := sess.Shadow.TaintedBytes(); got != tainted {
+		t.Fatalf("a rejected Recycle changed the session's taint from %d to %d bytes", tainted, got)
 	}
 }
 
-// countBackend is a minimal unregistered integration used to probe the
-// geometry-mismatch path with an arbitrary config.
+// countBackend is a minimal unregistered integration that runs under any
+// config.
 type countBackend struct {
 	cfg latch.Config
 	mem uint64

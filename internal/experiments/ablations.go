@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"latch/internal/engine"
 	"latch/internal/hlatch"
 	"latch/internal/latch"
 	"latch/internal/platch"
-	"latch/internal/shadow"
 	"latch/internal/slatch"
 	"latch/internal/stats"
 	"latch/internal/trace"
@@ -172,18 +172,19 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 		type outcome struct {
 			marked, truth int
 		}
+		// The three policies run on one session, recycled between them.
+		cfg := latch.DefaultConfig()
+		cfg.BaselineTCache = false
+		sess, err := engine.NewSession(cfg)
+		if err != nil {
+			return err
+		}
 		run := func(clear latch.ClearPolicy) (outcome, error) {
-			cfg := latch.DefaultConfig()
 			cfg.Clear = clear
-			cfg.BaselineTCache = false
-			sh, err := shadow.New(cfg.DomainSize)
-			if err != nil {
+			if err := sess.Recycle(cfg); err != nil {
 				return outcome{}, err
 			}
-			m, err := latch.New(cfg, sh)
-			if err != nil {
-				return outcome{}, err
-			}
+			sh, m := sess.Shadow, sess.Module
 			m.SetObserver(r.passObserver("ablation-clear"))
 			g, err := workload.NewSampledGeneratorOn(p, sh, r.sampling())
 			if err != nil {

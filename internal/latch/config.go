@@ -13,6 +13,13 @@
 // (Module.onByteTransition) relies on shadow.ByteWatcher's contract that a
 // write reports its taint assertions once per domain: repeats would only
 // re-probe the CTC and rewrite the same bits.
+//
+// A module has one construction path, Module.Reconfigure, which New runs on
+// an empty module. A module cleared by Reset reconfigures in place for any
+// geometry, keeping the storage of its coarse tables: that is how an engine
+// session is recycled across runs of different configurations.
+// Reconfigure installs both shadow watchers, the domain watcher always and
+// the byte watcher only under LazyClear.
 package latch
 
 import (

@@ -19,15 +19,6 @@ type CTT struct {
 // NewCTT returns an empty table.
 func NewCTT() *CTT { return &CTT{} }
 
-// NewCTTSized returns an empty table pre-sized to hold at least words CTT
-// words without growing. The table still grows on demand beyond that.
-func NewCTTSized(words int) *CTT {
-	if words < 0 {
-		words = 0
-	}
-	return &CTT{words: make([]uint32, words)}
-}
-
 // WordIndex returns the CTT word index holding the bit for domain d.
 func WordIndex(d uint32) uint32 { return d / CTTWordBits }
 

@@ -167,41 +167,76 @@ type Module struct {
 // New builds a module over sh using cfg. The module registers itself as
 // sh's transition watcher.
 func New(cfg Config, sh *shadow.Shadow) (*Module, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Module{Shadow: sh, ctt: NewCTT()}
+	if err := m.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
-	if sh.DomainSize() != cfg.DomainSize {
-		return nil, fmt.Errorf("latch: shadow domain size %d does not match config %d",
-			sh.DomainSize(), cfg.DomainSize)
+	return m, nil
+}
+
+// Reconfigure returns a module holding no coarse taint — a new one, or one
+// after Reset — to the state New(cfg, m.Shadow) builds, for any geometry:
+// New itself builds through it. The shadow must already have cfg's domain
+// size (shadow.Regranulate changes it). The zeroed CTT words and page-domain
+// counts are resliced when their capacity suffices; the TLB, CTC and taint
+// caches, a few KiB, are built anew. Both shadow watchers are set: the byte
+// watcher only under LazyClear, so no lazy module's watcher outlives a
+// switch to another policy. The observer is detached and every counter
+// zeroed.
+func (m *Module) Reconfigure(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	m := &Module{
-		cfg:     cfg,
-		Shadow:  sh,
-		ctt:     NewCTTSized(int(cfg.AddressSpan / cfg.WordCoverage())),
-		pdCount: make([]uint32, cfg.AddressSpan/cfg.PageDomainSize()),
-		tlb:     cache.MustNewTLB(cfg.TLBEntries, cfg.PageDomains()),
-		ctc: cache.MustNew(cache.Config{
-			Name:     "ctc",
-			Sets:     1,
-			Ways:     cfg.CTCEntries,
-			LineSize: cfg.WordCoverage(),
-		}),
-		tcache:  cache.MustNew(cfg.TCache),
-		pdShift: uint(bits.TrailingZeros32(cfg.PageDomainSize())),
+	if m.Shadow.DomainSize() != cfg.DomainSize {
+		return fmt.Errorf("latch: shadow domain size %d does not match config %d",
+			m.Shadow.DomainSize(), cfg.DomainSize)
 	}
+	if m.ctt.setBits != 0 {
+		return fmt.Errorf("latch: reconfiguring a module holding %d coarse-tainted domains; Reset it first",
+			m.ctt.setBits)
+	}
+	m.ctt.words = zeroedLen(m.ctt.words, int(cfg.AddressSpan/cfg.WordCoverage()))
+	m.pdCount = zeroedLen(m.pdCount, int(cfg.AddressSpan/cfg.PageDomainSize()))
+	m.pdShift = uint(bits.TrailingZeros32(cfg.PageDomainSize()))
+	m.tlb = cache.MustNewTLB(cfg.TLBEntries, cfg.PageDomains())
+	m.ctc = cache.MustNew(cache.Config{
+		Name:     "ctc",
+		Sets:     1,
+		Ways:     cfg.CTCEntries,
+		LineSize: cfg.WordCoverage(),
+	})
+	m.tcache = cache.MustNew(cfg.TCache)
+	m.baseTcache = nil
 	if cfg.BaselineTCache {
 		base := cfg.TCache
 		base.Name = "tcache-baseline"
 		m.baseTcache = cache.MustNew(base)
 	}
-	sh.OnDomainTransition(m.onDomainTransition)
+	m.cfg = cfg
+	m.trf.Reset()
+	m.stats = Stats{}
+	m.obs = nil
+	m.Shadow.OnDomainTransition(m.onDomainTransition)
+	// Under LazyClear, clear bits are maintained at byte-write granularity:
+	// any tainted-to-clean byte write asserts the domain's clear bit, any
+	// re-taint retires it (§5.1.4).
+	var onByte shadow.ByteWatcher
 	if cfg.Clear == LazyClear {
-		// Clear bits are maintained at byte-write granularity: any
-		// tainted-to-clean byte write asserts the domain's clear bit, any
-		// re-taint retires it (§5.1.4).
-		sh.OnByteTransition(m.onByteTransition)
+		onByte = m.onByteTransition
 	}
-	return m, nil
+	m.Shadow.OnByteTransition(onByte)
+	return nil
+}
+
+// zeroedLen returns s resliced to n elements when its capacity suffices, and
+// a new slice otherwise. s must be zero up to its capacity, as the coarse
+// tables are once no coarse taint is left: they only grow by copying into a
+// fresh slice, and are only resliced while zero.
+func zeroedLen[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // MustNew is New panicking on error.

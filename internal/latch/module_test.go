@@ -736,3 +736,94 @@ func TestResetMatchesNew(t *testing.T) {
 		})
 	}
 }
+
+// TestReconfigureMatchesNew carries one module and shadow through a sequence
+// of geometries — domain sizes, CTC sizes, every clear policy, the baseline
+// taint cache on and off — resetting, regranulating and reconfiguring
+// between them. After each step the same taint, clears, stnt writes and
+// checks must give the verdicts, statistics and coarse occupancy a module
+// New builds for that geometry gives.
+func TestReconfigureMatchesNew(t *testing.T) {
+	steps := []func(*Config){
+		func(c *Config) { c.DomainSize = 8 },
+		func(c *Config) { c.DomainSize = 256 },
+		func(c *Config) { c.DomainSize = 64; c.CTCEntries = 2 },
+		func(c *Config) { c.CTCEntries = 64; c.TLBEntries = 32 },
+		func(c *Config) { c.Clear = LazyClear },
+		func(c *Config) { c.Clear = EagerClear; c.BaselineTCache = false },
+		func(c *Config) { c.Clear = NoClear; c.BaselineTCache = true },
+		func(c *Config) { c.Clear = LazyClear },
+	}
+	tag := shadow.MustLabel(0)
+	work := func(m *Module, sh *shadow.Shadow) []CheckResult {
+		sh.SetRange(0x8000, 300, tag)
+		sh.SetRange(0x20000, 5000, tag)
+		m.StoreTaint(0x8200, tag)
+		sh.SetRange(0x8000, 128, shadow.TagClean)
+		m.StoreTaint(0x20010, shadow.TagClean)
+		m.TRF().Set(2, tag)
+		var out []CheckResult
+		for _, a := range []uint32{0x8000, 0x8080, 0x8200, 0x20010, 0x21000, 0x1000} {
+			out = append(out, m.CheckMem(a, 4))
+		}
+		m.ScanResidentClears()
+		return out
+	}
+	cfg := DefaultConfig()
+	m, sh := newModule(t, nil)
+	work(m, sh)
+	for i, step := range steps {
+		step(&cfg)
+		m.Reset()
+		sh.Reset()
+		if err := sh.Regranulate(cfg.DomainSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Reconfigure(cfg); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		fresh, freshSh := newModule(t, func(c *Config) { *c = cfg })
+		if m.Config() != cfg || m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() || *m.TRF() != *fresh.TRF() {
+			t.Fatalf("step %d: reconfigured module differs from New before any work", i)
+		}
+		got, want := work(m, sh), work(fresh, freshSh)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("step %d (%+v): check %d gives %+v, New gives %+v", i, cfg, j, got[j], want[j])
+			}
+		}
+		if m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() {
+			t.Fatalf("step %d (%+v): stats\nreconfigured %+v\nnew          %+v", i, cfg, m.Stats(), fresh.Stats())
+		}
+		if m.CTT().TaintedDomains() != fresh.CTT().TaintedDomains() || m.CTT().WordsAllocated() != fresh.CTT().WordsAllocated() {
+			t.Fatalf("step %d: CTT occupancy %d/%d, New has %d/%d", i,
+				m.CTT().TaintedDomains(), m.CTT().WordsAllocated(), fresh.CTT().TaintedDomains(), fresh.CTT().WordsAllocated())
+		}
+	}
+}
+
+// TestReconfigureRejects: Reconfigure validates the configuration, needs the
+// shadow at the configured domain size, and refuses a module still holding
+// coarse taint, leaving it unchanged.
+func TestReconfigureRejects(t *testing.T) {
+	m, sh := newModule(t, nil)
+	bad := DefaultConfig()
+	bad.CTCEntries = 0
+	if err := m.Reconfigure(bad); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	other := DefaultConfig()
+	other.DomainSize = 128
+	if err := m.Reconfigure(other); err == nil {
+		t.Fatal("config with another domain size than the shadow's accepted")
+	}
+	sh.Set(0x4000, shadow.MustLabel(0))
+	sh.Set(0x4000, shadow.TagClean) // eager: the CTT bit is retired
+	m.StoreTaint(0x9000, shadow.MustLabel(0))
+	if err := m.Reconfigure(DefaultConfig()); err == nil {
+		t.Fatal("reconfigured a module holding coarse taint")
+	}
+	if !m.CTT().Bit(sh.DomainIndex(0x9000)) {
+		t.Fatal("a rejected Reconfigure cleared the coarse state")
+	}
+}

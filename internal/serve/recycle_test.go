@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"latch"
+	"latch/internal/engine"
 	"latch/internal/serve"
+	"latch/internal/trace"
 	"latch/internal/workload"
 )
 
@@ -197,4 +200,70 @@ func TestWarmProgramJobAllocation(t *testing.T) {
 	if per >= 512<<10 {
 		t.Fatalf("a warm program job allocated %d KiB, want under 512", per>>10)
 	}
+}
+
+// TestServedRunsAcrossGeometries: one worker serves /v1/run jobs alternating
+// across the four backends, whose module geometries differ (lazy or eager
+// clear, with or without the baseline taint cache), so each job runs on a
+// session the previous job left with another geometry. Every terminal line's
+// columns, events and checks equal those of the same run on a session
+// NewSession has just built, which no earlier run can have touched.
+func TestServedRunsAcrossGeometries(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 2})
+	for _, wl := range []string{"gcc", "sphinx3"} {
+		for _, backend := range []string{"slatch", "hlatch", "platch", "cplatch"} {
+			job := serve.WorkloadJob{Backend: backend, Workload: wl, Events: 50_000}
+			status, lines := postNDJSON(t, ts.URL+"/v1/run", job, nil)
+			if status != http.StatusOK {
+				t.Fatalf("%s/%s: status %d: %v", backend, wl, status, lines)
+			}
+			served := lastLine(t, lines)
+			if served["type"] != "result" {
+				t.Fatalf("%s/%s: terminal line %v", backend, wl, served)
+			}
+			res := freshRun(t, backend, wl, 50_000)
+			if served["events"] != float64(res.EventCount()) || served["checks"] != float64(res.CheckCount()) {
+				t.Fatalf("%s/%s: served %v events, %v checks; fresh session %d, %d",
+					backend, wl, served["events"], served["checks"], res.EventCount(), res.CheckCount())
+			}
+			var want []any
+			for _, c := range res.Columns() {
+				want = append(want, map[string]any{"label": c.Label, "value": fmt.Sprint(c.Value)})
+			}
+			if !reflect.DeepEqual(served["columns"], want) {
+				t.Fatalf("%s/%s: columns: served %v, fresh session %v", backend, wl, served["columns"], want)
+			}
+		}
+	}
+}
+
+// freshRun runs the named backend over events of the workload on a session
+// NewSession builds for it, stepping one event at a time.
+func freshRun(t *testing.T, backend, wl string, events uint64) engine.Result {
+	t.Helper()
+	sch, err := engine.Lookup(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sch.New()
+	s, err := engine.NewSession(b.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.MustGet(wl)
+	g, err := workload.NewGeneratorOn(p, s.Shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Module.ResetStats()
+	s.Profile = p
+	s.Target = events
+	if err := b.Init(s); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(events, trace.SinkFunc(func(ev trace.Event) {
+		s.Events++
+		b.Step(s, ev)
+	}))
+	return b.Finish(s)
 }

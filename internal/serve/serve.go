@@ -39,7 +39,6 @@ import (
 
 	"latch"
 	"latch/internal/engine"
-	latchcore "latch/internal/latch"
 	"latch/internal/pool"
 	"latch/internal/workload"
 )
@@ -135,7 +134,7 @@ type Server struct {
 	mux    *http.ServeMux
 
 	// workers[i] is owned by dispatcher worker i: jobs on one worker never
-	// overlap, so its recycled sessions and System need no locking.
+	// overlap, so its recycled System needs no locking.
 	workers []*workerState
 
 	jobSeq    atomic.Uint64
@@ -164,14 +163,14 @@ func (s *Server) recordFastLoop(snap latch.MetricsSnapshot) {
 }
 
 // workerState is the per-worker recycled state, reset (not reallocated)
-// between jobs: one engine session per hardware geometry for workload jobs,
-// and one System for program jobs, which all run under Config.Geometry.
-// Recycling is what makes a hot server cheap — the shadow and memory page
-// pools, the module's dense tables, and the machine are reused run over run,
-// and a reset clears only what the last job touched.
+// between jobs: one System for program jobs, which all run under
+// Config.Geometry. Recycling is what makes a hot server cheap — the shadow
+// and memory page pools, the module's dense tables, and the machine are
+// reused run over run, and a reset clears only what the last job touched.
+// Workload jobs need no state here: engine.RunProfile recycles their
+// sessions through its own bounded idle list.
 type workerState struct {
-	sessions map[latchcore.Config]*engine.Session
-	system   *latch.System // nil until the first program job, or after one outgrew keepPages
+	system *latch.System // nil until the first program job, or after one outgrew keepPages
 }
 
 // New builds a Server and starts its workers.
@@ -188,7 +187,7 @@ func New(cfg Config) *Server {
 	}
 	s.workers = make([]*workerState, s.disp.Workers())
 	for i := range s.workers {
-		s.workers[i] = &workerState{sessions: make(map[latchcore.Config]*engine.Session)}
+		s.workers[i] = &workerState{}
 	}
 	s.routes()
 	return s
@@ -332,20 +331,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	reqCtx := r.Context()
-	s.admit(w, r, func(st *stream, ws *workerState, id uint64) {
+	s.admit(w, r, func(st *stream, _ *workerState, _ uint64) {
 		ctx := reqCtx
 		if deadline > 0 {
 			var cancel func()
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 			defer cancel()
 		}
-		s.runWorkload(ctx, st, ws, &job, cadence)
+		s.runWorkload(ctx, st, &job, cadence)
 	})
 }
 
-// runWorkload executes one workload-replay job on the worker's recycled
-// session, streaming telemetry at the requested cadence.
-func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, job *WorkloadJob, cadence time.Duration) {
+// runWorkload executes one workload-replay job through engine.RunProfile,
+// streaming telemetry at the requested cadence.
+func (s *Server) runWorkload(ctx context.Context, st *stream, job *WorkloadJob, cadence time.Duration) {
 	start := time.Now()
 	p, err := workload.Get(job.Workload)
 	if err != nil {
@@ -396,15 +395,11 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, ws *workerState, j
 	runOpts := engine.RunOptions{
 		Events:   events,
 		Observer: metrics,
-		Session:  ws.sessions[b.Config()],
 	}
 	if job.Policy != nil {
 		runOpts.Policy = *job.Policy
 	}
-	res, sess, err := engine.RunProfileSession(ctx, b, p, runOpts)
-	if sess != nil {
-		ws.sessions[b.Config()] = sess
-	}
+	res, err := engine.RunProfile(ctx, b, p, runOpts)
 	close(stopTicker)
 	if err != nil {
 		s.fail(st, err)

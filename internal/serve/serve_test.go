@@ -103,8 +103,9 @@ func TestServedMatchesBatch(t *testing.T) {
 		t.Fatalf("terminal line: %v", first)
 	}
 
-	// Second run of the identical job lands on the same worker's recycled
-	// session and must be byte-identical (modulo wall-clock).
+	// Second run of the identical job lands on the session the first one
+	// left on engine.RunProfile's idle list and must be byte-identical
+	// (modulo wall-clock).
 	status, lines = postNDJSON(t, ts.URL+"/v1/run", job, nil)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)

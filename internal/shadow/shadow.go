@@ -22,7 +22,9 @@
 // The tag pages run on mem.Table, the page map guest memory uses, and the
 // ever-tainted set is a mem.PageSet, so the propagate path (Set/Get)
 // performs no hashing and no allocation in steady state and Reset costs
-// what the run tainted.
+// what the run tainted. A shadow holding no taint changes its domain size in
+// place (Regranulate): each page's domain counters are sized for the
+// smallest domain, so the pages a Reset kept serve any granularity.
 //
 // Exported entry points validate their arguments and report invalid ones as
 // errors; the Must* variants (MustNew, MustLabel, MustTaintedAt) panic
@@ -131,15 +133,29 @@ type Shadow struct {
 // New creates a shadow with the given domain size, which must be a power of
 // two in [MinDomainSize, MaxDomainSize].
 func New(domainSize uint32) (*Shadow, error) {
-	if domainSize < MinDomainSize || domainSize > MaxDomainSize || domainSize&(domainSize-1) != 0 {
-		return nil, fmt.Errorf("shadow: invalid domain size %d", domainSize)
+	s := &Shadow{everTainted: mem.NewPageSet()}
+	if err := s.Regranulate(domainSize); err != nil {
+		return nil, err
 	}
-	return &Shadow{
-		domainSize:  domainSize,
-		domShift:    uint(bits.TrailingZeros32(domainSize)),
-		domPerPage:  mem.PageSize / domainSize,
-		everTainted: mem.NewPageSet(),
-	}, nil
+	return s, nil
+}
+
+// Regranulate changes the domain size of a shadow that holds no taint — a
+// new one, or one after Reset — to domainSize, validated as New validates
+// it. Every tag page's domain counters are sized for the smallest domain and
+// zero in an empty shadow, so the change reallocates nothing: the pages kept
+// for reuse serve the new granularity as they are. Watchers are retained.
+func (s *Shadow) Regranulate(domainSize uint32) error {
+	if domainSize < MinDomainSize || domainSize > MaxDomainSize || domainSize&(domainSize-1) != 0 {
+		return fmt.Errorf("shadow: invalid domain size %d", domainSize)
+	}
+	if s.taintedBytes != 0 {
+		return fmt.Errorf("shadow: cannot regranulate a shadow holding %d tainted bytes", s.taintedBytes)
+	}
+	s.domainSize = domainSize
+	s.domShift = uint(bits.TrailingZeros32(domainSize))
+	s.domPerPage = mem.PageSize / domainSize
+	return nil
 }
 
 // MustNew is New panicking on error, for configurations validated elsewhere.
@@ -475,21 +491,25 @@ func (s *Shadow) CurrentTaintedPages() int { return len(s.taintedPageNumbersNow(
 // nothing, and what a Shadow keeps across Resets is bounded by the most
 // pages one run tainted (see mem.Table).
 func (s *Shadow) Reset() {
-	size, perPage := s.domainSize, s.domPerPage
+	shift, perPage := s.domShift, s.domPerPage
 	s.pages.Reset(func(p *page) {
-		// The counters say exactly which domains hold nonzero tags; a page
+		// The counters say exactly which domains hold nonzero tags: a page
 		// whose taint was already cleared byte-by-byte needs no zeroing at
-		// all, and a sparsely tainted one only domain-sized clears.
+		// all, and any other one clears the span from its first tainted
+		// domain through its last, tags and counters, in one clear each.
 		if p.taintedBytes == 0 {
 			return
 		}
-		for di, n := range p.domainBytes[:perPage] {
-			if n > 0 {
-				base := uint32(di) * size
-				clear(p.tags[base : base+size])
-				p.domainBytes[di] = 0
-			}
+		counts := p.domainBytes[:perPage]
+		lo, hi := 0, len(counts)-1
+		for counts[lo] == 0 {
+			lo++
 		}
+		for counts[hi] == 0 {
+			hi--
+		}
+		clear(p.tags[lo<<shift : (hi+1)<<shift])
+		clear(counts[lo : hi+1])
 		p.taintedBytes = 0
 	})
 	s.everTainted.Clear()

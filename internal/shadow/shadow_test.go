@@ -294,12 +294,83 @@ func TestEverTaintedPages(t *testing.T) {
 	}
 }
 
+// TestReset resets shadows tainted in several shapes, from the finest and
+// the default granularity, and checks at every granularity the shadow is
+// then regranulated to that each touched page reads clean — tags, domain
+// counters and TaintedAt — and that new taint counts from zero.
 func TestReset(t *testing.T) {
+	label := MustLabel(0)
+	inputs := []struct {
+		name  string
+		pages uint32 // pages touched, from page 0
+		taint func(s *Shadow)
+	}{
+		{"short range", 1, func(s *Shadow) { s.SetRange(0, 100, label) }},
+		{"dense page", 1, func(s *Shadow) { s.SetRange(0, mem.PageSize, label) }},
+		{"two far-apart domains", 1, func(s *Shadow) {
+			s.Set(3, label)
+			s.Set(mem.PageSize-2, label)
+		}},
+		{"cleared byte by byte", 2, func(s *Shadow) {
+			s.SetRange(mem.PageSize-50, 100, label)
+			for a := uint32(mem.PageSize - 50); a < mem.PageSize+50; a++ {
+				s.Set(a, TagClean)
+			}
+			s.Set(mem.PageSize+70, label)
+		}},
+	}
+	for _, from := range []uint32{MinDomainSize, DefaultDomainSize} {
+		for _, in := range inputs {
+			s := MustNew(from)
+			in.taint(s)
+			s.Reset()
+			if s.TaintedBytes() != 0 || s.EverTaintedPages() != 0 || s.PagesAllocated() != 0 {
+				t.Fatalf("%s from %d B: Reset left %d tainted bytes, %d ever-tainted pages, %d pages",
+					in.name, from, s.TaintedBytes(), s.EverTaintedPages(), s.PagesAllocated())
+			}
+			end := in.pages * mem.PageSize
+			for size := uint32(MinDomainSize); size <= MaxDomainSize; size *= 2 {
+				if err := s.Regranulate(size); err != nil {
+					t.Fatal(err)
+				}
+				for a := uint32(0); a < end; a++ {
+					if s.Get(a) != TagClean {
+						t.Fatalf("%s from %d B: byte %#x tainted after Reset", in.name, from, a)
+					}
+				}
+				for a := uint32(0); a < end; a += size {
+					if n := s.DomainTaintedBytes(s.DomainIndex(a)); n != 0 || s.MustTaintedAt(a, size) {
+						t.Fatalf("%s from %d B, at %d B: domain at %#x counts %d tainted bytes after Reset",
+							in.name, from, size, a, n)
+					}
+				}
+				// Touch every page again at this granularity: taint counts
+				// from zero, and clearing it leaves the shadow empty.
+				for a := uint32(size - 1); a < end; a += mem.PageSize {
+					s.Set(a, label)
+					if n := s.DomainTaintedBytes(s.DomainIndex(a)); n != 1 {
+						t.Fatalf("%s from %d B, at %d B: one tainted byte counts %d", in.name, from, size, n)
+					}
+					s.Set(a, TagClean)
+				}
+			}
+		}
+	}
+}
+
+func TestRegranulateValidation(t *testing.T) {
 	s := MustNew(64)
-	s.SetRange(0, 100, MustLabel(0))
-	s.Reset()
-	if s.TaintedBytes() != 0 || s.EverTaintedPages() != 0 || s.Get(0) != TagClean {
-		t.Fatal("Reset incomplete")
+	for _, size := range []uint32{0, 4, 48, MaxDomainSize * 2} {
+		if err := s.Regranulate(size); err == nil {
+			t.Errorf("Regranulate(%d) accepted", size)
+		}
+	}
+	s.Set(5, MustLabel(1))
+	if err := s.Regranulate(32); err == nil {
+		t.Fatal("regranulated a shadow holding taint")
+	}
+	if s.DomainSize() != 64 {
+		t.Fatalf("a rejected Regranulate changed the domain size to %d", s.DomainSize())
 	}
 }
 
