@@ -28,18 +28,17 @@ vet:
 # TestRunnerSafeForConcurrentCallers, pool tests) all fan work out across
 # goroutines, so this catches data races in the pool, the suite runners,
 # and the per-job simulation state. The second pass re-runs the
-# truly-concurrent tier — the SPSC ring stress/fuzz seeds, the
-# sharded-monitor determinism pin, the shard-sweep equivalence check, and
-# concurrent profile runs sharing engine.RunProfile's idle-session list —
-# a second time for extra schedule diversity on the lock-free and locked
-# paths.
+# truly-concurrent tier — the SPSC ring stress/fuzz seeds, the cplatch
+# monitor determinism pin, and concurrent profile runs sharing
+# engine.RunProfile's idle-session list — a second time for extra schedule
+# diversity on the lock-free and locked paths.
 # -timeout 30m: the experiments package alone needs ~8 minutes under the
 # race detector on a single-CPU box, too close to Go's 10m default.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count=2 \
-		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestConcurrentShardSweepEquivalence|TestRunProfileConcurrent' \
-		./internal/ring ./internal/platch ./internal/diffcheck ./internal/enginetest
+		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestRunProfileConcurrent' \
+		./internal/ring ./internal/platch ./internal/enginetest
 
 verify: fmt test vet race diffcheck serve-smoke paper-smoke examples
 
@@ -54,7 +53,7 @@ examples:
 	done
 
 # Paper-grade reproduction: run the default experiment grid (repeats,
-# backend/shard/sampling/geometry sweeps, catalog experiments) into a
+# backend/sampling/geometry sweeps, catalog experiments) into a
 # timestamped paper_runs/<ts>/ tree and analyze it — per-cell
 # mean/stddev/95%-CI tables as Markdown and LaTeX, plus an appended
 # BENCH_history.json headline entry. See EXPERIMENTS.md for the grid
@@ -112,21 +111,17 @@ cover:
 	done
 
 # Root-package benchmarks, plus the committed perf artifacts: the
-# observability-overhead report (BENCH_observability.json), the hot-path
+# observability-overhead report (BENCH_observability.json) and the hot-path
 # report (BENCH_hotpath.json: CPU.Step / shadow.Set / end-to-end
-# experiment pass against the pre-overhaul baselines), and the concurrent
-# P-LATCH report (BENCH_cplatch.json: serial analytic platch vs the
-# lock-free pipeline at 1/2/4/8 monitor shards, with the zero-alloc
-# producer-step bar enforced). The selective-tracing frontier is pinned by
-# internal/experiments/testdata/sampling.golden.
+# experiment pass against the pre-overhaul baselines). The cplatch
+# per-event cost is perfbench's cplatch_ns_per_event. The selective-tracing
+# frontier is pinned by internal/experiments/testdata/sampling.golden.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 	$(GO) test ./internal/latch -run TestWriteObservabilityBench \
 		-observability-bench-out $(CURDIR)/BENCH_observability.json
 	$(GO) test . -run TestWriteHotpathBench \
 		-hotpath-bench-out $(CURDIR)/BENCH_hotpath.json
-	$(GO) test ./internal/platch -run TestWriteCPlatchBench \
-		-cplatch-bench-out $(CURDIR)/BENCH_cplatch.json
 
 # Benchstat-friendly re-run of the hot-path benchmarks with pinned count
 # and benchtime, for diffing against the committed BENCH_hotpath.json:

@@ -31,8 +31,8 @@ func Backends() []string { return engine.Names() }
 func Workloads() []string { return workload.Names() }
 
 // RunRequest describes one backend run: which integration, over which
-// calibrated workload, for how many events, with what monitor geometry and
-// observer. The zero value of each optional field selects the default, so
+// calibrated workload, for how many events, with what observer and policy.
+// The zero value of each optional field selects the default, so
 // callers state only what they mean:
 //
 //	res, err := latch.Run(ctx, latch.RunRequest{Backend: "slatch", Workload: "gcc"})
@@ -46,10 +46,8 @@ type RunRequest struct {
 	Workload string
 	// Events is the requested stream length; 0 selects DefaultRunEvents.
 	Events uint64
-	// Shards is the monitor shard count for sharded backends (the
-	// concurrent "cplatch" integration); 0 keeps the backend's default
-	// geometry. A positive count on a backend without shard support is an
-	// error.
+	// Shards names the monitor count. Every backend runs one monitor, so
+	// only 0 (the default) and 1 are accepted.
 	Shards int
 	// Seed, when non-zero, replaces the calibrated profile's RNG seed for
 	// this run. The stream stays bit-deterministic per seed; callers that
@@ -74,9 +72,9 @@ type RunRequest struct {
 const DefaultRunEvents = 2_000_000
 
 // Validate reports the first problem with the request without running
-// anything: an unknown backend or workload, a negative shard count, or
-// shards on a backend that cannot fan out. The serving layer validates
-// requests up front so a bad job is rejected before it occupies a worker.
+// anything: an unknown backend or workload, or a monitor count other than
+// one. The serving layer validates requests up front so a bad job is
+// rejected before it occupies a worker.
 func (r RunRequest) Validate() error {
 	if r.Backend == "" {
 		return fmt.Errorf("latch: RunRequest.Backend is required (registered: %v)", Backends())
@@ -90,17 +88,8 @@ func (r RunRequest) Validate() error {
 	if _, err := workload.Get(r.Workload); err != nil {
 		return err
 	}
-	if r.Shards < 0 {
-		return fmt.Errorf("latch: RunRequest.Shards must be non-negative, got %d", r.Shards)
-	}
-	if r.Shards > 0 {
-		sch, err := engine.Lookup(r.Backend)
-		if err != nil {
-			return err
-		}
-		if _, ok := sch.New().(engine.Sharded); !ok {
-			return fmt.Errorf("latch: backend %s does not support shard configuration", r.Backend)
-		}
+	if r.Shards != 0 && r.Shards != 1 {
+		return fmt.Errorf("latch: RunRequest.Shards must be 0 or 1 (every backend runs one monitor), got %d", r.Shards)
 	}
 	if r.Policy != nil {
 		if err := r.Policy.Validate(); err != nil {
@@ -113,7 +102,7 @@ func (r RunRequest) Validate() error {
 // Run streams one calibrated workload through the named backend. The
 // context bounds the run: cancellation or a deadline stops the stream
 // within engine.CancelCheckEvents events — with the backend fully
-// finalized, monitor shards joined — and returns ctx.Err().
+// finalized, its monitor joined — and returns ctx.Err().
 func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -129,16 +118,6 @@ func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := sch.New()
-	if req.Shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			return nil, fmt.Errorf("backend %s does not support shard configuration", req.Backend)
-		}
-		if err := sb.SetShards(req.Shards); err != nil {
-			return nil, err
-		}
-	}
 	events := req.Events
 	if events == 0 {
 		events = DefaultRunEvents
@@ -150,5 +129,5 @@ func Run(ctx context.Context, req RunRequest) (BackendResult, error) {
 	if req.Policy != nil {
 		opts.Policy = *req.Policy
 	}
-	return engine.RunProfile(ctx, b, p, opts)
+	return engine.RunProfile(ctx, sch.New(), p, opts)
 }

@@ -6,7 +6,7 @@
 //	latch-experiments                      # run everything
 //	latch-experiments -exp table6,figure16
 //	latch-experiments -backend slatch,hlatch  # registry-driven summaries
-//	latch-experiments -backend cplatch -shards 8  # concurrent P-LATCH, 8 monitor shards
+//	latch-experiments -backend cplatch     # concurrent P-LATCH, one monitor goroutine
 //	latch-experiments -list
 //	latch-experiments -events 5000000      # longer, lower-noise runs
 //	latch-experiments -workers 8           # bound the worker pool
@@ -49,7 +49,6 @@ func main() {
 		chart       = flag.Bool("chart", false, "also render bar charts for figure experiments")
 		workers     = flag.Int("workers", 0, "worker-pool size for per-benchmark jobs (0 = one per CPU)")
 		backend     = flag.String("backend", "", "comma-separated registered backend names: render their registry-driven summary tables")
-		shards      = flag.Int("shards", 0, "monitor shard count for sharded backends (cplatch); 0 keeps backend defaults")
 		showStats   = flag.Bool("stats", false, "print the per-pass job statistics table after the run")
 		metricsOut  = flag.String("metrics", "", "write the per-pass telemetry registry to this file as JSON")
 		polPath     = flag.String("policy", "", "JSON taint-policy file overlaid onto the default; applies to every pass")
@@ -77,11 +76,6 @@ func main() {
 		opts.EpochEvents = *epochEvents
 	}
 	opts.Workers = *workers
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards must be positive, got %d\n", *shards)
-		os.Exit(2)
-	}
-	opts.Shards = *shards
 	if *polPath != "" || *sampleFrac >= 0 || *sampleSeed != 0 {
 		pol := policy.Default()
 		if *polPath != "" {

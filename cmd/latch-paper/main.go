@@ -140,8 +140,8 @@ func cmdAnalyze(args []string) error {
 }
 
 // smokeGrid is the miniature self-check grid: two cells, two repeats,
-// short streams — it exercises the facade path (including a shard sweep)
-// and the geometry path in seconds.
+// short streams — it exercises the facade path (cplatch included) and the
+// geometry path in seconds.
 const smokeGrid = `{
   "name": "paper-smoke",
   "repeats": 2,

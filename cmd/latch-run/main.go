@@ -72,7 +72,6 @@ func run() int {
 		backend    = flag.String("backend", "", "run a registered backend over a calibrated workload (see -workload)")
 		workloadNm = flag.String("workload", "gcc", "calibrated workload profile for -backend")
 		events     = flag.Uint64("events", 2_000_000, "stream length in instructions for -backend")
-		shards     = flag.Int("shards", 0, "monitor shard count for sharded backends (cplatch); 0 keeps the backend default")
 		listBack   = flag.Bool("list-backends", false, "list registered backends and exit")
 		leak       = flag.Bool("check-leak", false, "enable the output-leak check")
 		polPath    = flag.String("policy", "", "JSON taint-policy file overlaid onto the default policy")
@@ -98,7 +97,6 @@ func run() int {
 		Backend:  *backend,
 		SaveTnt:  *saveTnt,
 		Requests: len(requests),
-		Shards:   *shards,
 		Deadline: *deadline,
 		SLatch:   *coSLatch,
 		NoDift:   *noDift,
@@ -139,7 +137,7 @@ func run() int {
 		if polGiven {
 			reqPol = &pol
 		}
-		return runBackend(ctx, *backend, *workloadNm, *events, *shards, reqPol, *telemetry)
+		return runBackend(ctx, *backend, *workloadNm, *events, reqPol, *telemetry)
 	}
 
 	src, err := loadSource(*progName, *srcPath)
@@ -257,13 +255,12 @@ func run() int {
 
 // runBackend streams one calibrated workload through a registered backend
 // and reports its scheme-agnostic result.
-func runBackend(ctx context.Context, backend, workloadName string, events uint64, shards int, pol *latch.Policy, telemetry bool) int {
+func runBackend(ctx context.Context, backend, workloadName string, events uint64, pol *latch.Policy, telemetry bool) int {
 	metrics := latch.NewMetrics()
 	res, err := latch.Run(ctx, latch.RunRequest{
 		Backend:  backend,
 		Workload: workloadName,
 		Events:   events,
-		Shards:   shards,
 		Observer: metrics,
 		Policy:   pol,
 	})
@@ -389,7 +386,6 @@ func loadPolicy(path string, sample float64, seed uint64, leak bool) (latch.Poli
 type flagSet struct {
 	Prog, Src, File, FileHex, Backend, SaveTnt string
 	Requests                                   int
-	Shards                                     int
 	Deadline                                   time.Duration
 	SLatch, NoDift, Disasm                     bool
 	Policy                                     string
@@ -440,12 +436,6 @@ func checkFlagConflicts(f flagSet) error {
 	}
 	if f.Seed != 0 && f.Sample < 0 && f.Policy == "" {
 		return fmt.Errorf("-sample-seed needs a sampler: give -sample or a -policy file with a sampling spec")
-	}
-	if f.Shards != 0 && f.Backend == "" {
-		return fmt.Errorf("-shards configures a backend's monitor and requires -backend")
-	}
-	if f.Shards < 0 {
-		return fmt.Errorf("-shards must be positive, got %d", f.Shards)
 	}
 	if f.Deadline < 0 {
 		return fmt.Errorf("-deadline must be positive, got %v", f.Deadline)

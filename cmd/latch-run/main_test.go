@@ -15,7 +15,6 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{"prog only", flagSet{Prog: "overflow"}, ""},
 		{"src with file", flagSet{Src: "p.s", File: "data"}, ""},
 		{"backend only", flagSet{Backend: "slatch"}, ""},
-		{"sharded backend", flagSet{Backend: "cplatch", Shards: 4}, ""},
 		{"slatch run", flagSet{Prog: "overflow", SLatch: true}, ""},
 		{"no-dift run", flagSet{Prog: "overflow", NoDift: true}, ""},
 
@@ -32,8 +31,6 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{"backend and disasm", flagSet{Backend: "hlatch", Disasm: true}, "cannot be combined with -disasm"},
 		{"backend and save-taint", flagSet{Backend: "hlatch", SaveTnt: "t.bin"}, "cannot be combined with -save-taint"},
 		{"no-dift and save-taint", flagSet{Prog: "p", NoDift: true, SaveTnt: "t.bin"}, "cannot be combined with -no-dift"},
-		{"shards without backend", flagSet{Shards: 4}, "requires -backend"},
-		{"negative shards", flagSet{Backend: "cplatch", Shards: -1}, "must be positive"},
 
 		{"sampled run", flagSet{Prog: "overflow", Sample: 0.5, Seed: 3}, ""},
 		{"policy file run", flagSet{Prog: "overflow", Policy: "pol.json"}, ""},

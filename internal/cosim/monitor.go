@@ -76,14 +76,7 @@ func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (
 	if err != nil {
 		return nil, err
 	}
-	return NewMonitorBackend(sch.New(), pol, obs)
-}
-
-// NewMonitorBackend builds a co-simulated machine around an already
-// constructed (and possibly specially configured) backend instance — the
-// differential checker uses this to sweep the concurrent backend's shard
-// counts. The backend must be fresh: one instance serves one run.
-func NewMonitorBackend(b engine.Backend, pol policy.Policy, obs telemetry.Observer) (*Monitor, error) {
+	b := sch.New()
 	sess, err := engine.NewSession(b.Config())
 	if err != nil {
 		return nil, err

@@ -262,40 +262,18 @@ func runReferencePolicy(c Case, pol policy.Policy) (Outcome, error) {
 // is "" unless the oracle observed a precisely tainted operand byte the
 // coarse state could not see.
 func RunBackend(name string, c Case) (out Outcome, oracleFail string, err error) {
-	return RunBackendShards(name, c, 0)
-}
-
-// RunBackendShards is RunBackend with an explicit monitor shard count for
-// backends implementing engine.Sharded; shards <= 0 keeps the backend's
-// default geometry. Requesting shards from a non-sharded backend is an
-// error.
-func RunBackendShards(name string, c Case, shards int) (out Outcome, oracleFail string, err error) {
 	prog, err := c.Program()
 	if err != nil {
 		return Outcome{}, "", err
 	}
-	sch, err := engine.Lookup(name)
-	if err != nil {
-		return Outcome{}, "", err
-	}
-	b := sch.New()
-	if shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			return Outcome{}, "", fmt.Errorf("backend %s does not support shard configuration", name)
-		}
-		if err := sb.SetShards(shards); err != nil {
-			return Outcome{}, "", err
-		}
-	}
 	pol := CasePolicy(c.Seed)
-	mon, err := cosim.NewMonitorBackend(b, pol, nil)
+	mon, err := cosim.NewMonitor(name, pol, nil)
 	if err != nil {
 		return Outcome{}, "", err
 	}
-	// Finalize the backend no matter how the run ends: concurrent backends
-	// close their rings and join their monitor goroutines in Finish, and a
-	// divergence hunt runs thousands of cases back to back.
+	// Finalize the backend no matter how the run ends: the concurrent
+	// backend closes its ring and joins its monitor goroutine in Finish,
+	// and a divergence hunt runs thousands of cases back to back.
 	defer mon.Result()
 	orc := &oracleTracker{Monitor: mon, pol: pol, sampler: pol.Sampler()}
 	mon.Machine.SetTracker(orc)
@@ -459,44 +437,18 @@ func CheckCase(c Case, backends []string) *Failure {
 		}
 	}
 	for _, name := range backends {
-		name, label := name, name
-		shards := 0
-		if isSharded(name) {
-			// Sharded backends run at a seed-derived shard count, so the
-			// corpus and every fresh fuzz batch sweep the 1..8 axis while
-			// each individual seed stays byte-for-byte replayable.
-			shards = ShardsFor(c.Seed)
-			label = fmt.Sprintf("%s(shards=%d)", name, shards)
-		}
 		out, fail := runProtected(func() (Outcome, string, error) {
-			return RunBackendShards(name, c, shards)
+			return RunBackend(name, c)
 		})
 		if fail != nil {
-			fail.Backend = label
+			fail.Backend = name
 			return fail
 		}
 		if d := out.Diff(ref); d != "" {
-			return &Failure{Kind: "divergence", Backend: label, Detail: d}
+			return &Failure{Kind: "divergence", Backend: name, Detail: d}
 		}
 	}
 	return nil
-}
-
-// ShardsFor derives the monitor shard count a sharded backend runs with
-// for a given seed: seeds rotate through 1..8. Deterministic per seed, so
-// minimization and corpus replay reproduce the exact failing geometry.
-func ShardsFor(seed int64) int { return 1 + int(uint64(seed)%8) }
-
-// isSharded reports whether the named registered backend supports shard
-// configuration. Constructing a backend is cheap — goroutines and rings
-// exist only after Init.
-func isSharded(name string) bool {
-	sch, err := engine.Lookup(name)
-	if err != nil {
-		return false
-	}
-	_, ok := sch.New().(engine.Sharded)
-	return ok
 }
 
 // runProtected invokes one run, converting a panic into a "panic" failure,

@@ -91,14 +91,13 @@ type BatchBackend interface {
 	StepBatch(s *Session, evs []trace.Event)
 }
 
-// Sharded is the optional Backend extension for integrations whose monitor
-// fans out over N parallel shards (the concurrent P-LATCH backend). The
-// CLIs' -shards flags and the experiment harness's Shards option reach any
-// registered backend through this interface. SetShards must be called
-// before Init; implementations reject later calls.
+// Sharded is the optional Backend extension through which a caller names
+// the monitor count. Every backend runs one monitor; the concurrent P-LATCH
+// backend implements Sharded and accepts only 1, for callers that still
+// forward a count (perfbench's traced replay backend does).
 type Sharded interface {
 	Backend
-	// SetShards fixes the monitor shard count for this run (n >= 1).
+	// SetShards names the monitor count for this run; only 1 is valid.
 	SetShards(n int) error
 }
 
@@ -127,8 +126,8 @@ type Result interface {
 // CancelCheckEvents is the profile driver's cancellation granularity: the
 // run's context is polled whenever Session.Events reaches a multiple of this
 // (a power of two, so the check is a mask test). A run canceled while its
-// backend consumes event N stops — with its backend fully finalized, monitor
-// shards joined — with Session.Events - N < CancelCheckEvents.
+// backend consumes event N stops — with its backend fully finalized, its
+// monitor joined — with Session.Events - N < CancelCheckEvents.
 const CancelCheckEvents = 4096
 
 // EventBatchSize is the profile driver's delivery batch: the generator
@@ -164,9 +163,9 @@ type RunOptions struct {
 // Cancellation: ctx is polled whenever the stream reaches a multiple of
 // CancelCheckEvents events, so the stream stops fewer than
 // CancelCheckEvents events after the cancellation. On cancellation the
-// backend is still finalized (so concurrent backends join their monitor
-// shards and leak nothing), the partial result is discarded, and ctx.Err()
-// is returned.
+// backend is still finalized (so the concurrent backend joins its monitor
+// goroutine and leaks nothing), the partial result is discarded, and
+// ctx.Err() is returned.
 func RunProfile(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
 	res, s, err := RunProfileSession(ctx, b, p, opts)
 	if s != nil {
@@ -213,7 +212,7 @@ func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts R
 	s.Profile = p
 	s.Target = opts.Events
 	// A context canceled before the stream starts aborts here, before the
-	// backend spins up any per-run machinery (monitor shards included).
+	// backend spins up any per-run machinery (monitor goroutines included).
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -243,8 +242,8 @@ func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts R
 			}
 		}
 	})
-	// Finalize unconditionally: for sharded backends Finish closes the
-	// rings and joins the monitor goroutines, which must happen on the
+	// Finalize unconditionally: the concurrent backend's Finish closes its
+	// ring and joins its monitor goroutine, which must happen on the
 	// cancellation path too.
 	res := b.Finish(s)
 	if g.Stopped() {

@@ -7,6 +7,7 @@ import (
 
 	"latch/internal/engine"
 	"latch/internal/platch"
+	"latch/internal/ring"
 	"latch/internal/trace"
 	"latch/internal/workload"
 
@@ -57,10 +58,10 @@ func runOn(t *testing.T, s *engine.Session, b engine.Backend, p workload.Profile
 
 // withoutRing clears a cplatch result's Ring stats, which report real,
 // scheduling-dependent pipeline occupancy; everything else (flag digest,
-// monitor taint hash, shard queues) must match exactly.
+// monitor taint hash, monitor queues) must match exactly.
 func withoutRing(r engine.Result) engine.Result {
 	if cr, ok := r.(platch.ConcurrentResult); ok {
-		cr.Ring = platch.RingStats{}
+		cr.Ring = ring.Stats{}
 		return cr
 	}
 	return r

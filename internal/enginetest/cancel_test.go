@@ -25,8 +25,8 @@ import (
 
 // TestRunProfileCancellationPerBackend cancels a long run mid-stream on
 // every registered backend and requires a prompt, clean unwind: ctx.Err()
-// surfaced, no result, and — the hard case, cplatch's monitor shards — no
-// goroutines left behind. The serving layer depends on exactly this
+// surfaced, no result, and — the hard case, cplatch's monitor goroutine —
+// no goroutines left behind. The serving layer depends on exactly this
 // contract to bound per-request deadlines.
 func TestRunProfileCancellationPerBackend(t *testing.T) {
 	p := workload.MustGet("gcc")
@@ -47,7 +47,7 @@ func TestRunProfileCancellationPerBackend(t *testing.T) {
 			if elapsed > 5*time.Second {
 				t.Fatalf("cancellation took %v; granularity not bounded", elapsed)
 			}
-			// Backend teardown (cplatch joins its shard goroutines in
+			// Backend teardown (cplatch joins its monitor goroutine in
 			// Finish) must leave no stragglers.
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > base {

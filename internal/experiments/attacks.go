@@ -97,7 +97,7 @@ func (r *Runner) runAttack(c attackCase, stack string, mode policy.Propagation) 
 		}
 		c.setup(mon.Machine.Env)
 		_, err = mon.Run(context.Background(), src, 1_000_000)
-		mon.Result() // finalize: sharded monitors join their shards
+		mon.Result() // finalize: cplatch joins its monitor goroutine
 		return err
 	}
 	err = run()

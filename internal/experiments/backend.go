@@ -43,15 +43,7 @@ func (r *Runner) BackendPass(name string, s workload.Suite) ([]engine.Result, er
 		if err != nil {
 			return err
 		}
-		b := sch.New()
-		if r.opts.Shards > 0 {
-			if sb, ok := b.(engine.Sharded); ok {
-				if err := sb.SetShards(r.opts.Shards); err != nil {
-					return fmt.Errorf("%s %s: %w", name, wname, err)
-				}
-			}
-		}
-		res, err := engine.RunProfile(context.Background(), b, p, opts)
+		res, err := engine.RunProfile(context.Background(), sch.New(), p, opts)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", name, wname, err)
 		}
@@ -109,12 +101,6 @@ func (r *Runner) SLatch(s workload.Suite) ([]slatch.Result, error) {
 // PLatch runs (or returns the memoized) P-LATCH pass.
 func (r *Runner) PLatch(s workload.Suite) ([]platch.Result, error) {
 	return typedPass[platch.Result](r, "platch", s)
-}
-
-// CPLatch runs (or returns the memoized) concurrent P-LATCH pass, at the
-// Options.Shards shard count (the backend default when zero).
-func (r *Runner) CPLatch(s workload.Suite) ([]platch.ConcurrentResult, error) {
-	return typedPass[platch.ConcurrentResult](r, "cplatch", s)
 }
 
 // BackendTable renders the scheme-agnostic summary of one registered

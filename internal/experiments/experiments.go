@@ -62,12 +62,6 @@ type Options struct {
 	// enforce this).
 	Observer telemetry.Observer
 
-	// Shards, when > 0, fixes the monitor shard count of every backend
-	// pass whose backend implements engine.Sharded (the concurrent
-	// P-LATCH backend); zero keeps each backend's default geometry.
-	// Backends without shard support ignore it.
-	Shards int
-
 	// Policy, when non-zero, overrides the default taint policy in every
 	// pass: program-driven passes (co-simulation, PIFT, attacks) run
 	// under it directly, and its Sampling spec is threaded into every

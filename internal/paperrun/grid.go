@@ -1,10 +1,10 @@
 // Package paperrun is the reproducible experiment-grid pipeline behind
 // `latch-paper` (ROADMAP item 5): a declarative grid file names the cells
-// of a paper-style evaluation — backend sweeps, cplatch shard sweeps,
-// cache-geometry sweeps, selective-tracing fractions, and whole catalog
-// experiments — with a repeat count, and the pipeline drives the latch.Run
-// facade and the internal/experiments runner through every cell, once per
-// repeat under a distinct derived seed.
+// of a paper-style evaluation — backend sweeps, cache-geometry sweeps,
+// selective-tracing fractions, and whole catalog experiments — with a
+// repeat count, and the pipeline drives the latch.Run facade and the
+// internal/experiments runner through every cell, once per repeat under a
+// distinct derived seed.
 //
 // Everything that lands under csv/ in a run tree sits on the deterministic
 // side of the determinism boundary (see internal/experiments.JobStat): a
@@ -15,10 +15,12 @@
 package paperrun
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"latch"
 	"latch/internal/experiments"
@@ -27,8 +29,8 @@ import (
 // Cell kinds.
 const (
 	// KindBackend runs registered backends through the latch.Run facade:
-	// every (backend, shard count, sampling fraction, workload) combination
-	// is one variant.
+	// every (backend, sampling fraction, workload) combination is one
+	// variant.
 	KindBackend = "backend"
 	// KindGeometry sweeps one scheme-specific configuration axis (cache
 	// geometry, timeout, queue depth) through the scheme's own Run.
@@ -63,9 +65,6 @@ type Cell struct {
 	// Workloads lists calibrated profile names (backend and geometry
 	// cells).
 	Workloads []string `json:"workloads,omitempty"`
-	// Shards, when non-empty, sweeps the monitor shard count of every
-	// listed backend (the concurrent cplatch integration).
-	Shards []int `json:"shards,omitempty"`
 	// SampleFractions, when non-empty, sweeps the selective-tracing
 	// source-sampling fraction in [0, 1].
 	SampleFractions []float64 `json:"sample_fractions,omitempty"`
@@ -109,13 +108,19 @@ type Grid struct {
 	Cells []Cell `json:"cells"`
 }
 
-// LoadGrid parses and validates a grid file. The returned hash is the
-// SHA-256 of the raw bytes — the manifest records it so an analysis is
-// tied to the exact grid that produced the data.
+// LoadGrid parses and validates a grid file. An unknown key is an error, so
+// a typo or a retired field cannot silently run a different grid. The
+// returned hash is the SHA-256 of the raw bytes — the manifest records it
+// so an analysis is tied to the exact grid that produced the data.
 func LoadGrid(raw []byte) (Grid, string, error) {
 	var g Grid
-	if err := json.Unmarshal(raw, &g); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
 		return Grid{}, "", fmt.Errorf("paperrun: parse grid: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, "", fmt.Errorf("paperrun: parse grid: data after the grid object")
 	}
 	if err := g.Validate(); err != nil {
 		return Grid{}, "", err
@@ -164,20 +169,6 @@ func (c Cell) validate() error {
 		for _, b := range c.Backends {
 			if !known[b] {
 				return fmt.Errorf("unknown backend %q (registered: %v)", b, latch.Backends())
-			}
-		}
-		for _, s := range c.Shards {
-			if s < 1 {
-				return fmt.Errorf("shard counts must be positive, got %d", s)
-			}
-			// A shard sweep applies to every backend of the cell, so each
-			// must actually support shard geometry — the facade's own
-			// validation catches this before any cell has burned time.
-			for _, b := range c.Backends {
-				req := latch.RunRequest{Backend: b, Workload: c.Workloads[0], Shards: s}
-				if err := req.Validate(); err != nil {
-					return err
-				}
 			}
 		}
 		for _, f := range c.SampleFractions {

@@ -26,11 +26,10 @@ const testGrid = `{
       "headline": "overhead"
     },
     {
-      "id": "cplatch-shards",
+      "id": "cplatch",
       "kind": "backend",
       "backends": ["cplatch"],
-      "workloads": ["gcc"],
-      "shards": [1, 2]
+      "workloads": ["gcc"]
     },
     {
       "id": "sampling",
@@ -246,7 +245,9 @@ func TestLoadGridValidation(t *testing.T) {
 		{"bad backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["nope"],"workloads":["gcc"]}]}`, "unknown backend"},
 		{"bad workload", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["nope"]}]}`, "unknown workload"},
 		{"bad fraction", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"sample_fractions":[1.5]}]}`, "outside [0, 1]"},
-		{"shards on unsharded backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"shards":[2]}]}`, "does not support shard"},
+		{"shards on unsharded backend", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"shards":[2]}]}`, `unknown field "shards"`},
+		{"misspelled key", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"],"sample_fraction":[0.5]}]}`, `unknown field "sample_fraction"`},
+		{"trailing data", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"backend","backends":["slatch"],"workloads":["gcc"]}]} {}`, "data after the grid"},
 		{"bad axis", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"geometry","axis":"nope","values":[1],"workloads":["gcc"]}]}`, "unknown geometry axis"},
 		{"bad experiment", `{"name":"g","repeats":1,"cells":[{"id":"x","kind":"experiment","experiments":["nope"]}]}`, "unknown id"},
 	}

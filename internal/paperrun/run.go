@@ -202,13 +202,9 @@ func formatFraction(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// runBackendCell expands backends x shards x sampling fractions x
-// workloads x repeats through the latch.Run facade.
+// runBackendCell expands backends x sampling fractions x workloads x
+// repeats through the latch.Run facade.
 func runBackendCell(ctx context.Context, g Grid, c Cell) ([]Sample, error) {
-	shards := c.Shards
-	if len(shards) == 0 {
-		shards = []int{0} // backend default geometry
-	}
 	fracs := c.SampleFractions
 	sweepFracs := len(fracs) > 0
 	if !sweepFracs {
@@ -216,37 +212,31 @@ func runBackendCell(ctx context.Context, g Grid, c Cell) ([]Sample, error) {
 	}
 	var out []Sample
 	for _, backend := range c.Backends {
-		for _, shard := range shards {
-			for _, frac := range fracs {
-				variant := backend
-				if shard > 0 {
-					variant += "/shards=" + strconv.Itoa(shard)
-				}
-				if sweepFracs {
-					variant += "/sample=" + formatFraction(frac)
-				}
-				for _, wl := range c.Workloads {
-					for rep := 0; rep < g.Repeats; rep++ {
-						seed := repeatSeed(g, c.ID, variant, wl, rep)
-						req := latch.RunRequest{
-							Backend:  backend,
-							Workload: wl,
-							Events:   g.events(c),
-							Shards:   shard,
-							Seed:     seed,
-						}
-						if sweepFracs {
-							pol := latch.DefaultPolicy()
-							pol.Sampling.SampleFraction = frac
-							pol.Sampling.SampleSeed = uint64(seed)
-							req.Policy = &pol
-						}
-						res, err := latch.Run(ctx, req)
-						if err != nil {
-							return nil, fmt.Errorf("variant %s workload %s repeat %d: %w", variant, wl, rep, err)
-						}
-						out = append(out, resultSamples(c.ID, variant, rep, res)...)
+		for _, frac := range fracs {
+			variant := backend
+			if sweepFracs {
+				variant += "/sample=" + formatFraction(frac)
+			}
+			for _, wl := range c.Workloads {
+				for rep := 0; rep < g.Repeats; rep++ {
+					seed := repeatSeed(g, c.ID, variant, wl, rep)
+					req := latch.RunRequest{
+						Backend:  backend,
+						Workload: wl,
+						Events:   g.events(c),
+						Seed:     seed,
 					}
+					if sweepFracs {
+						pol := latch.DefaultPolicy()
+						pol.Sampling.SampleFraction = frac
+						pol.Sampling.SampleSeed = uint64(seed)
+						req.Policy = &pol
+					}
+					res, err := latch.Run(ctx, req)
+					if err != nil {
+						return nil, fmt.Errorf("variant %s workload %s repeat %d: %w", variant, wl, rep, err)
+					}
+					out = append(out, resultSamples(c.ID, variant, rep, res)...)
 				}
 			}
 		}

@@ -2,223 +2,344 @@ package platch
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"latch/internal/engine"
+	"latch/internal/ring"
+	"latch/internal/shadow"
+	"latch/internal/telemetry"
+	"latch/internal/trace"
 	"latch/internal/workload"
 )
 
-// shardSweep is the shard-count axis every concurrent-tier test sweeps.
-var shardSweep = []int{1, 2, 4, 8}
-
-func concCfg(shards int) ConcurrentConfig {
-	cfg := DefaultConcurrentConfig()
+func concCfg() Config {
+	cfg := DefaultConfig()
 	cfg.Events = 200_000
-	cfg.Shards = shards
-	cfg.KeepFlagged = true
 	return cfg
 }
 
-// TestConcurrentMatchesAnalyticModel pins the producer-side contract: the
-// concurrent backend and the analytic backend share one filter and one
-// window model, so their policy-level numbers are equal exactly — not
-// approximately — on the same stream, at every shard count.
-func TestConcurrentMatchesAnalyticModel(t *testing.T) {
-	p := workload.MustGet("apache")
-	acfg := shortCfg()
-	acfg.Events = 200_000
-	want, err := Run(p, acfg)
+// runConcurrent streams p through a fresh concurrent backend.
+func runConcurrent(t *testing.T, p workload.Profile, cfg Config) ConcurrentResult {
+	t.Helper()
+	res, err := engine.RunProfile(context.Background(), NewConcurrent(cfg), p,
+		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range shardSweep {
-		got, err := RunConcurrent(p, concCfg(shards), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Events != want.Events {
-			t.Fatalf("shards=%d: events %d != %d", shards, got.Events, want.Events)
-		}
-		if got.ActiveWindowFraction != want.ActiveWindowFraction ||
-			got.OverheadSimple != want.OverheadSimple ||
-			got.OverheadOptimized != want.OverheadOptimized ||
-			got.EnqueuedFraction != want.EnqueuedFraction ||
-			got.PendingExtraPositives != want.PendingExtraPositives {
-			t.Fatalf("shards=%d: window model diverged from analytic platch:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
-		if got.FlaggedEvents == 0 {
-			t.Fatalf("shards=%d: no flagged events reached the monitor", shards)
-		}
-		if got.Ring.Pushes != got.FlaggedEvents {
-			t.Fatalf("shards=%d: ring pushes %d != flagged %d (lost or duplicated)",
-				shards, got.Ring.Pushes, got.FlaggedEvents)
-		}
+	return res.(ConcurrentResult)
+}
+
+// oracleStream is one stream the concurrent backend is checked on. The
+// stalling stream runs a 16-entry FIFO, so the virtual-time queue's stall
+// path carries the queue overheads.
+type oracleStream struct {
+	name    string
+	profile string
+	depth   int
+}
+
+var oracleStreams = []oracleStream{
+	{"gcc", "gcc", 0},
+	{"apache", "apache", 0},
+	{"mysql", "mysql", 0},
+	{"astar-depth16", "astar", 16},
+}
+
+func (o oracleStream) cfg() Config {
+	cfg := concCfg()
+	if o.depth > 0 {
+		cfg.QueueDepth = o.depth
+	}
+	return cfg
+}
+
+// serialMonitor is the test's independent monitor: a batch backend that
+// runs the shared filter and keeps the flagged log and the tainted domain
+// set in memory, with no ring, no goroutine and no queue model.
+type serialMonitor struct {
+	producer
+	log     []byte
+	domains map[uint32]bool
+}
+
+type serialResult struct {
+	Result
+	log     []byte
+	domains map[uint32]bool
+}
+
+func (m *serialMonitor) Name() string { return "serial-monitor" }
+
+func (m *serialMonitor) Init(*engine.Session) error {
+	m.init()
+	m.domains = map[uint32]bool{}
+	return nil
+}
+
+func (m *serialMonitor) Step(s *engine.Session, ev trace.Event) {
+	enq, viaPending := m.filt.decide(s, ev)
+	m.win.step(ev.Tainted)
+	if !enq {
+		return
+	}
+	domain := s.Shadow.DomainIndex(ev.Addr)
+	var rec [21]byte
+	binary.LittleEndian.PutUint64(rec[0:], s.Events)
+	binary.LittleEndian.PutUint32(rec[8:], ev.PC)
+	binary.LittleEndian.PutUint32(rec[12:], ev.Addr)
+	binary.LittleEndian.PutUint32(rec[16:], domain)
+	if viaPending {
+		rec[20] = 1
+	}
+	m.log = append(m.log, rec[:]...)
+	if ev.Tainted {
+		m.domains[domain] = true
 	}
 }
 
-// TestConcurrentQueueOracleAgreement is the oracle-agreement satellite: the
-// analytic platch queue simulation predicts the concurrent pipeline's
-// occupancy/stall behavior. At one shard the virtual-time measurement must
-// reproduce queueSim to float tolerance (same arithmetic, incremental
-// evaluation); more shards split the arrival stream, so per-shard queue
-// pressure — the makespan overhead — must never exceed the serial
-// prediction.
-func TestConcurrentQueueOracleAgreement(t *testing.T) {
-	p := workload.MustGet("apache")
-	acfg := shortCfg()
-	acfg.Events = 200_000
-	oracle, err := Run(p, acfg)
+func (m *serialMonitor) StepBatch(s *engine.Session, evs []trace.Event) {
+	for i := range evs {
+		s.Events++
+		m.Step(s, evs[i])
+	}
+}
+
+func (m *serialMonitor) Finish(s *engine.Session) engine.Result {
+	return serialResult{Result: m.result(s), log: m.log, domains: m.domains}
+}
+
+// digests returns the serial monitor's flagged-log digest and its domain-set
+// digest, computed as the concurrent monitor documents them.
+func (r serialResult) digests() (flag, taint uint64) {
+	h := fnv.New64a()
+	h.Write(r.log)
+	doms := make([]uint32, 0, len(r.domains))
+	for d := range r.domains {
+		doms = append(doms, d)
+	}
+	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
+	dh := fnv.New64a()
+	for _, d := range doms {
+		dh.Write(binary.LittleEndian.AppendUint32(nil, d))
+	}
+	return h.Sum64(), dh.Sum64()
+}
+
+// TestConcurrentMatchesSerialMonitor checks the concurrent monitor against
+// the serial one: the same flagged log, byte for byte, and the same tainted
+// domain set. The streams cover coarse false positives (flagged but
+// untainted events), a stalling queue and, on a hand-built stream,
+// pending-FIFO enqueues.
+func TestConcurrentMatchesSerialMonitor(t *testing.T) {
+	untaintedSeen := false
+	for _, o := range oracleStreams {
+		t.Run(o.name, func(t *testing.T) {
+			p := workload.MustGet(o.profile)
+			cfg := o.cfg()
+			sres, err := engine.RunProfile(context.Background(), &serialMonitor{producer: producer{cfg: cfg}}, p,
+				engine.RunOptions{Events: cfg.Events})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sres.(serialResult)
+			got := runConcurrent(t, p, cfg)
+
+			flag, taint := want.digests()
+			if n := uint64(len(want.log) / 21); got.FlaggedEvents != n {
+				t.Errorf("flagged %d events, serial monitor %d", got.FlaggedEvents, n)
+			}
+			if got.FlagDigest != flag {
+				t.Errorf("flag digest %x, serial monitor %x", got.FlagDigest, flag)
+			}
+			if got.MonitorDomains != len(want.domains) || got.MonitorTaintHash != taint {
+				t.Errorf("monitor domains %d (hash %x), serial monitor %d (%x)",
+					got.MonitorDomains, got.MonitorTaintHash, len(want.domains), taint)
+			}
+			if got.FlaggedEvents == 0 || got.MonitorDomains == 0 {
+				t.Fatalf("vacuous stream: %d flagged events, %d domains", got.FlaggedEvents, got.MonitorDomains)
+			}
+			if got.Ring.Pushes != got.FlaggedEvents || got.Ring.Pops != got.FlaggedEvents {
+				t.Errorf("ring pushed %d and popped %d of %d flagged events",
+					got.Ring.Pushes, got.Ring.Pops, got.FlaggedEvents)
+			}
+			if got.FlaggedEvents > uint64(recordsInDomains(want.log, want.domains)) {
+				untaintedSeen = true
+			}
+		})
+	}
+	t.Run("pending", func(t *testing.T) {
+		want := pendingStream(t, &serialMonitor{producer: producer{cfg: DefaultConfig()}}).(serialResult)
+		got := pendingStream(t, NewConcurrent(DefaultConfig())).(ConcurrentResult)
+		if got.PendingExtraPositives == 0 {
+			t.Fatal("no event was enqueued through the pending-update FIFO")
+		}
+		if flag, taint := want.digests(); got.FlagDigest != flag || got.MonitorTaintHash != taint {
+			t.Errorf("digests %x/%x, serial monitor %x/%x", got.FlagDigest, got.MonitorTaintHash, flag, taint)
+		}
+	})
+	if !untaintedSeen {
+		t.Error("no stream flagged an event outside the tainted domains; domain marking is unchecked")
+	}
+}
+
+// pendingStream steps b through a hand-built stream that enqueues through
+// the pending-update FIFO, which the calibrated streams never do: stores
+// into a tainted region, the region's taint cleared, then loads from it
+// inside the pending lag.
+func pendingStream(t *testing.T, b engine.BatchBackend) engine.Result {
+	t.Helper()
+	s, err := engine.NewSession(b.Config())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := b.Init(s); err != nil {
+		t.Fatal(err)
+	}
+	const base, n = 0x10000, 64
+	setTaint := func(tag shadow.Tag) {
+		for a := uint32(base); a < base+n; a++ {
+			s.Shadow.Set(a, tag)
+		}
+	}
+	access := func(write, tainted bool) []trace.Event {
+		evs := make([]trace.Event, 16)
+		for i := range evs {
+			evs[i] = trace.Event{PC: uint32(0x1000 + 4*i), Addr: base + uint32(4*i), Size: 4,
+				IsMem: true, IsWrite: write, Tainted: tainted}
+		}
+		return evs
+	}
+	setTaint(shadow.MustLabel(0))
+	b.StepBatch(s, access(true, true))
+	setTaint(shadow.TagClean)
+	b.StepBatch(s, access(false, false))
+	return b.Finish(s)
+}
+
+// recordsInDomains counts the logged records whose domain is in domains.
+func recordsInDomains(log []byte, domains map[uint32]bool) int {
+	n := 0
+	for i := 0; i+21 <= len(log); i += 21 {
+		if domains[binary.LittleEndian.Uint32(log[i+16:])] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestConcurrentMatchesAnalyticModel pins the producer-side contract: the
+// concurrent backend's embedded Result equals the analytic backend's on the
+// same stream field for field, except the two queue overheads, which the
+// monitor measures incrementally and which agree to float tolerance.
+func TestConcurrentMatchesAnalyticModel(t *testing.T) {
+	const tol = 1e-9
+	for _, o := range oracleStreams {
+		t.Run(o.name, func(t *testing.T) {
+			p := workload.MustGet(o.profile)
+			cfg := o.cfg()
+			want, err := Run(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runConcurrent(t, p, cfg).Result
+			if d := math.Abs(got.QueueOverheadSimple - want.QueueOverheadSimple); d > tol {
+				t.Errorf("simple queue overhead %.12f, analytic %.12f (|Δ|=%g)",
+					got.QueueOverheadSimple, want.QueueOverheadSimple, d)
+			}
+			if d := math.Abs(got.QueueOverheadOptimized - want.QueueOverheadOptimized); d > tol {
+				t.Errorf("optimized queue overhead %.12f, analytic %.12f (|Δ|=%g)",
+					got.QueueOverheadOptimized, want.QueueOverheadOptimized, d)
+			}
+			got.QueueOverheadSimple, got.QueueOverheadOptimized = 0, 0
+			want.QueueOverheadSimple, want.QueueOverheadOptimized = 0, 0
+			if got != want {
+				t.Errorf("window model diverged from analytic platch:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestConcurrentQueueOracleAgreement is the stall-path check: on a stream
+// that overruns a 16-entry FIFO, the monitor's virtual-time queues report
+// the same stalls as the analytic queues, and the stall delay they add
+// matches the analytic overhead, which must be well clear of zero.
+func TestConcurrentQueueOracleAgreement(t *testing.T) {
+	p := workload.MustGet("astar")
+	cfg := concCfg()
+	cfg.QueueDepth = 16
+	am, cm := telemetry.NewMetrics(), telemetry.NewMetrics()
+	cfg.Observer = am
+	oracle, err := Run(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Observer = cm
+	got := runConcurrent(t, p, cfg)
+	as, cs := am.Snapshot(), cm.Snapshot()
+	if as.QueueStalls == 0 {
+		t.Fatal("the analytic queue never stalled; the stall path is unexercised")
+	}
+	if cs.QueueStalls != as.QueueStalls || cs.QueueMaxDepth != as.QueueMaxDepth {
+		t.Fatalf("monitor queues stalled %d times (max depth %d), analytic %d (%d)",
+			cs.QueueStalls, cs.QueueMaxDepth, as.QueueStalls, as.QueueMaxDepth)
+	}
+	if oracle.QueueOverheadSimple < 0.01 {
+		t.Fatalf("analytic simple queue overhead %.6f: the stalls add no delay", oracle.QueueOverheadSimple)
 	}
 	const tol = 1e-9
-	serial, err := RunConcurrent(p, concCfg(1), nil)
-	if err != nil {
-		t.Fatal(err)
+	if d := math.Abs(got.QueueOverheadSimple - oracle.QueueOverheadSimple); d > tol {
+		t.Fatalf("simple queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
+			got.QueueOverheadSimple, oracle.QueueOverheadSimple, d)
 	}
-	if d := math.Abs(serial.QueueOverheadSimple - oracle.QueueOverheadSimple); d > tol {
-		t.Fatalf("serial simple queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
-			serial.QueueOverheadSimple, oracle.QueueOverheadSimple, d)
-	}
-	if d := math.Abs(serial.QueueOverheadOptimized - oracle.QueueOverheadOptimized); d > tol {
-		t.Fatalf("serial optimized queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
-			serial.QueueOverheadOptimized, oracle.QueueOverheadOptimized, d)
-	}
-	for _, shards := range shardSweep[1:] {
-		got, err := RunConcurrent(p, concCfg(shards), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.QueueOverheadSimple > oracle.QueueOverheadSimple+tol {
-			t.Fatalf("shards=%d: queue overhead %.12f exceeds serial oracle %.12f",
-				shards, got.QueueOverheadSimple, oracle.QueueOverheadSimple)
-		}
-		if got.StallsSimple > serial.StallsSimple {
-			t.Fatalf("shards=%d: %d stalls exceed serial %d — sharding made pressure worse",
-				shards, got.StallsSimple, serial.StallsSimple)
-		}
+	if d := math.Abs(got.QueueOverheadOptimized - oracle.QueueOverheadOptimized); d > tol {
+		t.Fatalf("optimized queue overhead %.12f vs oracle %.12f (|Δ|=%g)",
+			got.QueueOverheadOptimized, oracle.QueueOverheadOptimized, d)
 	}
 }
 
-// TestConcurrentDeterminismPin is the determinism satellite: repeated runs
-// at shard counts {1,2,4,8} must produce byte-identical flagged logs,
-// cycle tables, monitor taint hashes, and session snapshots — and the
-// deterministic core must additionally be identical ACROSS shard counts.
-// Real ring statistics are scheduling-dependent and deliberately absent
-// from every assertion here.
+// TestConcurrentDeterminismPin is the determinism check: repeated runs
+// must produce identical results — flagged-log digest, monitor taint hash,
+// window model, queue measurements — and identical session snapshots. Real
+// ring statistics are scheduling-dependent and deliberately left out.
 func TestConcurrentDeterminismPin(t *testing.T) {
 	runs := 50
 	if testing.Short() {
 		runs = 8
 	}
 	p := workload.MustGet("apache")
-
-	type pinned struct {
-		res  ConcurrentResult
-		snap engine.Snapshot
-	}
-	one := func(shards int) pinned {
-		cfg := concCfg(shards)
-		cfg.Events = 60_000
-		res, s, err := engine.RunProfileSession(context.Background(), NewConcurrent(cfg), p,
-			engine.RunOptions{Events: cfg.Events})
+	one := func() (ConcurrentResult, engine.Snapshot) {
+		res, s, err := engine.RunProfileSession(context.Background(), NewConcurrent(DefaultConfig()), p,
+			engine.RunOptions{Events: 60_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pinned{res: res.(ConcurrentResult), snap: s.Snapshot()}
+		cr := res.(ConcurrentResult)
+		cr.Ring = ring.Stats{}
+		return cr, s.Snapshot()
 	}
-	var ref pinned // shards=1 reference for the cross-shard-count contract
-	for si, shards := range shardSweep {
-		first := one(shards)
-		if si == 0 {
-			ref = first
+	first, firstSnap := one()
+	if first.FlaggedEvents == 0 {
+		t.Fatal("no flagged events reached the monitor")
+	}
+	for run := 1; run < runs; run++ {
+		got, snap := one()
+		if got != first {
+			t.Fatalf("run %d: result diverged:\n got %+v\nwant %+v", run, got, first)
 		}
-		for run := 1; run < runs; run++ {
-			got := one(shards)
-			if got.res.FlagDigest != first.res.FlagDigest ||
-				!reflect.DeepEqual(got.res.Flagged, first.res.Flagged) {
-				t.Fatalf("shards=%d run %d: flagged log diverged", shards, run)
-			}
-			if got.res.CycleTable() != first.res.CycleTable() {
-				t.Fatalf("shards=%d run %d: cycle table diverged:\n got %+v\nwant %+v",
-					shards, run, got.res.CycleTable(), first.res.CycleTable())
-			}
-			if got.res.MonitorTaintHash != first.res.MonitorTaintHash ||
-				got.res.MonitorDomains != first.res.MonitorDomains {
-				t.Fatalf("shards=%d run %d: monitor taint state diverged", shards, run)
-			}
-			if got.snap != first.snap {
-				t.Fatalf("shards=%d run %d: session snapshot diverged:\n got %+v\nwant %+v",
-					shards, run, got.snap, first.snap)
-			}
-			// The virtual-time queue measurement is deterministic at a
-			// fixed shard count.
-			if got.res.QueueOverheadSimple != first.res.QueueOverheadSimple ||
-				got.res.QueueOverheadOptimized != first.res.QueueOverheadOptimized ||
-				got.res.StallsSimple != first.res.StallsSimple ||
-				!reflect.DeepEqual(got.res.ShardStats, first.res.ShardStats) {
-				t.Fatalf("shards=%d run %d: queue measurement diverged", shards, run)
-			}
-		}
-		// Shard-count invariance of the deterministic core.
-		if first.res.FlagDigest != ref.res.FlagDigest ||
-			!reflect.DeepEqual(first.res.Flagged, ref.res.Flagged) {
-			t.Fatalf("shards=%d: flagged log differs from serial", shards)
-		}
-		if first.res.MonitorTaintHash != ref.res.MonitorTaintHash ||
-			first.res.MonitorDomains != ref.res.MonitorDomains {
-			t.Fatalf("shards=%d: monitor taint state differs from serial", shards)
-		}
-		if first.res.CycleTable() != ref.res.CycleTable() {
-			t.Fatalf("shards=%d: cycle table differs from serial:\n got %+v\nwant %+v",
-				shards, first.res.CycleTable(), ref.res.CycleTable())
-		}
-		if first.snap != ref.snap {
-			t.Fatalf("shards=%d: session snapshot differs from serial", shards)
+		if snap != firstSnap {
+			t.Fatalf("run %d: session snapshot diverged:\n got %+v\nwant %+v", run, snap, firstSnap)
 		}
 	}
 }
 
-// TestConcurrentShardPartition checks the region partition: every shard's
-// flagged events carry only domains congruent to its index, and the shard
-// tables are disjoint (their domain counts sum to the merged count).
-func TestConcurrentShardPartition(t *testing.T) {
-	cfg := concCfg(4)
-	res, err := RunConcurrent(workload.MustGet("apache"), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events uint64
-	domains := 0
-	for _, st := range res.ShardStats {
-		events += st.Events
-		domains += st.Domains
-	}
-	if events != res.FlaggedEvents {
-		t.Fatalf("shard events sum %d != merged %d", events, res.FlaggedEvents)
-	}
-	if domains != res.MonitorDomains {
-		t.Fatalf("shard domain counts sum %d != merged %d (tables overlap)", domains, res.MonitorDomains)
-	}
-	seen := make(map[uint64]bool, len(res.Flagged))
-	var prev uint64
-	for i, f := range res.Flagged {
-		if i > 0 && f.Seq <= prev {
-			t.Fatalf("merged log not strictly Seq-ordered at %d", i)
-		}
-		prev = f.Seq
-		if seen[f.Seq] {
-			t.Fatalf("duplicate seq %d in merged log", f.Seq)
-		}
-		seen[f.Seq] = true
-	}
-}
-
-// TestConcurrentRegistryAndSharding covers the registry path the CLIs use:
-// look up "cplatch", configure the shard count through engine.Sharded, run.
+// TestConcurrentRegistryAndSharding covers the registry path: look up
+// "cplatch", name the monitor count through engine.Sharded (only one
+// monitor exists), run, and reject reuse.
 func TestConcurrentRegistryAndSharding(t *testing.T) {
 	sch, err := engine.Lookup("cplatch")
 	if err != nil {
@@ -229,10 +350,12 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 	if !ok {
 		t.Fatal("registered cplatch backend does not implement engine.Sharded")
 	}
-	if err := sharded.SetShards(0); err == nil {
-		t.Fatal("SetShards(0) accepted")
+	for _, n := range []int{0, 2, 4, -1} {
+		if err := sharded.SetShards(n); err == nil {
+			t.Fatalf("SetShards(%d) accepted", n)
+		}
 	}
-	if err := sharded.SetShards(2); err != nil {
+	if err := sharded.SetShards(1); err != nil {
 		t.Fatal(err)
 	}
 	res, err := engine.RunProfile(context.Background(), b, workload.MustGet("gcc"),
@@ -240,12 +363,8 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres := res.(ConcurrentResult)
-	if cres.Shards != 2 {
-		t.Fatalf("shards = %d, want 2", cres.Shards)
-	}
-	if err := sharded.SetShards(4); err == nil {
-		t.Fatal("SetShards after Init accepted")
+	if cols := res.Columns(); cols[0] != (engine.Column{Label: "shards", Value: 1}) {
+		t.Fatalf("first column %+v, want shards 1", cols[0])
 	}
 	if _, _, err := engine.RunProfileSession(context.Background(), b, workload.MustGet("gcc"),
 		engine.RunOptions{Events: 1000}); err == nil {
@@ -255,13 +374,11 @@ func TestConcurrentRegistryAndSharding(t *testing.T) {
 
 // TestConcurrentFinishIdempotent pins the defensive-finalization contract
 // the differential checker relies on: a second Finish returns the memoized
-// result instead of re-closing rings or re-joining shards.
+// result instead of re-closing the ring or re-joining the monitor.
 func TestConcurrentFinishIdempotent(t *testing.T) {
-	cfg := concCfg(2)
-	cfg.Events = 20_000
-	b := NewConcurrent(cfg)
+	b := NewConcurrent(DefaultConfig())
 	res, s, err := engine.RunProfileSession(context.Background(), b, workload.MustGet("apache"),
-		engine.RunOptions{Events: cfg.Events})
+		engine.RunOptions{Events: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,33 +389,17 @@ func TestConcurrentFinishIdempotent(t *testing.T) {
 }
 
 // TestConcurrentZeroEvents: an empty stream yields a clean zero result, no
-// NaNs, and joined shards.
+// NaNs, and a joined monitor.
 func TestConcurrentZeroEvents(t *testing.T) {
-	cfg := concCfg(4)
+	cfg := concCfg()
 	cfg.Events = 0
-	res, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FlaggedEvents != 0 || len(res.Flagged) != 0 {
-		t.Fatalf("flagged %d on an empty stream", res.FlaggedEvents)
+	res := runConcurrent(t, workload.MustGet("gcc"), cfg)
+	if res.FlaggedEvents != 0 || res.MonitorDomains != 0 {
+		t.Fatalf("flagged %d events, %d domains on an empty stream", res.FlaggedEvents, res.MonitorDomains)
 	}
 	for _, c := range res.Columns() {
 		if f, ok := c.Value.(float64); ok && math.IsNaN(f) {
 			t.Fatalf("column %s is NaN", c.Label)
 		}
-	}
-}
-
-func TestConcurrentConfigValidation(t *testing.T) {
-	cfg := DefaultConcurrentConfig()
-	cfg.Shards = 0
-	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil); err == nil {
-		t.Fatal("zero shards accepted")
-	}
-	cfg = DefaultConcurrentConfig()
-	cfg.RingCapacity = 3
-	if _, err := RunConcurrent(workload.MustGet("gcc"), cfg, nil); err == nil {
-		t.Fatal("non-power-of-two ring accepted")
 	}
 }

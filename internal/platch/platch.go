@@ -36,7 +36,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "platch",
 		Title: "P-LATCH: filtered two-core log-based DIFT (§5.2)",
-		New:   func() engine.Backend { return &backend{cfg: DefaultConfig()} },
+		New:   func() engine.Backend { return &backend{producer: producer{cfg: DefaultConfig()}} },
 	})
 }
 
@@ -247,6 +247,46 @@ func (w *windows) fraction() float64 {
 	return float64(w.active) / float64(w.total)
 }
 
+// producer is the monitored-core state both P-LATCH backends share: the
+// enqueue filter and the window accounting. Each backend embeds it and adds
+// its own queue model — the analytic one steps queues here, the concurrent
+// one publishes flagged events to its monitor.
+type producer struct {
+	cfg  Config
+	filt *filter
+	win  windows
+}
+
+// Config implements engine.Backend.
+func (p *producer) Config() latch.Config { return p.cfg.Latch }
+
+// init resets the filter and the window accounting for a new run.
+func (p *producer) init() {
+	p.filt = newFilter(p.cfg.PendingEntries, p.cfg.PendingLagInstrs)
+	p.win = windows{size: p.cfg.WindowInstrs}
+}
+
+// result closes the last window and evaluates the analytical window model.
+// The queue overheads are left zero for the caller's queue model to fill.
+func (p *producer) result(s *engine.Session) Result {
+	f := p.win.fraction()
+	// A zero-event stream has no positives to enqueue; avoid 0/0 = NaN,
+	// which would poison downstream aggregation and break Result equality.
+	enqueuedFrac := 0.0
+	if s.Events > 0 {
+		enqueuedFrac = float64(p.filt.positives) / float64(s.Events)
+	}
+	return Result{
+		Benchmark:             s.Profile.Name,
+		Events:                s.Events,
+		ActiveWindowFraction:  f,
+		OverheadSimple:        f * p.cfg.SimpleLBAOverhead,
+		OverheadOptimized:     f * p.cfg.OptimizedLBAOverhead,
+		EnqueuedFraction:      enqueuedFrac,
+		PendingExtraPositives: p.filt.pendingExtra,
+	}
+}
+
 // Result holds one benchmark's P-LATCH metrics (Figure 15).
 type Result struct {
 	Benchmark string
@@ -379,10 +419,7 @@ func BaselineQueueOverhead(events uint64, cfg Config) (simple, optimized float64
 // window-activity accounting, the pending-update FIFO, and the two
 // LATCH-filtered queue simulations.
 type backend struct {
-	cfg Config
-
-	filt           *filter
-	win            windows
+	producer
 	queueSimple    queue
 	queueOptimized queue
 }
@@ -390,13 +427,9 @@ type backend struct {
 // Name implements engine.Backend.
 func (b *backend) Name() string { return "platch" }
 
-// Config implements engine.Backend.
-func (b *backend) Config() latch.Config { return b.cfg.Latch }
-
 // Init implements engine.Backend.
 func (b *backend) Init(s *engine.Session) error {
-	b.filt = newFilter(b.cfg.PendingEntries, b.cfg.PendingLagInstrs)
-	b.win = windows{size: b.cfg.WindowInstrs}
+	b.init()
 	b.queueSimple = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.SimpleLBAOverhead), s.Observer)
 	b.queueOptimized = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.OptimizedLBAOverhead), s.Observer)
 	return nil
@@ -427,30 +460,15 @@ func (b *backend) StepBatch(s *engine.Session, evs []trace.Event) {
 // Finish implements engine.Backend: close the last window, then evaluate
 // the analytical window model and read the queue simulations.
 func (b *backend) Finish(s *engine.Session) engine.Result {
-	f := b.win.fraction()
-	// A zero-event stream has no positives to enqueue; avoid 0/0 = NaN,
-	// which would poison downstream aggregation and break Result equality.
-	enqueuedFrac := 0.0
-	if s.Events > 0 {
-		enqueuedFrac = float64(b.filt.positives) / float64(s.Events)
-	}
-
-	return Result{
-		Benchmark:              s.Profile.Name,
-		Events:                 s.Events,
-		ActiveWindowFraction:   f,
-		OverheadSimple:         f * b.cfg.SimpleLBAOverhead,
-		OverheadOptimized:      f * b.cfg.OptimizedLBAOverhead,
-		QueueOverheadSimple:    b.queueSimple.overhead(),
-		QueueOverheadOptimized: b.queueOptimized.overhead(),
-		EnqueuedFraction:       enqueuedFrac,
-		PendingExtraPositives:  b.filt.pendingExtra,
-	}
+	res := b.result(s)
+	res.QueueOverheadSimple = b.queueSimple.overhead()
+	res.QueueOverheadOptimized = b.queueOptimized.overhead()
+	return res
 }
 
 // Run evaluates one benchmark under P-LATCH.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{cfg: cfg}, p,
+	res, err := engine.RunProfile(context.Background(), &backend{producer: producer{cfg: cfg}}, p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err

@@ -16,9 +16,9 @@
 //     a calibrated-stream taint run) is hashed with its source kind and
 //     per-kind ordinal; the event is tainted iff the hash falls under
 //     SampleFraction. A given SampleSeed therefore always taints the
-//     same subset of inputs — across repeated runs, across backends,
-//     and across cplatch shard counts — because the decision is a pure
-//     function of (seed, kind, ordinal), never of scheduling.
+//     same subset of inputs — across repeated runs and across backends —
+//     because the decision is a pure function of (seed, kind, ordinal),
+//     never of scheduling.
 //
 //   - TrustFraction: the declarative replacement for the old
 //     `TrustConn func(conn int) bool` hook, evaluated by the same

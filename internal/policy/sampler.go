@@ -5,7 +5,7 @@ package policy
 // freely) and every decision is a pure function of (seed, kind,
 // ordinal) — no internal state, no dependence on scheduling — which is
 // what makes sampled taint sets identical across repeated runs,
-// backends, worker counts, and cplatch shard counts.
+// backends, and worker counts.
 //
 // The decision rule is a nested-threshold construction: an event is
 // sampled iff hash(seed, kind, ordinal) falls under a threshold that

@@ -1,6 +1,6 @@
 // Package ring provides the lock-free single-producer single-consumer ring
-// buffer that decouples the monitored core from the DIFT monitor shards in
-// the concurrent P-LATCH backend (§5.2's commit-log FIFO, realized).
+// buffer that decouples the monitored core from the DIFT monitor in the
+// concurrent P-LATCH backend (§5.2's commit-log FIFO, realized).
 //
 // The design follows the classic bounded SPSC queue used by decoupled
 // hardware monitors: a power-of-two slot array indexed by free-running

@@ -22,8 +22,8 @@ type WorkloadJob struct {
 	Workload string `json:"workload"`
 	// Events is the stream length; 0 selects the facade default.
 	Events uint64 `json:"events,omitempty"`
-	// Shards is the monitor shard count for sharded backends; 0 keeps the
-	// backend default.
+	// Shards names the monitor count: 0 (the default) or 1, since every
+	// backend runs one monitor.
 	Shards int `json:"shards,omitempty"`
 	// Deadline bounds the run (e.g. "2s"). Empty uses the server default;
 	// the server maximum caps it either way.

@@ -356,18 +356,6 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, job *WorkloadJob, 
 		s.fail(st, err)
 		return
 	}
-	b := sch.New()
-	if job.Shards > 0 {
-		sb, ok := b.(engine.Sharded)
-		if !ok {
-			s.fail(st, fmt.Errorf("backend %s does not support shard configuration", job.Backend))
-			return
-		}
-		if err := sb.SetShards(job.Shards); err != nil {
-			s.fail(st, err)
-			return
-		}
-	}
 	events := job.Events
 	if events == 0 {
 		events = latch.DefaultRunEvents
@@ -399,7 +387,7 @@ func (s *Server) runWorkload(ctx context.Context, st *stream, job *WorkloadJob, 
 	if job.Policy != nil {
 		runOpts.Policy = *job.Policy
 	}
-	res, err := engine.RunProfile(ctx, b, p, runOpts)
+	res, err := engine.RunProfile(ctx, sch.New(), p, runOpts)
 	close(stopTicker)
 	if err != nil {
 		s.fail(st, err)

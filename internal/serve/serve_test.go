@@ -414,7 +414,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown backend", "/v1/run", serve.WorkloadJob{Backend: "no-such", Workload: "gcc"}},
 		{"unknown workload", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "no-such"}},
 		{"negative shards", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "gcc", Shards: -1}},
-		{"shards on unsharded", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "gcc", Shards: 2}},
+		{"shards on unsharded", "/v1/run", serve.WorkloadJob{Backend: "cplatch", Workload: "gcc", Shards: 2}},
 		{"zero deadline", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "gcc", Deadline: "0s"}},
 		{"negative deadline", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "gcc", Deadline: "-1s"}},
 		{"malformed deadline", "/v1/run", serve.WorkloadJob{Backend: "slatch", Workload: "gcc", Deadline: "soon"}},

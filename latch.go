@@ -72,8 +72,8 @@ type (
 	Policy = policy.Policy
 	// Sampling is the deterministic source-sampling spec carried by a
 	// Policy (selective tracing): a seeded per-source-event Bernoulli
-	// filter that taints the same subset of inputs across runs, backends,
-	// and shard counts.
+	// filter that taints the same subset of inputs across runs and
+	// backends.
 	Sampling = policy.Sampling
 	// Propagation selects the taint-propagation rule set of a Policy.
 	Propagation = policy.Propagation
