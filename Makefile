@@ -96,9 +96,11 @@ diffcheck:
 # tables are derived from, internal/vm is the interpreter, internal/cache
 # models the TLB and taint caches every coarse check goes through,
 # internal/workload generates every replayed stream, internal/platch is
-# P-LATCH's filter and queue models, and internal/latch is the module
-# itself, including the reconfiguration recycled sessions run through —
-# each must hold statement coverage at or above 85%.
+# every P-LATCH machine (the filter and queue models, the concurrent
+# backend, and the two-core co-simulation of real programs), and
+# internal/latch is the module itself, including the reconfiguration
+# recycled sessions run through — each must hold statement coverage at or
+# above 85%.
 COVER_PKGS = policy mem engine shadow vm cache workload platch latch
 
 cover:

@@ -12,23 +12,24 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log"
 
-	"latch/internal/cosim"
+	"latch/internal/platch"
 	"latch/internal/policy"
 	"latch/internal/telemetry"
 	"latch/internal/workload"
 )
 
-func run(filtered bool, input []byte, obs telemetry.Observer) (*cosim.Parallel, error) {
-	cfg := cosim.DefaultParallelConfig()
+func run(filtered bool, input []byte, obs telemetry.Observer) (*platch.Parallel, error) {
+	cfg := platch.DefaultParallelConfig()
 	cfg.Filtered = filtered
 	cfg.Observer = obs
 	// A small FIFO makes backpressure visible on this short kernel: the
 	// baseline fills it and stalls the monitored core; the filter doesn't.
 	cfg.QueueDepth = 64
-	sys, err := cosim.NewParallel(cfg, policy.Default())
+	sys, err := platch.NewParallel(cfg, policy.Default())
 	if err != nil {
 		return nil, err
 	}
@@ -68,13 +69,15 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("--- deferred detection of a control-flow hijack ---")
-	cfg := cosim.DefaultParallelConfig()
-	sys, err := cosim.NewParallel(cfg, policy.Default())
+	cfg := platch.DefaultParallelConfig()
+	sys, err := platch.NewParallel(cfg, policy.Default())
 	if err != nil {
 		log.Fatal(err)
 	}
-	attack := append(make([]byte, 16), 0x00, 0x10, 0x00, 0x00)
-	sys.Machine.Env.FileData = attack
+	// The 4 bytes past the 16-byte buffer overwrite the function pointer
+	// with the hijack target.
+	const target = 0x1000
+	sys.Machine.Env.FileData = binary.LittleEndian.AppendUint32(make([]byte, 16), target)
 	src, err := workload.ProgramSource("overflow")
 	if err != nil {
 		log.Fatal(err)
@@ -86,6 +89,9 @@ func main() {
 		fmt.Printf("monitor detected %v\n", v.Violation)
 		fmt.Printf("  issued at instruction %d, detected at %d (lag %d instructions)\n",
 			v.IssuedAt, v.DetectedAt, v.Lag())
+		if v.Violation.Addr != target {
+			log.Fatalf("monitor reported target %#x, the hijack jumped to %#x", v.Violation.Addr, target)
+		}
 	}
 	if len(sys.Violations()) == 0 {
 		log.Fatal("attack not detected")

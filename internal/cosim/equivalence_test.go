@@ -7,6 +7,7 @@ import (
 	"latch/internal/dift"
 	"latch/internal/isa"
 	"latch/internal/mem"
+	"latch/internal/platch"
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/vm"
@@ -73,14 +74,14 @@ func runSLatchCosim(t *testing.T, src string, input []byte, requests [][]byte) (
 
 func runParallelCosim(t *testing.T, src string, input []byte, requests [][]byte) (finalState, int, error) {
 	t.Helper()
-	sys, err := NewParallel(DefaultParallelConfig(), policy.Default())
+	sys, err := platch.NewParallel(platch.DefaultParallelConfig(), policy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Machine.Env.FileData = input
 	sys.Machine.Env.Requests = requests
+	// Run drains the log on every return, fault or step limit included.
 	_, runErr := sys.Run(context.Background(), src, 1_000_000)
-	sys.drain()
 	return finalState{
 		regs: sys.Machine.Regs, exitCode: sys.Machine.ExitCode(),
 		output: sys.Machine.Env.Output.String(), tainted: taintSnapshot(sys.Shadow),

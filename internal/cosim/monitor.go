@@ -1,25 +1,22 @@
 // Package cosim executes real LA32 programs under the LATCH integrations,
-// with the byte-precise DIFT engine running alongside as ground truth. It
-// offers two machines:
+// with the byte-precise DIFT engine running alongside as ground truth.
 //
-//   - Monitor runs any registered engine backend over a program's commit
-//     stream. Each committed instruction becomes the trace.Event the
-//     calibrated generators emit, with the precise engine's verdict in its
-//     Tainted flag, and the backend steps it through a shared
-//     engine.Session. With the "slatch" backend this is the cycle-accounted
-//     S-LATCH co-simulation (§5.1, Figure 9): hardware mode checks memory
-//     operands against the coarse taint state and register operands
-//     through the Tainted flag (the TRF check), a confirmed trap moves
-//     execution to the modeled instrumented image, and the 1000-instruction
-//     timeout moves it back. The two-mode protocol and its cost constants
-//     live only in package slatch and the engine's epoch machine.
+// Its one machine, Monitor, runs any registered engine backend over a
+// program's commit stream. Each committed instruction becomes the
+// trace.Event the calibrated generators emit, with the precise engine's
+// verdict in its Tainted flag, and the backend steps it through a shared
+// engine.Session. With the "slatch" backend this is the cycle-accounted
+// S-LATCH co-simulation (§5.1, Figure 9): hardware mode checks memory
+// operands against the coarse taint state and register operands through the
+// Tainted flag (the TRF check), a confirmed trap moves execution to the
+// modeled instrumented image, and the 1000-instruction timeout moves it
+// back. The two-mode protocol and its cost constants live only in package
+// slatch and the engine's epoch machine.
 //
-//   - Parallel is the two-core P-LATCH machine (§5.2): the monitored core
-//     filters committed instructions through the coarse state and its own
-//     TRF into a shared log, and a lagging monitor replays the log through
-//     the precise engine. It models what Monitor cannot: the log's
-//     sync-point drains, its stalls, and the detection lag of deferred
-//     violations.
+// The two-core P-LATCH machine (§5.2) is platch.Parallel. Monitor commits
+// every instruction synchronously; Parallel's monitor lags, writing the
+// shadow only as it replays the log, so it lives with the other P-LATCH
+// machines and their shared parameters.
 //
 // Soundness argument mirrored from the paper: in S-LATCH hardware mode no
 // instruction with a tainted source operand executes un-trapped (tainted

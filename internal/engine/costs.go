@@ -1,12 +1,11 @@
 package engine
 
-import "latch/internal/latch"
-
 // Costs is the engine-level table of the cycle-cost constants the
 // integrations share. The paper's §6.1 numbers live in exactly one place:
 // here, except the CTC miss penalty, whose single definition is
-// latch.DefaultCTCMissPenalty (it parameterizes the module itself and is
-// surfaced in this table for completeness).
+// latch.DefaultCTCMissPenalty: it parameterizes the module itself, and the
+// Session charges the value in the module's own latch.Config, so geometry
+// ablations stay consistent with the module they sweep.
 type Costs struct {
 	// CtxSwitch is the cost of saving/restoring the native context on each
 	// direction of a mode switch (getcontext/setcontext, §6.1).
@@ -25,20 +24,15 @@ type Costs struct {
 	// instructions without touching taint, control returns to hardware
 	// (1000 in the paper, §5.1.3).
 	TimeoutInstrs uint64
-	// CTCMissPenalty is the cycle cost of a CTC miss. The value charged at
-	// run time comes from the module's own latch.Config, so geometry
-	// ablations stay consistent with the module they sweep.
-	CTCMissPenalty uint64
 }
 
 // DefaultCosts returns the paper's constants.
 func DefaultCosts() Costs {
 	return Costs{
-		CtxSwitch:      400,
-		FPCheck:        120,
-		ScanPerDomain:  20,
-		CodeCacheLat:   800,
-		TimeoutInstrs:  1000,
-		CTCMissPenalty: latch.DefaultCTCMissPenalty,
+		CtxSwitch:     400,
+		FPCheck:       120,
+		ScanPerDomain: 20,
+		CodeCacheLat:  800,
+		TimeoutInstrs: 1000,
 	}
 }

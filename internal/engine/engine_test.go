@@ -81,12 +81,11 @@ func TestCycles(t *testing.T) {
 func TestDefaultCosts(t *testing.T) {
 	c := engine.DefaultCosts()
 	want := engine.Costs{
-		CtxSwitch:      400,
-		FPCheck:        120,
-		ScanPerDomain:  20,
-		CodeCacheLat:   800,
-		TimeoutInstrs:  1000,
-		CTCMissPenalty: latch.DefaultCTCMissPenalty,
+		CtxSwitch:     400,
+		FPCheck:       120,
+		ScanPerDomain: 20,
+		CodeCacheLat:  800,
+		TimeoutInstrs: 1000,
 	}
 	if c != want {
 		t.Fatalf("DefaultCosts = %+v, want %+v", c, want)
@@ -219,12 +218,11 @@ func TestSessionEpochMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := engine.Costs{
-		CtxSwitch:      400,
-		FPCheck:        120,
-		ScanPerDomain:  20,
-		CodeCacheLat:   800,
-		TimeoutInstrs:  3,
-		CTCMissPenalty: 150,
+		CtxSwitch:     400,
+		FPCheck:       120,
+		ScanPerDomain: 20,
+		CodeCacheLat:  800,
+		TimeoutInstrs: 3,
 	}
 	s.ConfigureEpochs(costs, 4, 800)
 	if s.Mode() != engine.ModeHardware {

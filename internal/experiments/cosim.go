@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"latch/internal/cosim"
+	"latch/internal/platch"
 	"latch/internal/slatch"
 	"latch/internal/stats"
 	"latch/internal/vm"
@@ -78,21 +79,21 @@ func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 	rows := make([][]any, len(cosimCases))
 	err := r.runJobs("platch-cosim", cosimCaseNames(), func(i int, name string, js *JobStat) error {
 		c := cosimCases[i]
-		run := func(filtered bool) (cosim.ParallelStats, error) {
-			cfg := cosim.DefaultParallelConfig()
+		run := func(filtered bool) (platch.ParallelStats, error) {
+			cfg := platch.DefaultParallelConfig()
 			cfg.Filtered = filtered
 			cfg.Observer = r.passObserver("platch-cosim")
-			sys, err := cosim.NewParallel(cfg, r.policy())
+			sys, err := platch.NewParallel(cfg, r.policy())
 			if err != nil {
-				return cosim.ParallelStats{}, err
+				return platch.ParallelStats{}, err
 			}
 			c.setup(sys.Machine.Env)
 			src, err := workload.ProgramSource(c.program)
 			if err != nil {
-				return cosim.ParallelStats{}, err
+				return platch.ParallelStats{}, err
 			}
 			if _, err := sys.Run(context.Background(), src, 1_000_000); err != nil {
-				return cosim.ParallelStats{}, fmt.Errorf("platch-cosim %s: %w", c.name, err)
+				return platch.ParallelStats{}, fmt.Errorf("platch-cosim %s: %w", c.name, err)
 			}
 			return sys.Stats(), nil
 		}

@@ -58,9 +58,6 @@ const (
 	// Figure 15 means (optimized LBA integration).
 	PaperPLatchSPECMeanOptimized    = 0.076
 	PaperPLatchNetworkMeanOptimized = 0.101
-	// Baseline LBA overheads (from [6,7] as used in §6.2).
-	PaperLBASimpleOverhead    = 2.38
-	PaperLBAOptimizedOverhead = 0.36
 	// §6.4 complexity results.
 	PaperLEIncreasePct        = 4.0
 	PaperMemBitsIncreasePct   = 5.0

@@ -233,8 +233,8 @@ func (b *cbackend) Init(s *engine.Session) error {
 		done:    make(chan struct{}),
 		digest:  fnv.New64a(),
 		domains: make(map[uint32]struct{}),
-		qSimple: newVQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.SimpleLBAOverhead), s.Observer),
-		qOpt:    newVQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.OptimizedLBAOverhead), s.Observer),
+		qSimple: newVQueue(b.cfg.QueueDepth, serviceCycles(simpleLBAOverhead), s.Observer),
+		qOpt:    newVQueue(b.cfg.QueueDepth, serviceCycles(optimizedLBAOverhead), s.Observer),
 	}
 	go b.mon.run()
 	return nil

@@ -29,6 +29,30 @@ func TestPendingFIFOBasics(t *testing.T) {
 	}
 }
 
+// TestPendingRing drives the FIFO the way Parallel does: entries carry no
+// expiry and leave by pop, one per store the monitor processes.
+func TestPendingRing(t *testing.T) {
+	empty := newPendingFIFO(1)
+	empty.pop() // popping an empty ring is a no-op
+	if empty.count != 0 || empty.full() {
+		t.Fatal("pop on empty corrupted state")
+	}
+	r := newPendingFIFO(2)
+	r.push(1, 0)
+	r.push(2, 0)
+	if !r.full() {
+		t.Fatal("two entries should fill a capacity-2 ring")
+	}
+	r.push(3, 0) // evicts 1
+	if r.pending(1) || !r.pending(2) || !r.pending(3) {
+		t.Fatal("ring membership wrong")
+	}
+	r.pop()
+	if r.pending(2) || !r.pending(3) || r.count != 1 {
+		t.Fatal("pop did not retire oldest")
+	}
+}
+
 func TestPendingFIFODuplicateDomains(t *testing.T) {
 	f := newPendingFIFO(4)
 	f.push(7, 100)
@@ -40,12 +64,6 @@ func TestPendingFIFODuplicateDomains(t *testing.T) {
 	f.retire(250)
 	if f.pending(7) {
 		t.Fatal("domain still pending after both expired")
-	}
-}
-
-func TestPendingFIFODisabled(t *testing.T) {
-	if newPendingFIFO(0) != nil {
-		t.Fatal("zero capacity should disable the structure")
 	}
 }
 
@@ -61,14 +79,5 @@ func TestPendingExtraPositivesAreRare(t *testing.T) {
 	extraRate := float64(r.PendingExtraPositives) / float64(r.Events)
 	if extraRate > 0.001 {
 		t.Fatalf("pending protection caused %.4f%% extra enqueues, want < 0.1%%", 100*extraRate)
-	}
-	// Disabled structure yields zero extras.
-	cfg.PendingEntries = 0
-	r2, err := Run(workload.MustGet("apache"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.PendingExtraPositives != 0 {
-		t.Fatal("disabled FIFO still produced extras")
 	}
 }

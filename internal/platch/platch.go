@@ -6,20 +6,24 @@
 // enqueueing only instructions the coarse taint state flags, the queue is
 // empty for long stretches and both cores run freely.
 //
-// Two models are provided, matching the paper's methodology (§6.2):
+// The package holds every P-LATCH machine, on the parameters defined once
+// below:
 //
-//   - the analytical window model the paper uses for Figure 15: LBA's
-//     reported overhead is charged only during 1000-instruction windows that
-//     contain coarse-positive activity;
-//
-//   - a discrete queue simulation (producer / bounded FIFO / consumer) as a
+//   - the analytic "platch" backend: the window model the paper uses for
+//     Figure 15 (§6.2: LBA's reported overhead is charged only during
+//     1000-instruction windows that contain coarse-positive activity), and
+//     a discrete queue simulation (producer / bounded FIFO / consumer) as a
 //     finer-grained cross-check, stepped with the stream in O(QueueDepth)
-//     memory; BaselineQueueOverhead runs the same simulation unfiltered and
-//     reproduces the baseline LBA overheads from first principles.
+//     memory; BaselineQueueOverhead runs it unfiltered and reproduces the
+//     baseline LBA overheads from first principles;
+//   - the concurrent "cplatch" backend (cplatch.go), whose monitor core is
+//     a goroutine behind a lock-free ring;
+//   - Parallel (parallel.go), the two-core co-simulation of real LA32
+//     programs, whose lagging monitor replays the log through the
+//     byte-precise DIFT engine.
 //
-// The scheme is an engine.Backend over the shared Session; this package
-// contributes the filtering policy, the window accounting, and the queue
-// models. It registers itself with the engine under the name "platch".
+// Both backends are engine.Backends over the shared Session and register
+// themselves with the engine under their names.
 package platch
 
 import (
@@ -40,34 +44,45 @@ func init() {
 	})
 }
 
+// The paper's P-LATCH parameters (§5.2, §6.2), shared by every machine in
+// this package.
+const (
+	// windowInstrs is the activity-measurement granularity of the window
+	// model.
+	windowInstrs = 1000
+
+	// simpleLBAOverhead is the reported overhead over native execution of
+	// the baseline 2-core LBA monitor ([7] via §6.2); optimizedLBAOverhead
+	// that of the hardware-optimized LBA scheme (36%).
+	simpleLBAOverhead    = 2.38
+	optimizedLBAOverhead = 0.36
+
+	// logEntries is the default capacity of the log FIFO between the cores.
+	logEntries = 1024
+
+	// pendingEntries sizes the pending-update FIFO: destination domains of
+	// enqueued stores are treated as tainted until the monitor has
+	// processed them and the coarse state is known current, preventing
+	// false negatives from outstanding CTT updates. The analytic backends
+	// model the monitor's processing lag as pendingLagInstrs monitored-core
+	// instructions.
+	pendingEntries   = 64
+	pendingLagInstrs = 200
+)
+
+// moduleConfig is the LATCH module geometry of every P-LATCH machine: the
+// paper defaults with eager clearing and no baseline taint cache.
+func moduleConfig() latch.Config {
+	lc := latch.DefaultConfig()
+	lc.Clear = latch.EagerClear
+	lc.BaselineTCache = false
+	return lc
+}
+
 // Config parameterizes the P-LATCH evaluation.
 type Config struct {
-	Latch latch.Config
-
-	// WindowInstrs is the activity-measurement granularity (1000 in §6.2).
-	WindowInstrs uint64
-
-	// SimpleLBAOverhead is the reported overhead of the baseline 2-core LBA
-	// monitor (3.38x runtime => 2.38 overhead, [7] via §6.2).
-	SimpleLBAOverhead float64
-
-	// OptimizedLBAOverhead is the reported overhead of the hardware-
-	// optimized LBA scheme (36% => 0.36).
-	OptimizedLBAOverhead float64
-
 	// QueueDepth is the FIFO capacity in log entries for the simulation.
 	QueueDepth int
-
-	// PendingEntries sizes the pending-update FIFO of §5.2: destination
-	// operands of enqueued stores are treated as tainted until the monitor
-	// has processed them and the coarse state is known current, preventing
-	// false negatives from outstanding CTT updates. Zero disables the
-	// structure.
-	PendingEntries int
-
-	// PendingLagInstrs is how many monitored-core instructions an entry
-	// stays pending — the modeled monitor processing lag.
-	PendingLagInstrs uint64
 
 	Events uint64
 
@@ -83,26 +98,19 @@ type Config struct {
 
 // DefaultConfig returns the paper's P-LATCH parameters.
 func DefaultConfig() Config {
-	lc := latch.DefaultConfig()
-	lc.Clear = latch.EagerClear
-	lc.BaselineTCache = false
 	return Config{
-		Latch:                lc,
-		WindowInstrs:         1000,
-		SimpleLBAOverhead:    2.38,
-		OptimizedLBAOverhead: 0.36,
-		QueueDepth:           1024,
-		PendingEntries:       64,
-		PendingLagInstrs:     200,
-		Events:               2_000_000,
+		QueueDepth: logEntries,
+		Events:     2_000_000,
 	}
 }
 
 // pendingFIFO is the small FIFO-like structure of §5.2: it tracks the
 // destination taint domains of recently enqueued stores and reports them
-// tainted until the monitor catches up. Overflow retires the oldest entry
-// early (the monitored core would briefly stall to let the monitor drain;
-// the conservative direction is handled by the queue itself).
+// tainted until the monitor catches up. The analytic backends retire
+// entries by expiry; Parallel pops one per store its monitor processes.
+// Overflow retires the oldest entry early (the monitored core would briefly
+// stall to let the monitor drain; the conservative direction is handled by
+// the queue itself).
 type pendingFIFO struct {
 	ring    []pendingEntry
 	head    int
@@ -116,18 +124,17 @@ type pendingEntry struct {
 }
 
 func newPendingFIFO(capacity int) *pendingFIFO {
-	if capacity <= 0 {
-		return nil
-	}
 	return &pendingFIFO{
 		ring:    make([]pendingEntry, capacity),
 		domains: make(map[uint32]int),
 	}
 }
 
+func (f *pendingFIFO) full() bool { return f.count == len(f.ring) }
+
 // push records a store destination pending until the given time.
 func (f *pendingFIFO) push(domain uint32, expiry uint64) {
-	if f.count == len(f.ring) {
+	if f.full() {
 		f.pop()
 	}
 	f.ring[(f.head+f.count)%len(f.ring)] = pendingEntry{domain: domain, expiry: expiry}
@@ -135,7 +142,11 @@ func (f *pendingFIFO) push(domain uint32, expiry uint64) {
 	f.domains[domain]++
 }
 
+// pop retires the oldest entry; on an empty FIFO it does nothing.
 func (f *pendingFIFO) pop() {
+	if f.count == 0 {
+		return
+	}
 	e := f.ring[f.head]
 	f.head = (f.head + 1) % len(f.ring)
 	f.count--
@@ -168,13 +179,12 @@ func (f *pendingFIFO) pending(domain uint32) bool {
 // construction.
 type filter struct {
 	pend         *pendingFIFO
-	lag          uint64
 	positives    uint64
 	pendingExtra uint64
 }
 
-func newFilter(entries int, lag uint64) *filter {
-	return &filter{pend: newPendingFIFO(entries), lag: lag}
+func newFilter() *filter {
+	return &filter{pend: newPendingFIFO(pendingEntries)}
 }
 
 // decide consumes one stream event and reports whether it is enqueued to
@@ -189,7 +199,7 @@ func (f *filter) decide(s *engine.Session, ev trace.Event) (enq, viaPending bool
 	if check.CoarsePositive {
 		enq = true
 		f.positives++
-	} else if f.pend != nil {
+	} else {
 		// §5.2: destinations of queued stores stay conservatively tainted
 		// until the monitor has processed them.
 		f.pend.retire(s.Events)
@@ -199,14 +209,14 @@ func (f *filter) decide(s *engine.Session, ev trace.Event) (enq, viaPending bool
 			f.pendingExtra++
 		}
 	}
-	if enq && ev.IsWrite && f.pend != nil {
-		f.pend.push(s.Shadow.DomainIndex(ev.Addr), s.Events+f.lag)
+	if enq && ev.IsWrite {
+		f.pend.push(s.Shadow.DomainIndex(ev.Addr), s.Events+pendingLagInstrs)
 	}
 	return enq, viaPending
 }
 
 // windows is the §6.2 activity accounting shared by both P-LATCH backends:
-// the fraction of WindowInstrs-sized windows containing at least one
+// the fraction of windowInstrs-sized windows containing at least one
 // instruction that manipulates tainted data.
 type windows struct {
 	size   uint64
@@ -258,12 +268,12 @@ type producer struct {
 }
 
 // Config implements engine.Backend.
-func (p *producer) Config() latch.Config { return p.cfg.Latch }
+func (p *producer) Config() latch.Config { return moduleConfig() }
 
 // init resets the filter and the window accounting for a new run.
 func (p *producer) init() {
-	p.filt = newFilter(p.cfg.PendingEntries, p.cfg.PendingLagInstrs)
-	p.win = windows{size: p.cfg.WindowInstrs}
+	p.filt = newFilter()
+	p.win = windows{size: windowInstrs}
 }
 
 // result closes the last window and evaluates the analytical window model.
@@ -280,8 +290,8 @@ func (p *producer) result(s *engine.Session) Result {
 		Benchmark:             s.Profile.Name,
 		Events:                s.Events,
 		ActiveWindowFraction:  f,
-		OverheadSimple:        f * p.cfg.SimpleLBAOverhead,
-		OverheadOptimized:     f * p.cfg.OptimizedLBAOverhead,
+		OverheadSimple:        f * simpleLBAOverhead,
+		OverheadOptimized:     f * optimizedLBAOverhead,
 		EnqueuedFraction:      enqueuedFrac,
 		PendingExtraPositives: p.filt.pendingExtra,
 	}
@@ -406,8 +416,8 @@ func serviceCycles(lbaOverhead float64) float64 { return 1 + lbaOverhead }
 // events instructions enqueued, as under plain LBA — at cfg's queue depth
 // and both reported LBA service rates.
 func BaselineQueueOverhead(events uint64, cfg Config) (simple, optimized float64) {
-	sq := newQueue(cfg.QueueDepth, serviceCycles(cfg.SimpleLBAOverhead), nil)
-	oq := newQueue(cfg.QueueDepth, serviceCycles(cfg.OptimizedLBAOverhead), nil)
+	sq := newQueue(cfg.QueueDepth, serviceCycles(simpleLBAOverhead), nil)
+	oq := newQueue(cfg.QueueDepth, serviceCycles(optimizedLBAOverhead), nil)
 	for i := uint64(0); i < events; i++ {
 		sq.step(true)
 		oq.step(true)
@@ -430,8 +440,8 @@ func (b *backend) Name() string { return "platch" }
 // Init implements engine.Backend.
 func (b *backend) Init(s *engine.Session) error {
 	b.init()
-	b.queueSimple = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.SimpleLBAOverhead), s.Observer)
-	b.queueOptimized = newQueue(b.cfg.QueueDepth, serviceCycles(b.cfg.OptimizedLBAOverhead), s.Observer)
+	b.queueSimple = newQueue(b.cfg.QueueDepth, serviceCycles(simpleLBAOverhead), s.Observer)
+	b.queueOptimized = newQueue(b.cfg.QueueDepth, serviceCycles(optimizedLBAOverhead), s.Observer)
 	return nil
 }
 

@@ -115,10 +115,10 @@ func TestBaselineQueueOverheadMatchesQueueSim(t *testing.T) {
 			all[i] = true
 		}
 		simple, optimized := BaselineQueueOverhead(n, cfg)
-		if w := queueSim(all, cfg.QueueDepth, 1+cfg.SimpleLBAOverhead, nil); simple != w {
+		if w := queueSim(all, cfg.QueueDepth, serviceCycles(simpleLBAOverhead), nil); simple != w {
 			t.Errorf("n=%d: simple baseline %v, queueSim %v", n, simple, w)
 		}
-		if w := queueSim(all, cfg.QueueDepth, 1+cfg.OptimizedLBAOverhead, nil); optimized != w {
+		if w := queueSim(all, cfg.QueueDepth, serviceCycles(optimizedLBAOverhead), nil); optimized != w {
 			t.Errorf("n=%d: optimized baseline %v, queueSim %v", n, optimized, w)
 		}
 	}
