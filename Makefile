@@ -29,15 +29,16 @@ vet:
 # goroutines, so this catches data races in the pool, the suite runners,
 # and the per-job simulation state. The second pass re-runs the
 # truly-concurrent tier — the SPSC ring stress/fuzz seeds, the cplatch
-# monitor determinism pin, and concurrent profile runs sharing
-# engine.RunProfile's idle-session list — a second time for extra schedule
-# diversity on the lock-free and locked paths.
+# monitor determinism pin, concurrent profile runs sharing
+# engine.RunProfile's idle-session list, and two engine.RunSweep sweeps with
+# cplatch consumers sharing the idle sessions and spare modules — a second
+# time for extra schedule diversity on the lock-free and locked paths.
 # -timeout 30m: the experiments package alone needs ~8 minutes under the
 # race detector on a single-CPU box, too close to Go's 10m default.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 30m -count=2 \
-		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestRunProfileConcurrent' \
+		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestRunProfileConcurrent|TestRunSweepConcurrent' \
 		./internal/ring ./internal/platch ./internal/enginetest
 
 verify: fmt test vet race diffcheck serve-smoke paper-smoke examples

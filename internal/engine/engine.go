@@ -17,6 +17,19 @@
 // EventBatchSize events, and a canceled run stops fewer than
 // CancelCheckEvents events after its cancellation.
 //
+// One stream can feed many consumers. RunSweep streams a profile through
+// several backends of one domain size at once: one generator and one
+// shadow, a module, Session and backend per consumer. The shadow's watchers
+// fan every transition out to each consumer's module in consumer order, and
+// every consumer steps each batch before the generator's next shadow
+// mutation, so each result equals that backend's solo RunProfile; a
+// consumer that writes the shared shadow fails the sweep. A Recording is a
+// profile's unsampled stream, generated once and replayed into runs that
+// differ only in their sampling: each run materializes the layout under its
+// own sampling and reads a recorded tainted event as tainted only where its
+// shadow holds taint. Record refuses a profile whose stream reads the
+// shadow after materialization, the only case where that is exact.
+//
 // Runs do not build their Session: like the paper's LATCH module, which is
 // cleared between runs rather than rebuilt (§5.1), a session is recycled.
 // RunProfile takes one from a process-wide idle list, Session.Recycle
@@ -24,7 +37,12 @@
 // back. The list holds at most GOMAXPROCS sessions, and a session returns to
 // it only while its shadow maps at most 8,192 tag pages and its coarse
 // tables kept the size Config.AddressSpan gives them, so the idle sessions
-// a process keeps stay bounded (about 56 MiB each) whatever it ran.
+// a process keeps stay bounded (about 56 MiB each) whatever it ran. A
+// sweep's first consumer runs on such a session; the others run on spare
+// modules attached to its shadow for the sweep, which the idle state keeps
+// beside the sessions: at most 8 per GOMAXPROCS, each only with its coarse
+// tables at their AddressSpan size (about 2 MiB at 64-byte domains, 16 MiB
+// at 8-byte ones).
 package engine
 
 import (
@@ -192,25 +210,34 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 }
 
 // run drives one profile through b on s, which NewSession or Recycle has just
-// prepared for b's geometry.
+// prepared for b's geometry. Batches close on the EventBatchSize grid and
+// before every shadow mutation, so each event is checked against the state
+// it was generated under, and every multiple of CancelCheckEvents is a batch
+// end.
 func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.Policy = opts.Policy
 	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, opts.Policy.Sampling)
 	if err != nil {
 		return nil, err
 	}
-	// Layout materialization populated the coarse state through the shadow
-	// watchers; measure only the steady-state reference stream. The
-	// observer attaches after the reset for the same reason: it sees
-	// exactly the measured stream.
-	s.Module.ResetStats()
-	s.lastMisses = 0
-	s.AttachObserver(opts.Observer)
-	s.Profile = p
-	s.Target = opts.Events
+	return s.drive(ctx, b, p, opts, func(deliver func([]trace.Event) bool) {
+		g.RunBatches(opts.Events, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+			if !deliver(evs) {
+				g.Stop()
+			}
+		})
+	})
+}
+
+// drive is the batch driver of every single-backend run, once p's layout is
+// in s's shadow: it arms s for the run, initializes b, hands b every batch
+// stream produces, polling ctx at the batch ends on the CancelCheckEvents
+// grid, and finalizes b. stream calls deliver once per batch and stops at
+// the first false, which reports a cancellation.
+func (s *Session) drive(ctx context.Context, b Backend, p workload.Profile, opts RunOptions, stream func(deliver func([]trace.Event) bool)) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s.begin(p, opts)
 	// A context canceled before the stream starts aborts here, before the
 	// backend spins up any per-run machinery (monitor goroutines included).
 	if err := ctx.Err(); err != nil {
@@ -219,37 +246,75 @@ func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts R
 	if err := b.Init(s); err != nil {
 		return nil, err
 	}
-	// One driver for every backend. Batches close on the EventBatchSize grid
-	// and before every shadow mutation, so each event is checked against the
-	// state it was generated under, and every multiple of CancelCheckEvents
-	// is a batch end, where ctx is polled.
+	c := newConsumer(s, b)
 	done := ctx.Done()
-	bb, batched := b.(BatchBackend)
-	g.RunBatches(opts.Events, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
-		if batched {
-			bb.StepBatch(s, evs)
-		} else {
-			for i := range evs {
-				s.Events++
-				b.Step(s, evs[i])
-			}
-		}
-		if s.Events&(CancelCheckEvents-1) == 0 && done != nil {
-			select {
-			case <-done:
-				g.Stop()
-			default:
-			}
-		}
+	stopped := false
+	stream(func(evs []trace.Event) bool {
+		c.step(evs)
+		stopped = canceled(done, s.Events)
+		return !stopped
 	})
 	// Finalize unconditionally: the concurrent backend's Finish closes its
 	// ring and joins its monitor goroutine, which must happen on the
 	// cancellation path too.
 	res := b.Finish(s)
-	if g.Stopped() {
+	if stopped {
 		return nil, ctx.Err()
 	}
 	return res, nil
+}
+
+// begin arms s for a run of p under opts once the layout is materialized.
+// Materialization populated the coarse state through the shadow watchers;
+// the module's counters are reset so that only the steady-state reference
+// stream is measured, and the observer attaches after the reset for the
+// same reason: it sees exactly the measured stream.
+func (s *Session) begin(p workload.Profile, opts RunOptions) {
+	s.Module.ResetStats()
+	s.lastMisses = 0
+	s.AttachObserver(opts.Observer)
+	s.Profile = p
+	s.Target = opts.Events
+	s.Policy = opts.Policy
+}
+
+// consumer is one backend and the session it runs on: what every driver
+// (RunProfile, RunSweep, Recording.Run) delivers batches to.
+type consumer struct {
+	s  *Session
+	b  Backend
+	bb BatchBackend // b's batched entry point; nil when b steps per event
+}
+
+func newConsumer(s *Session, b Backend) consumer {
+	bb, _ := b.(BatchBackend)
+	return consumer{s: s, b: b, bb: bb}
+}
+
+// step delivers one batch.
+func (c consumer) step(evs []trace.Event) {
+	if c.bb != nil {
+		c.bb.StepBatch(c.s, evs)
+		return
+	}
+	for i := range evs {
+		c.s.Events++
+		c.b.Step(c.s, evs[i])
+	}
+}
+
+// canceled polls done when events, a driver's cursor at a batch end, sits on
+// the CancelCheckEvents grid.
+func canceled(done <-chan struct{}, events uint64) bool {
+	if events&(CancelCheckEvents-1) != 0 || done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // RunScheme runs the named registered backend, in its paper-default

@@ -115,14 +115,23 @@ func (s *Session) Recycle(cfg latch.Config) error {
 // 56 MiB, whatever geometries it served.
 const maxIdlePages = 8192
 
+// idleModulesPerProc bounds the spare modules the idle state keeps per
+// GOMAXPROCS: enough for one sweep of nine consumers on every processor. A
+// spare module keeps only its coarse tables and caches, about 2 MiB at
+// 64-byte domains and 16 MiB at 8-byte ones.
+const idleModulesPerProc = 8
+
 // idle is the free list RunProfile and RunProfileSession take their
 // sessions from. It holds at most GOMAXPROCS sessions. A process that holds
 // more sessions at once, such as a latch-serve with more workers than CPUs
 // whose jobs keep theirs while they stream, builds a fresh one for each run
-// that finds the list empty.
+// that finds the list empty. Beside them it keeps the spare modules a
+// sweep's later consumers run on, detached from any shadow, at most
+// idleModulesPerProc per GOMAXPROCS.
 var idle struct {
 	mu       sync.Mutex
 	sessions []*Session
+	modules  []*latch.Module
 }
 
 // takeSession returns an idle session recycled for cfg, or a new one when
@@ -157,6 +166,45 @@ func releaseSession(s *Session) {
 	idle.mu.Lock()
 	if len(idle.sessions) < runtime.GOMAXPROCS(0) {
 		idle.sessions = append(idle.sessions, s)
+	}
+	idle.mu.Unlock()
+}
+
+// takeModule returns a spare module attached to sh and reconfigured for cfg,
+// or a new one when none is spare. sh must have cfg's domain size.
+func takeModule(cfg latch.Config, sh *shadow.Shadow) (*latch.Module, error) {
+	idle.mu.Lock()
+	var m *latch.Module
+	if n := len(idle.modules); n > 0 {
+		m = idle.modules[n-1]
+		idle.modules[n-1] = nil
+		idle.modules = idle.modules[:n-1]
+	}
+	idle.mu.Unlock()
+	if m != nil {
+		m.Shadow = sh
+		if m.Reconfigure(cfg) == nil {
+			return m, nil
+		}
+	}
+	return latch.New(cfg, sh)
+}
+
+// releaseModule detaches a sweep consumer's module from the shared shadow
+// and keeps it as a spare, unless the spares are full or its tables grew
+// past Config.AddressSpan. It must run before the shadow's Reset: the
+// module's Reset finds its coarse words through the shadow's ever-tainted
+// pages.
+func releaseModule(m *latch.Module) {
+	m.SetObserver(nil)
+	if m.TablesGrown() {
+		return
+	}
+	m.Reset()
+	m.Shadow = nil
+	idle.mu.Lock()
+	if len(idle.modules) < idleModulesPerProc*runtime.GOMAXPROCS(0) {
+		idle.modules = append(idle.modules, m)
 	}
 	idle.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"latch/internal/engine"
@@ -10,7 +11,6 @@ import (
 	"latch/internal/slatch"
 	"latch/internal/stats"
 	"latch/internal/trace"
-	"latch/internal/workload"
 )
 
 // Ablation studies for the design choices DESIGN.md §5 calls out. These go
@@ -20,7 +20,11 @@ import (
 //
 // Each benchmark's full parameter sweep is one pool job: the sweep shares
 // nothing across benchmarks, and the per-job derived seed keeps the row
-// independent of scheduling.
+// independent of scheduling. Within a job, every sweep point whose module
+// shares the domain size runs as one consumer of a single engine.RunSweep
+// over one stream; only the domain-size sweep, which needs a shadow per
+// point, runs its points one by one. Every run carries the Runner's policy,
+// so its sampling reaches each point.
 
 // ablationBenchmarks is the mix used by all sweeps.
 var ablationBenchmarks = []string{"gcc", "sphinx3", "apache"}
@@ -38,16 +42,16 @@ func (r *Runner) AblationDomainSize() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
+		opts := r.ablationOptions("ablation-domain")
 		row := []any{name}
 		for _, ds := range Fig6Granularities {
 			cfg := hlatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Latch.DomainSize = ds
-			cfg.Observer = r.passObserver("ablation-domain")
-			res, err := hlatch.Run(p, cfg)
+			out, err := engine.RunProfile(context.Background(), hlatch.NewBackend(cfg), p, opts)
 			if err != nil {
 				return err
 			}
+			res := out.(hlatch.Result)
 			js.Events += res.Events
 			js.Checks += res.Checks
 			fpPerK := 1000 * float64(res.Latch.FalsePositives) / float64(res.Checks)
@@ -82,16 +86,19 @@ func (r *Runner) AblationTimeout() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		row := []any{name}
-		for _, to := range timeouts {
+		backends := make([]engine.Backend, len(timeouts))
+		for k, to := range timeouts {
 			cfg := slatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Costs.TimeoutInstrs = to
-			cfg.Observer = r.passObserver("ablation-timeout")
-			res, err := slatch.Run(p, cfg)
-			if err != nil {
-				return err
-			}
+			backends[k] = slatch.NewBackend(cfg)
+		}
+		out, err := engine.RunSweep(context.Background(), p, backends, r.ablationOptions("ablation-timeout"))
+		if err != nil {
+			return err
+		}
+		row := []any{name}
+		for _, o := range out {
+			res := o.(slatch.Result)
 			js.Events += res.Events
 			js.Checks += res.Latch.Checks
 			row = append(row, res.Overhead())
@@ -125,16 +132,19 @@ func (r *Runner) AblationCTCSize() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		row := []any{name}
-		for _, n := range sizes {
+		backends := make([]engine.Backend, len(sizes))
+		for k, n := range sizes {
 			cfg := hlatch.DefaultConfig()
-			cfg.Events = r.opts.Events / 4
 			cfg.Latch.CTCEntries = n
-			cfg.Observer = r.passObserver("ablation-ctc")
-			res, err := hlatch.Run(p, cfg)
-			if err != nil {
-				return err
-			}
+			backends[k] = hlatch.NewBackend(cfg)
+		}
+		out, err := engine.RunSweep(context.Background(), p, backends, r.ablationOptions("ablation-ctc"))
+		if err != nil {
+			return err
+		}
+		row := []any{name}
+		for _, o := range out {
+			res := o.(hlatch.Result)
 			js.Events += res.Events
 			js.Checks += res.Checks
 			row = append(row, res.CTCMissPct)
@@ -169,65 +179,22 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 		p.ChurnProb = 0.8
 		p.TaintReuse = 4
 
-		type outcome struct {
-			marked, truth int
-		}
-		// The three policies run on one session, recycled between them.
-		cfg := latch.DefaultConfig()
-		cfg.BaselineTCache = false
-		sess, err := engine.NewSession(cfg)
-		if err != nil {
-			return err
-		}
-		run := func(clear latch.ClearPolicy) (outcome, error) {
+		// The three policies are three consumers of one stream.
+		backends := make([]engine.Backend, 3)
+		for k, clear := range []latch.ClearPolicy{latch.EagerClear, latch.LazyClear, latch.NoClear} {
+			cfg := latch.DefaultConfig()
+			cfg.BaselineTCache = false
 			cfg.Clear = clear
-			if err := sess.Recycle(cfg); err != nil {
-				return outcome{}, err
-			}
-			sh, m := sess.Shadow, sess.Module
-			m.SetObserver(r.passObserver("ablation-clear"))
-			g, err := workload.NewSampledGeneratorOn(p, sh, r.sampling())
-			if err != nil {
-				return outcome{}, err
-			}
-			var n uint64
-			g.Run(r.opts.Events/4, trace.SinkFunc(func(ev trace.Event) {
-				n++
-				if clear == latch.LazyClear && n%10_000 == 0 {
-					// Model the periodic timeout returns that trigger the
-					// resident clear-bit scan.
-					m.ScanResidentClears()
-				}
-			}))
-			js.Events += n
-			if clear == latch.LazyClear {
-				m.ScanResidentClears()
-			}
-			// Ground truth: count domains that still hold taint.
-			truth := 0
-			for _, pn := range sh.EverTaintedPageNumbers() {
-				base := pn << 12
-				for off := uint32(0); off < 4096; off += cfg.DomainSize {
-					if sh.DomainTainted(sh.DomainIndex(base + off)) {
-						truth++
-					}
-				}
-			}
-			return outcome{marked: m.CTT().TaintedDomains(), truth: truth}, nil
+			backends[k] = &clearBackend{cfg: cfg}
 		}
-
-		eager, err := run(latch.EagerClear)
+		out, err := engine.RunSweep(context.Background(), p, backends, r.ablationOptions("ablation-clear"))
 		if err != nil {
 			return err
 		}
-		lazy, err := run(latch.LazyClear)
-		if err != nil {
-			return err
+		for _, o := range out {
+			js.Events += o.EventCount()
 		}
-		none, err := run(latch.NoClear)
-		if err != nil {
-			return err
-		}
+		eager, lazy, none := out[0].(clearResult), out[1].(clearResult), out[2].(clearResult)
 		stale := 0.0
 		if none.marked > 0 {
 			stale = 100 * float64(none.marked-none.truth) / float64(none.marked)
@@ -242,6 +209,66 @@ func (r *Runner) AblationClearBits() (*stats.Table, error) {
 		t.AddRowf(row...)
 	}
 	return t, nil
+}
+
+// clearBackend runs the clear-bit ablation's stream through one clear
+// policy. Under LazyClear it runs the resident clear-bit scan every
+// clearScanEvents events, modeling the periodic timeout returns that trigger
+// it, and once more at the end.
+type clearBackend struct {
+	cfg latch.Config
+}
+
+// clearScanEvents is the clear-bit ablation's scan period under LazyClear.
+const clearScanEvents = 10_000
+
+// clearResult is one policy's outcome: the coarse domains the CTT still
+// marks after the stream, against the domains that truly hold taint.
+type clearResult struct {
+	bench         string
+	events        uint64
+	marked, truth int
+}
+
+func (r clearResult) BenchmarkName() string { return r.bench }
+func (r clearResult) EventCount() uint64    { return r.events }
+func (r clearResult) CheckCount() uint64    { return 0 }
+func (r clearResult) Columns() []engine.Column {
+	return []engine.Column{{Label: "marked", Value: r.marked}, {Label: "truly tainted", Value: r.truth}}
+}
+
+func (b *clearBackend) Name() string                 { return "clear-" + b.cfg.Clear.String() }
+func (b *clearBackend) Config() latch.Config         { return b.cfg }
+func (b *clearBackend) Init(s *engine.Session) error { return nil }
+
+func (b *clearBackend) Step(s *engine.Session, ev trace.Event) {
+	if b.cfg.Clear == latch.LazyClear && s.Events%clearScanEvents == 0 {
+		s.Module.ScanResidentClears()
+	}
+}
+
+func (b *clearBackend) Finish(s *engine.Session) engine.Result {
+	if b.cfg.Clear == latch.LazyClear {
+		s.Module.ScanResidentClears()
+	}
+	// Ground truth: count domains that still hold taint.
+	sh := s.Shadow
+	truth := 0
+	for _, pn := range sh.EverTaintedPageNumbers() {
+		base := pn << 12
+		for off := uint32(0); off < 4096; off += b.cfg.DomainSize {
+			if sh.DomainTainted(sh.DomainIndex(base + off)) {
+				truth++
+			}
+		}
+	}
+	return clearResult{bench: s.Profile.Name, events: s.Events, marked: s.Module.CTT().TaintedDomains(), truth: truth}
+}
+
+// ablationOptions is the run options of one ablation pass: a quarter of the
+// stream length, the pass's observer and the Runner's policy.
+func (r *Runner) ablationOptions(pass string) engine.RunOptions {
+	return engine.RunOptions{Events: r.opts.Events / 4, Observer: r.passObserver(pass), Policy: r.opts.Policy}
 }
 
 // AblationQueueDepth sweeps the P-LATCH shared-FIFO depth in the queue
@@ -261,16 +288,19 @@ func (r *Runner) AblationQueueDepth() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		row := []any{name}
-		for _, d := range depths {
+		backends := make([]engine.Backend, len(depths))
+		for k, d := range depths {
 			cfg := platch.DefaultConfig()
 			cfg.QueueDepth = d
-			cfg.Events = r.opts.Events / 4
-			cfg.Observer = r.passObserver("ablation-queue")
-			res, err := platch.Run(p, cfg)
-			if err != nil {
-				return err
-			}
+			backends[k] = platch.NewBackend(cfg)
+		}
+		out, err := engine.RunSweep(context.Background(), p, backends, r.ablationOptions("ablation-queue"))
+		if err != nil {
+			return err
+		}
+		row := []any{name}
+		for _, o := range out {
+			res := o.(platch.Result)
 			js.Events += res.Events
 			row = append(row, res.QueueOverheadSimple)
 		}

@@ -29,7 +29,8 @@ const frontierSeeds = 8
 // (no near-taint or churn components), so the streams at every fraction
 // are address-identical and only the tainted flags shrink — the sampled
 // sets nest, which is what makes the measured overhead mechanically
-// comparable across fractions.
+// comparable across fractions, and what lets engine.Record generate each
+// workload's stream once for all its points.
 var frontierWorkloads = []string{"bzip2", "cactusADM", "gobmk", "lbm", "sjeng"}
 
 // frontierAttacks are the detection side: the canned attacks whose taint
@@ -111,6 +112,10 @@ func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
 // workloads. The sampler's nested thresholds make both columns
 // mechanically monotone in the fraction: the tainted set at a lower
 // fraction is a subset of the set at any higher one.
+//
+// The detection side is one pool job per fraction. The overhead side is one
+// job per frontier workload: it records the workload's unsampled stream
+// once and replays it into every (fraction, seed) point (engine.Record).
 func (r *Runner) Frontier() ([]FrontierRow, error) {
 	r.mu.Lock()
 	if r.frontier != nil {
@@ -142,44 +147,64 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 			}
 		}
 		row.DetectionPct = 100 * float64(row.Detected) / float64(row.AttackRuns)
-		// The overhead estimate averages over the same seeds as the
-		// detection estimate: a single seed's sweep collapses to the
-		// in-or-out decision of the handful of taint runs a short stream
-		// touches, while the seed mean resolves the fraction itself.
-		// Each seed's sweep is monotone by nesting, so the mean is too.
-		for seed := uint64(1); seed <= frontierSeeds; seed++ {
-			pol := r.policy()
-			pol.Sampling = policy.Sampling{SampleFraction: f, SampleSeed: seed}
-			opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("sampling"), Policy: pol}
-			for _, wname := range frontierWorkloads {
-				// The profile seed derives from (pass, workload) only —
-				// never the fraction or sampling seed — so every sweep
-				// point replays the same address stream and the
-				// overheads are comparable.
-				p, err := r.jobProfile("sampling", wname)
-				if err != nil {
-					return err
-				}
-				res, err := engine.RunScheme(context.Background(), "slatch", p, opts)
-				if err != nil {
-					return fmt.Errorf("sampling %s @ %.2f: %w", wname, f, err)
-				}
-				sr, ok := res.(slatch.Result)
-				if !ok {
-					return fmt.Errorf("sampling: slatch returned %T", res)
-				}
-				js.Events += sr.Events
-				row.MeanOverhead += sr.Overhead()
-				row.SWInstrPct += 100 * float64(sr.SWInstrs) / float64(sr.Events)
-			}
-		}
-		row.MeanOverhead /= float64(len(frontierWorkloads) * frontierSeeds)
-		row.SWInstrPct /= float64(len(frontierWorkloads) * frontierSeeds)
 		rows[i] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+
+	// The overhead estimate averages over the same seeds as the detection
+	// estimate: a single seed's sweep collapses to the in-or-out decision
+	// of the handful of taint runs a short stream touches, while the seed
+	// mean resolves the fraction itself. Each seed's sweep is monotone by
+	// nesting, so the mean is too. points[w][i][seed-1] is workload w's
+	// point at fraction i.
+	type point struct{ overhead, swInstrPct float64 }
+	points := make([][][frontierSeeds]point, len(frontierWorkloads))
+	err = r.runJobs("sampling", frontierWorkloads, func(w int, wname string, js *JobStat) error {
+		// The profile seed derives from (pass, workload) only — never the
+		// fraction or sampling seed — so every point replays the same
+		// address stream and the overheads are comparable.
+		p, err := r.jobProfile("sampling", wname)
+		if err != nil {
+			return err
+		}
+		rec, err := engine.Record(p, r.opts.Events)
+		if err != nil {
+			return fmt.Errorf("sampling %s: %w", wname, err)
+		}
+		points[w] = make([][frontierSeeds]point, len(FrontierFractions))
+		for i, f := range FrontierFractions {
+			for seed := uint64(1); seed <= frontierSeeds; seed++ {
+				pol := r.policy()
+				pol.Sampling = policy.Sampling{SampleFraction: f, SampleSeed: seed}
+				opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("sampling"), Policy: pol}
+				res, err := rec.Run(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), opts)
+				if err != nil {
+					return fmt.Errorf("sampling %s @ %.2f: %w", wname, f, err)
+				}
+				sr := res.(slatch.Result)
+				js.Events += sr.Events
+				points[w][i][seed-1] = point{sr.Overhead(), 100 * float64(sr.SWInstrs) / float64(sr.Events)}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Sum seeds outer, workloads inner: sampling.golden pins the rounding
+	// of this order.
+	for i := range rows {
+		for seed := 0; seed < frontierSeeds; seed++ {
+			for w := range frontierWorkloads {
+				rows[i].MeanOverhead += points[w][i][seed].overhead
+				rows[i].SWInstrPct += points[w][i][seed].swInstrPct
+			}
+		}
+		rows[i].MeanOverhead /= float64(len(frontierWorkloads) * frontierSeeds)
+		rows[i].SWInstrPct /= float64(len(frontierWorkloads) * frontierSeeds)
 	}
 	r.mu.Lock()
 	r.frontier = rows

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	"latch/internal/engine"
 	"latch/internal/policy"
+	"latch/internal/slatch"
 )
 
 // TestSamplingFrontierMonotone pins the frontier's shape: as the sampling
@@ -80,5 +83,82 @@ func TestSampledPolicyParallelMatchesSerial(t *testing.T) {
 	}
 	if sb.String() != pb.String() {
 		t.Errorf("sampled slatch pass differs between serial and parallel runs:\n%s\nvs\n%s", sb, pb)
+	}
+}
+
+// TestRunnerPolicyReachesProfileRuns pins Options.Policy's promise for the
+// experiments that build their own profile runs: under a Runner sampling at
+// 0.01, every point column of the domain, CTC, timeout and queue ablations,
+// and conventional's 4 KiB column, differ from a zero-policy Runner's in
+// some row. A run that dropped the policy would reproduce its unsampled
+// cells.
+func TestRunnerPolicyReachesProfileRuns(t *testing.T) {
+	opts := Options{Events: 20_000, EpochEvents: 20_000, Fig6Events: 20_000, Workers: manyWorkers()}
+	sampled := opts
+	sampled.Policy = policy.Default()
+	sampled.Policy.Sampling = policy.Sampling{SampleFraction: 0.01, SampleSeed: 3}
+	plain, thin := NewRunner(opts), NewRunner(sampled)
+	for _, id := range []string{"ablation-domain", "ablation-ctc", "ablation-timeout", "ablation-queue", "conventional"} {
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := e.Run(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.Run(thin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := len(pt.Header())
+		if id == "conventional" {
+			cols = 2 // the benchmark and the 4 KiB column
+		}
+		for c := 1; c < cols; c++ {
+			same := true
+			for row := 0; row < pt.Rows() && same; row++ {
+				same = pt.Cell(row, c) == st.Cell(row, c)
+			}
+			if same {
+				t.Errorf("%s column %q is the same under 1%% sampling as unsampled:\n%s", id, pt.Header()[c], st)
+			}
+		}
+	}
+}
+
+// TestFrontierReplayMatchesRunProfile is the replay's oracle: for every
+// frontier workload at every FrontierFractions value (two sampling seeds
+// each), a point replayed from the workload's recorded unsampled stream
+// equals an S-LATCH RunProfile run under the same sampling.
+func TestFrontierReplayMatchesRunProfile(t *testing.T) {
+	r := NewRunner(goldenOptions(1))
+	const events = 30_000
+	for _, name := range frontierWorkloads {
+		p, err := r.jobProfile("sampling", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := engine.Record(p, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range FrontierFractions {
+			for _, seed := range []uint64{1, 5} {
+				opts := engine.RunOptions{Events: events, Policy: policy.Default()}
+				opts.Policy.Sampling = policy.Sampling{SampleFraction: f, SampleSeed: seed}
+				want, err := engine.RunProfile(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rec.Run(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s at fraction %v seed %d: replayed %+v, generated %+v", name, f, seed, got, want)
+				}
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "hlatch",
 		Title: "H-LATCH: reduced-complexity hardware DIFT (§5.3)",
-		New:   func() engine.Backend { return &backend{cfg: DefaultConfig()} },
+		New:   func() engine.Backend { return NewBackend(DefaultConfig()) },
 	})
 }
 
@@ -153,9 +153,14 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 	}
 }
 
+// NewBackend returns an H-LATCH backend for one run with cfg's module
+// geometry. A run through the engine takes its length, observer and policy
+// from engine.RunOptions; cfg's Events and Observer are Run's.
+func NewBackend(cfg Config) engine.Backend { return &backend{cfg: cfg} }
+
 // Run simulates one benchmark through the H-LATCH caching stack.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{cfg: cfg}, p,
+	res, err := engine.RunProfile(context.Background(), NewBackend(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err

@@ -216,16 +216,24 @@ func (m *Module) Reconfigure(cfg Config) error {
 	m.trf.Reset()
 	m.stats = Stats{}
 	m.obs = nil
-	m.Shadow.OnDomainTransition(m.onDomainTransition)
-	// Under LazyClear, clear bits are maintained at byte-write granularity:
-	// any tainted-to-clean byte write asserts the domain's clear bit, any
-	// re-taint retires it (§5.1.4).
-	var onByte shadow.ByteWatcher
-	if cfg.Clear == LazyClear {
-		onByte = m.onByteTransition
-	}
+	onDomain, onByte := m.Watchers()
+	m.Shadow.OnDomainTransition(onDomain)
 	m.Shadow.OnByteTransition(onByte)
 	return nil
+}
+
+// Watchers returns the shadow callbacks Reconfigure registers: the domain
+// watcher, and the byte watcher under LazyClear (nil otherwise). Under
+// LazyClear, clear bits are maintained at byte-write granularity: any
+// tainted-to-clean byte write asserts the domain's clear bit, any re-taint
+// retires it (§5.1.4). An owner that fans one shadow's transitions out to
+// several modules registers their watchers itself, in a fixed order, after
+// the last Reconfigure.
+func (m *Module) Watchers() (shadow.Watcher, shadow.ByteWatcher) {
+	if m.cfg.Clear == LazyClear {
+		return m.onDomainTransition, m.onByteTransition
+	}
+	return m.onDomainTransition, nil
 }
 
 // zeroedLen returns s resliced to n elements when its capacity suffices, and

@@ -40,7 +40,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "platch",
 		Title: "P-LATCH: filtered two-core log-based DIFT (§5.2)",
-		New:   func() engine.Backend { return &backend{producer: producer{cfg: DefaultConfig()}} },
+		New:   func() engine.Backend { return NewBackend(DefaultConfig()) },
 	})
 }
 
@@ -476,9 +476,14 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 	return res
 }
 
+// NewBackend returns an analytic P-LATCH backend for one run with cfg's
+// queue depth. A run through the engine takes its length, observer and
+// policy from engine.RunOptions; cfg's Events and Observer are Run's.
+func NewBackend(cfg Config) engine.Backend { return &backend{producer: producer{cfg: cfg}} }
+
 // Run evaluates one benchmark under P-LATCH.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{producer: producer{cfg: cfg}}, p,
+	res, err := engine.RunProfile(context.Background(), NewBackend(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err

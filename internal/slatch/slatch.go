@@ -35,7 +35,7 @@ func init() {
 	engine.Register(engine.Scheme{
 		Name:  "slatch",
 		Title: "S-LATCH: accelerated single-core software DIFT (§5.1)",
-		New:   func() engine.Backend { return &backend{cfg: DefaultConfig()} },
+		New:   func() engine.Backend { return NewBackend(DefaultConfig()) },
 	})
 }
 
@@ -231,9 +231,15 @@ func (b *backend) Finish(s *engine.Session) engine.Result {
 	}
 }
 
+// NewBackend returns an S-LATCH backend for one run with cfg's module
+// geometry and cost table. A run through the engine takes its length,
+// observer and policy from engine.RunOptions; cfg's Events and Observer are
+// Run's.
+func NewBackend(cfg Config) engine.Backend { return &backend{cfg: cfg} }
+
 // Run simulates one benchmark under S-LATCH.
 func Run(p workload.Profile, cfg Config) (Result, error) {
-	res, err := engine.RunProfile(context.Background(), &backend{cfg: cfg}, p,
+	res, err := engine.RunProfile(context.Background(), NewBackend(cfg), p,
 		engine.RunOptions{Events: cfg.Events, Observer: cfg.Observer})
 	if err != nil {
 		return Result{}, err

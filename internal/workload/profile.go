@@ -199,6 +199,15 @@ func (p Profile) Validate() error {
 	return nil
 }
 
+// ReadsShadow reports whether p's stream touches the shadow after the layout
+// is materialized: near-taint accesses probe domain taint to pick their
+// addresses, and churn clears and re-taints runs. A profile that does
+// neither emits the same events over any shadow holding its layout, sampled
+// or not; only the Tainted flags of sampled-out runs differ.
+func (p Profile) ReadsShadow() bool {
+	return p.CleanNearTaint > 0 || p.BurstNearTaint > 0 || p.ChurnProb > 0
+}
+
 // registry holds all profiles by name.
 var registry = map[string]Profile{}
 

@@ -79,39 +79,51 @@ type evSink struct{ evs []trace.Event }
 
 func (s *evSink) Consume(ev trace.Event) { s.evs = append(s.evs, ev) }
 
-// For a profile with no near-taint probing (the only address source that
-// reads shadow state), the event stream is address-identical at every
-// fraction — only the Tainted flags change. This is what makes the
-// frontier experiment's overhead comparison apples-to-apples.
+// For a profile whose stream never reads the shadow after materialization
+// (ReadsShadow false: no near-taint probing, no churn), the event stream is
+// address-identical at every fraction — only the Tainted flags change, and
+// only from tainted to clean. This is what makes the frontier experiment's
+// overhead comparison apples-to-apples, and what lets engine.Record
+// generate one stream for every fraction. Every registered profile that
+// does not read the shadow is checked.
 func TestSampledStreamAddressesInvariant(t *testing.T) {
-	p := MustGet("lbm")
 	const events = 200_000
-	run := func(f float64) []trace.Event {
-		g, err := NewSampledGenerator(p, shadow.DefaultDomainSize, policy.Sampling{SampleFraction: f, SampleSeed: 3})
-		if err != nil {
-			t.Fatal(err)
+	checked, flipped := 0, 0
+	for _, name := range Names() {
+		p := MustGet(name)
+		if p.ReadsShadow() {
+			continue
 		}
-		s := &evSink{}
-		g.Run(events, s)
-		return s.evs
-	}
-	full, tenth := run(1.0), run(0.1)
-	if len(full) != len(tenth) {
-		t.Fatalf("stream lengths differ: %d vs %d", len(full), len(tenth))
-	}
-	flipped := 0
-	for i := range full {
-		a, b := full[i], tenth[i]
-		if a.Tainted != b.Tainted {
-			if b.Tainted {
-				t.Fatalf("event %d tainted at 0.1 but not at 1.0", i)
+		checked++
+		run := func(f float64) []trace.Event {
+			g, err := NewSampledGenerator(p, shadow.DefaultDomainSize, policy.Sampling{SampleFraction: f, SampleSeed: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
-			flipped++
-			b.Tainted = a.Tainted
+			s := &evSink{}
+			g.Run(events, s)
+			return s.evs
 		}
-		if a != b {
-			t.Fatalf("event %d differs beyond Tainted: %+v vs %+v", i, full[i], tenth[i])
+		full, tenth := run(1.0), run(0.1)
+		if len(full) != len(tenth) {
+			t.Fatalf("%s: stream lengths differ: %d vs %d", name, len(full), len(tenth))
 		}
+		for i := range full {
+			a, b := full[i], tenth[i]
+			if a.Tainted != b.Tainted {
+				if b.Tainted {
+					t.Fatalf("%s: event %d tainted at 0.1 but not at 1.0", name, i)
+				}
+				flipped++
+				b.Tainted = a.Tainted
+			}
+			if a != b {
+				t.Fatalf("%s: event %d differs beyond Tainted: %+v vs %+v", name, i, full[i], tenth[i])
+			}
+		}
+	}
+	if checked < 5 {
+		t.Fatalf("only %d registered profiles leave the shadow alone; the frontier needs 5", checked)
 	}
 	if flipped == 0 {
 		t.Fatal("fraction 0.1 flipped no events to clean")
