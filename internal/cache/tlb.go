@@ -103,6 +103,9 @@ func (t *TLB) UpdateTaintBit(addr uint32, tainted bool) {
 // InvalidatePage drops the entry for the page containing addr.
 func (t *TLB) InvalidatePage(addr uint32) { t.cache.Invalidate(addr) }
 
+// Resident returns the number of valid entries.
+func (t *TLB) Resident() int { return t.cache.ResidentBlocks() }
+
 // Flush empties the TLB.
 func (t *TLB) Flush() { t.cache.Flush(nil) }
 

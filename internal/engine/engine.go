@@ -17,10 +17,22 @@
 // EventBatchSize events, and a canceled run stops fewer than
 // CancelCheckEvents events after its cancellation.
 //
+// Every profile run starts with one materialize step: the generator writes
+// the profile's taint layout into the shadow while a latch.Recorder stands
+// in for the shadow's watchers, merging the layout's clean→tainted
+// transitions into (CTT word, mask) steps, and every module of the run
+// takes those steps in one bulk load (latch.Module.LoadTaint) instead of a
+// watcher call per tainted domain. The load leaves the coarse state the
+// watchers would have built, CTC included; the module's own watchers, or a
+// sweep's fan-out, then follow the stream. Runs that read only the
+// generator (its stream and shadow) go through Generate, which loads no
+// module at all.
+//
 // One stream can feed many consumers. RunSweep streams a profile through
 // several backends of one domain size at once: one generator and one
-// shadow, a module, Session and backend per consumer. The shadow's watchers
-// fan every transition out to each consumer's module in consumer order, and
+// shadow, a module, Session and backend per consumer. The layout is loaded
+// into every consumer's module; during the stream the shadow's watchers fan
+// every transition out to each consumer's module in consumer order, and
 // every consumer steps each batch before the generator's next shadow
 // mutation, so each result equals that backend's solo RunProfile; a
 // consumer that writes the shared shadow fails the sweep. A Recording is a
@@ -37,12 +49,13 @@
 // back. The list holds at most GOMAXPROCS sessions, and a session returns to
 // it only while its shadow maps at most 8,192 tag pages and its coarse
 // tables kept the size Config.AddressSpan gives them, so the idle sessions
-// a process keeps stay bounded (about 56 MiB each) whatever it ran. A
-// sweep's first consumer runs on such a session; the others run on spare
-// modules attached to its shadow for the sweep, which the idle state keeps
-// beside the sessions: at most 8 per GOMAXPROCS, each only with its coarse
-// tables at their AddressSpan size (about 2 MiB at 64-byte domains, 16 MiB
-// at 8-byte ones).
+// a process keeps stay bounded (about 56 MiB each, plus the recorder's
+// buffer of 8 bytes a step, 0.5 MiB for sphinx3's layout at 8-byte domains)
+// whatever it ran. A sweep's first consumer runs on such a session; the
+// others run on spare modules attached to its shadow for the sweep, which
+// the idle state keeps beside the sessions: at most 8 per GOMAXPROCS, each
+// only with its coarse tables at their AddressSpan size (about 2 MiB at
+// 64-byte domains, 16 MiB at 8-byte ones).
 package engine
 
 import (
@@ -215,7 +228,7 @@ func RunProfileSession(ctx context.Context, b Backend, p workload.Profile, opts 
 // it was generated under, and every multiple of CancelCheckEvents is a batch
 // end.
 func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts RunOptions) (Result, error) {
-	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, opts.Policy.Sampling)
+	g, err := s.materialize(p, opts.Policy.Sampling)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +278,7 @@ func (s *Session) drive(ctx context.Context, b Backend, p workload.Profile, opts
 }
 
 // begin arms s for a run of p under opts once the layout is materialized.
-// Materialization populated the coarse state through the shadow watchers;
+// The bulk load that built the coarse state ran the module's CTC writes;
 // the module's counters are reset so that only the steady-state reference
 // stream is measured, and the observer attaches after the reset for the
 // same reason: it sees exactly the measured stream.

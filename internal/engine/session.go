@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -80,6 +81,10 @@ type Session struct {
 	codeCacheLat uint64
 	missPenalty  uint64
 	lastMisses   uint64
+
+	// rec records layout materializations for the bulk load; built by the
+	// first one and kept across Recycle with its buffer.
+	rec *latch.Recorder
 }
 
 // Recycle returns the session to the state NewSession(cfg) builds, whatever
@@ -104,8 +109,72 @@ func (s *Session) Recycle(cfg latch.Config) error {
 	if err := s.Module.Reconfigure(cfg); err != nil {
 		return err
 	}
-	*s = Session{Module: s.Module, Shadow: s.Shadow, missPenalty: cfg.CTCMissPenalty}
+	*s = Session{Module: s.Module, Shadow: s.Shadow, missPenalty: cfg.CTCMissPenalty, rec: s.rec}
 	return nil
+}
+
+// watch registers the module's own watchers on the shadow.
+func (s *Session) watch() {
+	onDomain, onByte := s.Module.Watchers()
+	s.Shadow.OnDomainTransition(onDomain)
+	s.Shadow.OnByteTransition(onByte)
+}
+
+// materialize is the one materialize step of every profile run: it writes
+// p's layout, sampled by spl, into s's shadow and loads it into s's module
+// and each of more, the run's other modules. While the generator writes the
+// layout, the session's recorder stands in for the shadow's watchers, so no
+// module sees a transition; each then takes the recorded steps in one bulk
+// load (latch.Module.LoadTaint). The module's own watchers are registered
+// again before it returns; a caller whose stream runs under other watchers
+// registers them after it. A layout write that clears taint fails the run.
+func (s *Session) materialize(p workload.Profile, spl policy.Sampling, more ...*latch.Module) (*workload.Generator, error) {
+	if s.rec == nil {
+		s.rec = latch.NewRecorder()
+	}
+	s.rec.Reset()
+	s.Shadow.OnDomainTransition(s.rec.Watcher())
+	s.Shadow.OnByteTransition(nil)
+	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, spl)
+	s.watch()
+	if err != nil {
+		return nil, err
+	}
+	steps, err := s.rec.Steps()
+	if err != nil {
+		return nil, fmt.Errorf("engine: materializing %s: %w", p.Name, err)
+	}
+	if err := s.Module.LoadTaint(steps); err != nil {
+		return nil, err
+	}
+	for _, m := range more {
+		if err := m.LoadTaint(steps); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// Generate builds p's generator, sampled by spl, on the shadow of an idle
+// session and calls fn with it, for runs that read only the generator: its
+// stream and the shadow it writes. No module watches the shadow meanwhile,
+// so the layout and the stream cost only their shadow writes. The session
+// goes back on the idle list when fn returns, so fn must not keep the
+// generator or its shadow; the next run to take the session registers the
+// module's watchers again when it recycles it.
+func Generate(p workload.Profile, spl policy.Sampling, fn func(*workload.Generator) error) error {
+	s, err := takeSession(latch.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	defer releaseSession(s)
+	s.Shadow.OnDomainTransition(nil)
+	s.Shadow.OnByteTransition(nil)
+	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, spl)
+	if err != nil {
+		return err
+	}
+	return fn(g)
 }
 
 // maxIdlePages bounds the tag pages a session may map and still go back on

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"latch/internal/latch"
+	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/trace"
 	"latch/internal/workload"
@@ -21,11 +22,12 @@ var ErrConsumerWrite = errors.New("engine: a sweep consumer changed the shared s
 // builds one generator and one shadow, and one module, Session and per-run
 // state per backend (a consumer): the first consumer runs on an idle
 // session, the others on spare modules attached to that session's shadow
-// for the run. The shadow's watchers fan each transition out to every
-// consumer's module in consumer order, and every consumer steps each batch
-// before the generator's next shadow mutation. Each consumer therefore
-// sees exactly what RunProfile would show it alone, so result i equals
-// RunProfile(ctx, backends[i], p, opts).
+// for the run. The layout the generator writes is loaded into every
+// consumer's module in bulk; during the stream, the shadow's watchers fan
+// each transition out to every consumer's module in consumer order, and
+// every consumer steps each batch before the generator's next shadow
+// mutation. Each consumer therefore sees exactly what RunProfile would show
+// it alone, so result i equals RunProfile(ctx, backends[i], p, opts).
 //
 // Every backend must use one domain size, which the shared shadow has. Only
 // the generator may write the shadow: a consumer whose Init, batch or
@@ -66,6 +68,7 @@ func RunSweep(ctx context.Context, p workload.Profile, backends []Backend, opts 
 // share.
 type sweep struct {
 	cs       []consumer
+	spares   []*latch.Module // the modules of cs[1:]
 	onDomain []shadow.Watcher
 	onByte   []shadow.ByteWatcher // the LazyClear consumers' byte watchers
 
@@ -74,7 +77,8 @@ type sweep struct {
 }
 
 // newSweep takes an idle session for the first backend and a spare module
-// for each other one, and registers the fan-out on the session's shadow.
+// for each other one, and collects the watchers of the fan-out the run
+// registers on the session's shadow once the layout is loaded.
 func newSweep(backends []Backend) (*sweep, error) {
 	lead, err := takeSession(backends[0].Config())
 	if err != nil {
@@ -89,6 +93,7 @@ func newSweep(backends []Backend) (*sweep, error) {
 			return nil, err
 		}
 		sw.cs = append(sw.cs, newConsumer(&Session{Module: m, Shadow: lead.Shadow, missPenalty: cfg.CTCMissPenalty}, b))
+		sw.spares = append(sw.spares, m)
 	}
 	for _, c := range sw.cs {
 		onDomain, onByte := c.s.Module.Watchers()
@@ -97,11 +102,6 @@ func newSweep(backends []Backend) (*sweep, error) {
 			sw.onByte = append(sw.onByte, onByte)
 		}
 	}
-	// The byte watcher is registered even when no consumer clears lazily:
-	// every change of a byte's taint status reaches it, so it is where a
-	// consumer's write is caught.
-	lead.Shadow.OnDomainTransition(sw.domainTransition)
-	lead.Shadow.OnByteTransition(sw.byteTransition)
 	return sw, nil
 }
 
@@ -140,10 +140,15 @@ func (sw *sweep) run(ctx context.Context, p workload.Profile, opts RunOptions) (
 		ctx = context.Background()
 	}
 	lead := sw.cs[0].s
-	g, err := workload.NewSampledGeneratorOn(p, lead.Shadow, opts.Policy.Sampling)
+	g, err := lead.materialize(p, opts.Policy.Sampling, sw.spares...)
 	if err != nil {
 		return nil, err
 	}
+	// The fan-out follows the stream. Its byte watcher is registered even
+	// when no consumer clears lazily: every change of a byte's taint status
+	// reaches it, so it is where a consumer's write is caught.
+	lead.Shadow.OnDomainTransition(sw.domainTransition)
+	lead.Shadow.OnByteTransition(sw.byteTransition)
 	for _, c := range sw.cs {
 		c.s.begin(p, opts)
 	}
@@ -202,12 +207,10 @@ func (sw *sweep) finish(n int) []Result {
 // module's own watchers and puts the lead session on the idle list.
 func (sw *sweep) release() {
 	lead := sw.cs[0].s
-	for _, c := range sw.cs[1:] {
-		releaseModule(c.s.Module)
+	for _, m := range sw.spares {
+		releaseModule(m)
 	}
-	onDomain, onByte := lead.Module.Watchers()
-	lead.Shadow.OnDomainTransition(onDomain)
-	lead.Shadow.OnByteTransition(onByte)
+	lead.watch()
 	releaseSession(lead)
 }
 
@@ -228,19 +231,16 @@ func Record(p workload.Profile, n uint64) (*Recording, error) {
 	if p.ReadsShadow() {
 		return nil, fmt.Errorf("engine: cannot record %s: its stream reads the shadow (near-taint accesses or churn)", p.Name)
 	}
-	s, err := takeSession(latch.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer releaseSession(s)
-	g, err := workload.NewGeneratorOn(p, s.Shadow)
-	if err != nil {
-		return nil, err
-	}
 	r := &Recording{p: p, evs: make([]trace.Event, 0, min(n, 1<<20))}
-	g.RunBatches(n, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
-		r.evs = append(r.evs, evs...)
+	err := Generate(p, policy.Sampling{}, func(g *workload.Generator) error {
+		g.RunBatches(n, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+			r.evs = append(r.evs, evs...)
+		})
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -265,7 +265,7 @@ func (r *Recording) Run(ctx context.Context, b Backend, opts RunOptions) (Result
 		return nil, err
 	}
 	defer releaseSession(s)
-	if _, err := workload.NewSampledGeneratorOn(r.p, s.Shadow, opts.Policy.Sampling); err != nil {
+	if _, err := s.materialize(r.p, opts.Policy.Sampling); err != nil {
 		return nil, err
 	}
 	return s.drive(ctx, b, r.p, opts, func(deliver func([]trace.Event) bool) {

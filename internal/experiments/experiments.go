@@ -27,7 +27,6 @@ import (
 	"latch/internal/engine"
 	"latch/internal/latch"
 	"latch/internal/policy"
-	"latch/internal/shadow"
 	"latch/internal/stats"
 	"latch/internal/telemetry"
 	"latch/internal/trace"
@@ -202,22 +201,20 @@ func (r *Runner) Temporal(s workload.Suite) ([]temporalResult, error) {
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
-		if err != nil {
-			return err
-		}
-		a := trace.NewEpochAnalyzer()
-		g.Run(r.opts.EpochEvents, a)
-		a.Finish()
-		js.Events = a.TotalInstructions()
-		out[i] = temporalResult{
-			Name:         name,
-			TaintPct:     a.TaintedPercent(),
-			EpochShares:  a.EpochShares(),
-			PagesTainted: g.Shadow().EverTaintedPages(),
-			Events:       a.TotalInstructions(),
-		}
-		return nil
+		return engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+			a := trace.NewEpochAnalyzer()
+			g.Run(r.opts.EpochEvents, a)
+			a.Finish()
+			js.Events = a.TotalInstructions()
+			out[i] = temporalResult{
+				Name:         name,
+				TaintPct:     a.TaintedPercent(),
+				EpochShares:  a.EpochShares(),
+				PagesTainted: g.Shadow().EverTaintedPages(),
+				Events:       a.TotalInstructions(),
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -288,15 +285,13 @@ func (r *Runner) pagesTable(s workload.Suite, title string) (*stats.Table, error
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
-		if err != nil {
-			return err
-		}
-		tainted := g.Shadow().EverTaintedPages()
-		rows[i] = []any{name, p.PagesAccessed, tainted,
-			100 * float64(tainted) / float64(p.PagesAccessed),
-			100 * float64(p.PagesTainted) / float64(p.PagesAccessed)}
-		return nil
+		return engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+			tainted := g.Shadow().EverTaintedPages()
+			rows[i] = []any{name, p.PagesAccessed, tainted,
+				100 * float64(tainted) / float64(p.PagesAccessed),
+				100 * float64(p.PagesTainted) / float64(p.PagesAccessed)}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -323,28 +318,30 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		g, err := workload.NewSampledGenerator(p, shadow.DefaultDomainSize, r.sampling())
+		coarse := make([]uint64, len(Fig6Granularities))
+		var precise uint64
+		err = engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+			sh := g.Shadow()
+			g.Run(r.opts.Fig6Events, trace.SinkFunc(func(ev trace.Event) {
+				js.Events++
+				if !ev.IsMem {
+					return
+				}
+				js.Checks++
+				if ev.Tainted {
+					precise++
+				}
+				for gi, gsize := range Fig6Granularities {
+					if sh.MustTaintedAt(ev.Addr, gsize) {
+						coarse[gi]++
+					}
+				}
+			}))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		sh := g.Shadow()
-		coarse := make([]uint64, len(Fig6Granularities))
-		var precise uint64
-		g.Run(r.opts.Fig6Events, trace.SinkFunc(func(ev trace.Event) {
-			js.Events++
-			if !ev.IsMem {
-				return
-			}
-			js.Checks++
-			if ev.Tainted {
-				precise++
-			}
-			for gi, gsize := range Fig6Granularities {
-				if sh.MustTaintedAt(ev.Addr, gsize) {
-					coarse[gi]++
-				}
-			}
-		}))
 		row := make([]any, 0, 7)
 		row = append(row, name)
 		for gi := range Fig6Granularities {

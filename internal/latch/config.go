@@ -20,6 +20,15 @@
 // session is recycled across runs of different configurations.
 // Reconfigure installs both shadow watchers, the domain watcher always and
 // the byte watcher only under LazyClear.
+//
+// A module can also take a whole taint layout at once. A Recorder, standing
+// in for the shadow's domain watcher while the layout is written, merges
+// the writes' clean→tainted transitions into (CTT word, mask) steps, and
+// Module.LoadTaint applies them to an empty module: the CTT words and
+// page-domain counts one word at a time, and the CTC warmed with only the
+// last CTCEntries words written. Writing a layout only sets bits, so the
+// result is the state the watchers would have built, to the CTC's LRU
+// order; one record serves every module that shares the layout.
 package latch
 
 import (

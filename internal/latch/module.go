@@ -162,12 +162,19 @@ type Module struct {
 
 	stats Stats
 	obs   telemetry.Observer
+
+	// The shadow watchers, bound once so registering them allocates nothing.
+	onDomain shadow.Watcher
+	onByte   shadow.ByteWatcher
+	// warm is LoadTaint's scratch: the distinct words of its CTC suffix.
+	warm []uint32
 }
 
 // New builds a module over sh using cfg. The module registers itself as
 // sh's transition watcher.
 func New(cfg Config, sh *shadow.Shadow) (*Module, error) {
 	m := &Module{Shadow: sh, ctt: NewCTT()}
+	m.onDomain, m.onByte = m.onDomainTransition, m.onByteTransition
 	if err := m.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
@@ -228,12 +235,15 @@ func (m *Module) Reconfigure(cfg Config) error {
 // tainted-to-clean byte write asserts the domain's clear bit, any re-taint
 // retires it (§5.1.4). An owner that fans one shadow's transitions out to
 // several modules registers their watchers itself, in a fixed order, after
-// the last Reconfigure.
+// the last Reconfigure. An owner that materializes a layout registers a
+// Recorder instead while the layout is written, loads the record with
+// LoadTaint, and registers these again for what follows. The callbacks are
+// bound once, at New, so registering them allocates nothing.
 func (m *Module) Watchers() (shadow.Watcher, shadow.ByteWatcher) {
 	if m.cfg.Clear == LazyClear {
-		return m.onDomainTransition, m.onByteTransition
+		return m.onDomain, m.onByte
 	}
-	return m.onDomainTransition, nil
+	return m.onDomain, nil
 }
 
 // zeroedLen returns s resliced to n elements when its capacity suffices, and
@@ -323,7 +333,7 @@ func (m *Module) onDomainTransition(d uint32, tainted bool) {
 	addr := m.Shadow.DomainBase(d)
 	if tainted {
 		if m.ctt.SetBit(d) {
-			m.pdTaintInc(addr)
+			m.pdAdd(addr, 1)
 		}
 		// Write-through: the update travels via the taint cache (stnt /
 		// Figure 12), allocating on miss.
@@ -370,15 +380,17 @@ func (m *Module) onByteTransition(addr uint32, tainted bool) {
 	line.Aux |= 1 << bitOf(d)
 }
 
-func (m *Module) pdTaintInc(addr uint32) {
+// pdAdd counts n more tainted domains in addr's page domain, setting its
+// TLB bit when the page domain turns tainted.
+func (m *Module) pdAdd(addr, n uint32) {
 	pd := m.pdIndex(addr)
 	if int(pd) >= len(m.pdCount) {
 		m.pdGrow(pd)
 	}
-	m.pdCount[pd]++
-	if m.pdCount[pd] == 1 {
+	if m.pdCount[pd] == 0 {
 		m.tlb.UpdateTaintBit(addr, true)
 	}
+	m.pdCount[pd] += n
 }
 
 func (m *Module) pdTaintDec(addr uint32) {

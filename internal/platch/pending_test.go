@@ -69,15 +69,21 @@ func TestPendingFIFODuplicateDomains(t *testing.T) {
 
 func TestPendingExtraPositivesAreRare(t *testing.T) {
 	// The paper's claim: taint locality makes CTT changes rare, so the
-	// conservative pending-destination protection costs almost nothing.
-	cfg := DefaultConfig()
-	cfg.Events = 300_000
-	r, err := Run(workload.MustGet("apache"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extraRate := float64(r.PendingExtraPositives) / float64(r.Events)
-	if extraRate > 0.001 {
-		t.Fatalf("pending protection caused %.4f%% extra enqueues, want < 0.1%%", 100*extraRate)
+	// conservative pending-destination protection costs almost nothing. On
+	// the calibrated streams it costs nothing at all: none of them reaches
+	// the pending-update FIFO, so any extra positive is a regression. The
+	// FIFO's own path is covered by TestParallelPendingFIFOCatchesHijack
+	// and by cplatch's hand-built stream.
+	for _, name := range []string{"apache", "mysql", "sphinx3", "gcc"} {
+		cfg := DefaultConfig()
+		cfg.Events = 300_000
+		r, err := Run(workload.MustGet(name), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.PendingExtraPositives != 0 {
+			t.Errorf("%s: pending protection caused %d extra enqueues over %d events, want 0",
+				name, r.PendingExtraPositives, r.Events)
+		}
 	}
 }

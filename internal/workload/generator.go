@@ -104,10 +104,12 @@ func NewSampledGenerator(p Profile, domainSize uint32, spl policy.Sampling) (*Ge
 	return NewSampledGeneratorOn(p, sh, spl)
 }
 
-// NewGeneratorOn builds a generator for profile p over an existing shadow —
-// typically one already watched by a LATCH module, so the module's coarse
-// state is built up by the layout materialization exactly as hardware would
-// observe the taint being written. The shadow must be empty.
+// NewGeneratorOn builds a generator for profile p over an existing shadow,
+// writing the layout into it. Whatever watches the shadow sees the layout's
+// transitions as hardware would observe the taint being written: a LATCH
+// module's own watchers build its coarse state from them, and the engine's
+// recorder turns them into one record for its modules' bulk load. The
+// shadow must be empty.
 func NewGeneratorOn(p Profile, sh *shadow.Shadow) (*Generator, error) {
 	return NewSampledGeneratorOn(p, sh, policy.Sampling{})
 }
@@ -410,23 +412,41 @@ type retaint struct {
 	due uint64 // seq at which the run is re-tainted
 }
 
-// setRunTaint writes the taint status of one whole run.
+// setRunTaint writes tag over the tainted bytes [idx, idx+n), wrapping past
+// the end of the index space, in index order. Consecutive indices stay
+// consecutive addresses up to the end of the page pattern's run, the
+// rotated page's wrap and the end of the index space, so each such span is
+// one SetRange: a run in one page is one or two. SetRange's contract makes
+// this the sequence of per-byte Sets it replaces.
 func (g *Generator) setRunTaint(idx, n int, tag shadow.Tag) {
-	for b := 0; b < n; b++ {
-		g.sh.Set(g.taintAddr(idx+b), tag)
+	total := g.totalTaintBytes()
+	for n > 0 {
+		i := idx % total
+		addr := g.taintAddr(i)
+		span := min(n, total-i)
+		if g.gbpp > 0 {
+			j := i % g.tbpp
+			span = min(span, g.p.RunLen-j%g.p.RunLen, g.tbpp-j, mem.PageSize-int(addr%mem.PageSize))
+		}
+		g.sh.SetRange(addr, span, tag)
+		idx += span
+		n -= span
 	}
 }
 
 // restoreRun re-asserts the materialized taint of [idx, idx+n) after a
-// churn clear, byte by byte with each byte's own taintTag. The per-byte
-// tag matters because a churned range that wraps past the end of the
-// index space spills into run 0, whose sampling decision may differ.
-// With sampling disabled this is exactly setRunTaint(idx, n, label 0).
+// churn clear, each run with its own taintTag. The per-run tag matters
+// because a churned range that wraps past the end of the index space
+// spills into run 0, whose sampling decision may differ. With sampling
+// disabled this writes what setRunTaint(idx, n, label 0) writes.
 func (g *Generator) restoreRun(idx, n int) {
 	total := g.totalTaintBytes()
-	for b := 0; b < n; b++ {
-		i := (idx + b) % total
-		g.sh.Set(g.taintAddr(i), g.taintTag(i))
+	for n > 0 {
+		i := idx % total
+		span := min(n, g.p.RunLen-i%g.p.RunLen, total-i)
+		g.setRunTaint(i, span, g.taintTag(i))
+		idx += span
+		n -= span
 	}
 }
 
