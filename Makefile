@@ -98,11 +98,12 @@ diffcheck:
 # models the TLB and taint caches every coarse check goes through,
 # internal/workload generates every replayed stream, internal/platch is
 # every P-LATCH machine (the filter and queue models, the concurrent
-# backend, and the two-core co-simulation of real programs), and
+# backend, and the two-core co-simulation of real programs),
 # internal/latch is the module itself, including the reconfiguration
-# recycled sessions run through — each must hold statement coverage at or
-# above 85%.
-COVER_PKGS = policy mem engine shadow vm cache workload platch latch
+# recycled sessions run through, and internal/dift is the precise engine
+# whose taint register file the fast loop runs against — each must hold
+# statement coverage at or above 85%.
+COVER_PKGS = policy mem engine shadow vm cache workload platch latch dift
 
 cover:
 	@for p in $(COVER_PKGS); do \
@@ -164,10 +165,14 @@ bench-gate:
 # (FuzzAssembleDecode also cross-checks the decode cache against direct
 # Decode, through invalidation and refill), the interpreter differential
 # (FuzzFastLoopVsStep runs raw instruction words through the fast loop and
-# through Step and compares every piece of state; its seeds include wild
-# jumps into unmapped memory and taint resident in memory, so guarded mode
-# runs), then the backend-equivalence fuzzer, which drives the differential
-# checker from random case seeds.
+# through Step, under classical and PIFT propagation, and compares every
+# piece of state, register taint and the TRF included; its seeds include
+# wild jumps into unmapped memory, taint resident in memory, so guarded mode
+# runs, and tainted registers the loop runs past: a checksum loop over
+# tainted file bytes, a strf-tainted register overwritten before a jr
+# through it, and a jr through one still tainted), then the
+# backend-equivalence fuzzer, which drives the differential checker from
+# random case seeds.
 fuzz:
 	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=10s

@@ -81,9 +81,10 @@ loop:
 `
 
 // sweepCPU builds a tracked CPU over sweepProgram with fracPct percent of the
-// window's stride slots tainted (one byte each, spread evenly), warmed until
-// the decode cache is hot.
-func sweepCPU(b *testing.B, fracPct int) *vm.CPU {
+// window's stride slots tainted (one byte each, spread evenly) and, once
+// the loop runs, the registers in regMask tainted (as strf would), warmed
+// until the decode cache is hot.
+func sweepCPU(b *testing.B, fracPct int, regMask uint32) *vm.CPU {
 	c := vm.New()
 	c.Load(isa.MustAssemble(sweepProgram))
 	e := dift.NewEngine(shadow.MustNew(shadow.DefaultDomainSize), policy.Default())
@@ -96,6 +97,11 @@ func sweepCPU(b *testing.B, fracPct int) *vm.CPU {
 	}
 	c.SetTracker(e)
 	sweepRun(b, c, 8192)
+	if regMask != 0 {
+		// Tainted inside the loop, past the set-up that zeroes r4.
+		e.SetRegTaintMask(regMask, shadow.MustLabel(0))
+		sweepRun(b, c, 8192)
+	}
 	return c
 }
 
@@ -111,7 +117,7 @@ func sweepRun(b *testing.B, c *vm.CPU, n uint64) {
 // taint-free epoch: the tracker proves every register and byte clean, so the
 // epoch-aware fast loop runs the whole benchmark without a shadow lookup.
 func benchFastLoopHotPath(b *testing.B) {
-	c := sweepCPU(b, 0)
+	c := sweepCPU(b, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sweepRun(b, c, uint64(b.N))
@@ -119,11 +125,15 @@ func benchFastLoopHotPath(b *testing.B) {
 
 // benchTaintedSweep measures the same walk with fracPct percent of the
 // window's slots tainted: each tainted load exits the fast loop, propagates
-// through the full DIFT pipeline, and re-enters once the scrub restores the
-// taint-free epoch.
-func benchTaintedSweep(fracPct int) func(b *testing.B) {
+// through the full DIFT pipeline, and re-enters once the scrub clears the
+// loaded register. With regMask set those registers are tainted once the
+// walk runs; its index register r4 then stays tainted for good, so each
+// pass runs the three instructions reading it (and r5, derived from it)
+// through Step and the load, scrub and jump between them in the fast loop:
+// every Step pays the fast loop's per-Step entry test.
+func benchTaintedSweep(fracPct int, regMask uint32) func(b *testing.B) {
 	return func(b *testing.B) {
-		c := sweepCPU(b, fracPct)
+		c := sweepCPU(b, fracPct, regMask)
 		b.ReportAllocs()
 		b.ResetTimer()
 		sweepRun(b, c, uint64(b.N))
@@ -181,8 +191,9 @@ func BenchmarkFastLoop(b *testing.B) { benchFastLoopHotPath(b) }
 
 func BenchmarkTaintedSweep(b *testing.B) {
 	for _, pct := range []int{0, 1, 10, 50} {
-		b.Run(fmt.Sprintf("taint=%d%%", pct), benchTaintedSweep(pct))
+		b.Run(fmt.Sprintf("taint=%d%%", pct), benchTaintedSweep(pct, 0))
 	}
+	b.Run("taint=regs", benchTaintedSweep(0, 1<<4))
 }
 
 type hotpathEntry struct {
@@ -237,7 +248,7 @@ func TestWriteHotpathBench(t *testing.T) {
 	sweep := map[string]hotpathEntry{}
 	for _, pct := range []int{0, 1, 10, 50} {
 		sweep[fmt.Sprintf("%d_pct", pct)] =
-			hotpathResult(bestOf(2, benchTaintedSweep(pct)), baselineCPUStepNs)
+			hotpathResult(bestOf(2, benchTaintedSweep(pct, 0)), baselineCPUStepNs)
 	}
 
 	if step.AllocsPerOp != 0 {

@@ -16,6 +16,7 @@ package dift
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"latch/internal/isa"
 	"latch/internal/policy"
@@ -152,6 +153,10 @@ type Engine struct {
 	srcOrdinals [numSources]uint64
 
 	regs [isa.NumRegs]RegTaint
+	// trf is the taint register file (TRF) of §5.1's hardware mode: bit r
+	// is set exactly while regs[r] holds taint. Every register-taint write
+	// goes through setReg, which keeps it current.
+	trf uint16
 
 	violations []Violation
 	obs        telemetry.Observer
@@ -180,7 +185,17 @@ func (e *Engine) SetObserver(obs telemetry.Observer) { e.obs = obs }
 func (e *Engine) RegTaint(r int) RegTaint { return e.regs[r] }
 
 // SetRegTaint assigns the taint of register r.
-func (e *Engine) SetRegTaint(r int, t RegTaint) { e.regs[r] = t }
+func (e *Engine) SetRegTaint(r int, t RegTaint) { e.setReg(r, t) }
+
+// setReg assigns the taint of register r and keeps its TRF bit current.
+func (e *Engine) setReg(r int, t RegTaint) {
+	e.regs[r] = t
+	if t.Tainted() {
+		e.trf |= 1 << r
+	} else {
+		e.trf &^= 1 << r
+	}
+}
 
 // TaintMemory marks [addr, addr+n) with tag; the taint-initialization
 // operation (step 1 in Figure 3).
@@ -251,28 +266,28 @@ func (e *Engine) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	}
 	switch in.Op.Class() {
 	case isa.ClassMove:
-		e.regs[in.Rd] = e.regs[in.Rs1]
+		e.setReg(int(in.Rd), e.regs[in.Rs1])
 	case isa.ClassImm:
-		e.regs[in.Rd] = RegTaint{}
+		e.setReg(int(in.Rd), RegTaint{})
 	case isa.ClassALU2:
 		if e.policy.Propagation == policy.PropagationPIFT {
 			// PIFT does not track taint through computation.
-			e.regs[in.Rd] = RegTaint{}
+			e.setReg(int(in.Rd), RegTaint{})
 			break
 		}
 		if in.Op == isa.XOR && in.Rs1 == in.Rs2 {
 			// xor r, a, a: result is constant zero — classical DTA clears.
-			e.regs[in.Rd] = RegTaint{}
+			e.setReg(int(in.Rd), RegTaint{})
 			break
 		}
 		u := e.regs[in.Rs1].Union() | e.regs[in.Rs2].Union()
-		e.regs[in.Rd] = splat(u)
+		e.setReg(int(in.Rd), splat(u))
 	case isa.ClassALUImm:
 		if e.policy.Propagation == policy.PropagationPIFT {
-			e.regs[in.Rd] = RegTaint{}
+			e.setReg(int(in.Rd), RegTaint{})
 			break
 		}
-		e.regs[in.Rd] = splat(e.regs[in.Rs1].Union())
+		e.setReg(int(in.Rd), splat(e.regs[in.Rs1].Union()))
 	case isa.ClassLoad:
 		size := in.Op.MemSize()
 		var rt RegTaint
@@ -280,7 +295,7 @@ func (e *Engine) Commit(pc uint32, in isa.Instr, addr uint32) error {
 			rt[i] = e.Shadow.Get(addr + uint32(i))
 		}
 		// Zero-extension: upper bytes are untainted constants.
-		e.regs[in.Rd] = rt
+		e.setReg(int(in.Rd), rt)
 	case isa.ClassStore:
 		size := in.Op.MemSize()
 		rt := e.regs[in.Rd]
@@ -290,27 +305,34 @@ func (e *Engine) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	case isa.ClassJump:
 		if in.Op == isa.CALL {
 			// The return address is an untainted constant.
-			e.regs[isa.RegLR] = RegTaint{}
+			e.setReg(isa.RegLR, RegTaint{})
 		}
 	case isa.ClassJumpInd:
 		if in.Op == isa.CALLR {
-			e.regs[isa.RegLR] = RegTaint{}
+			e.setReg(isa.RegLR, RegTaint{})
 		}
 	}
 	return nil
 }
 
-// EpochTaintFree reports whether every register is taint-free — the entry
-// condition of the VM's taint-free fast loop (vm.FastTracker). With all
-// registers clean and every memory access screened coarse-clean, no
-// fast-loop instruction can touch or propagate taint, so skipping Touches
-// and Commit is exact.
-func (e *Engine) EpochTaintFree() bool {
-	var u shadow.Tag
-	for i := range e.regs {
-		u |= e.regs[i][0] | e.regs[i][1] | e.regs[i][2] | e.regs[i][3]
+// EpochTaintFree reports whether every register is taint-free: the TRF is
+// zero (vm.FastTracker). Run's fast loop needs no more than this from a
+// tracker that does not expose its TRF; the engine does (TaintedRegs), so
+// the loop also runs past tainted registers its instructions do not read.
+func (e *Engine) EpochTaintFree() bool { return e.trf == 0 }
+
+// TaintedRegs returns the TRF (vm.TaintRegFile): bit r is set exactly while
+// register r holds taint.
+func (e *Engine) TaintedRegs() uint16 { return e.trf }
+
+// ClearRegs clears the taint of every register in mask (vm.TaintRegFile):
+// the fast loop's settlement for tainted registers it overwrote with clean
+// values, which Commit would have cleared one at a time.
+func (e *Engine) ClearRegs(mask uint16) {
+	for m := mask; m != 0; m &= m - 1 {
+		e.regs[bits.TrailingZeros16(m)] = RegTaint{}
 	}
-	return u == shadow.TagClean
+	e.trf &^= mask
 }
 
 // TaintResident reports whether any memory byte currently holds taint
@@ -409,9 +431,9 @@ func (e *Engine) SetTaintByte(addr uint32, tag shadow.Tag) {
 func (e *Engine) SetRegTaintMask(mask uint32, tag shadow.Tag) {
 	for r := 0; r < isa.NumRegs; r++ {
 		if mask&(1<<r) != 0 {
-			e.regs[r] = splat(tag)
+			e.setReg(r, splat(tag))
 		} else {
-			e.regs[r] = RegTaint{}
+			e.setReg(r, RegTaint{})
 		}
 	}
 }
@@ -420,6 +442,7 @@ func (e *Engine) SetRegTaintMask(mask uint32, tag shadow.Tag) {
 // is left to the caller (it may be shared with the coarse state).
 func (e *Engine) Reset() {
 	e.regs = [isa.NumRegs]RegTaint{}
+	e.trf = 0
 	e.violations = nil
 	e.connCounter = 0
 	e.srcOrdinals = [numSources]uint64{}

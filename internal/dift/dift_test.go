@@ -1,6 +1,7 @@
 package dift
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -408,5 +409,76 @@ func TestALUUnionCommutative(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// regScan is the TRF recomputed from the registers' byte taint.
+func regScan(e *Engine) uint16 {
+	var m uint16
+	for r := 0; r < isa.NumRegs; r++ {
+		if e.RegTaint(r).Tainted() {
+			m |= 1 << r
+		}
+	}
+	return m
+}
+
+// TestTRFTracksRegisterTaint drives every register-taint write — Commit of
+// every opcode under both propagation modes, SetRegTaint, strf's
+// SetRegTaintMask, ClearRegs and Reset — from random operands and checks
+// after each that the TRF equals a scan of the registers, and that
+// EpochTaintFree reads it.
+func TestTRFTracksRegisterTaint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, mode := range []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT} {
+		pol := policy.Default()
+		pol.Propagation, pol.FailFast = mode, false
+		e := NewEngine(shadow.MustNew(64), pol)
+		e.TaintMemory(0x100, 8, shadow.MustLabel(1))
+		for i := 0; i < 20_000; i++ {
+			switch rng.Intn(20) {
+			case 0:
+				var rt RegTaint
+				rt[rng.Intn(4)] = shadow.Tag(rng.Intn(2))
+				e.SetRegTaint(rng.Intn(isa.NumRegs), rt)
+			case 1:
+				e.SetRegTaintMask(rng.Uint32(), shadow.Tag(rng.Intn(2)))
+			case 2:
+				e.ClearRegs(uint16(rng.Uint32()))
+			case 3:
+				if rng.Intn(50) == 0 {
+					e.Reset()
+				}
+			default:
+				in := isa.Instr{Op: isa.Op(rng.Intn(int(isa.LTNT) + 1)),
+					Rd: uint8(rng.Intn(isa.NumRegs)), Rs1: uint8(rng.Intn(isa.NumRegs)), Rs2: uint8(rng.Intn(isa.NumRegs))}
+				if err := e.Commit(0, in, 0xFC+uint32(rng.Intn(16))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := e.TaintedRegs(), regScan(e); got != want {
+				t.Fatalf("%s step %d: TRF %016b, register scan %016b", mode, i, got, want)
+			}
+			if e.EpochTaintFree() != (regScan(e) == 0) {
+				t.Fatalf("%s step %d: EpochTaintFree %v with TRF %016b", mode, i, e.EpochTaintFree(), e.TaintedRegs())
+			}
+		}
+	}
+}
+
+func TestClearRegs(t *testing.T) {
+	e := newEngine(t, policy.Default())
+	e.SetRegTaintMask(0b1010_0000_0000_0110, shadow.MustLabel(0))
+	e.ClearRegs(0b1000_0000_0000_0011) // r0 is already clean
+	if got := e.TaintedRegs(); got != 0b0010_0000_0000_0100 {
+		t.Fatalf("TRF after ClearRegs = %016b", got)
+	}
+	for _, r := range []int{0, 1, 15} {
+		if e.RegTaint(r) != (RegTaint{}) {
+			t.Fatalf("r%d still tainted: %v", r, e.RegTaint(r))
+		}
+	}
+	if !e.RegTaint(2).Tainted() || !e.RegTaint(13).Tainted() {
+		t.Fatal("ClearRegs cleared a register outside its mask")
 	}
 }

@@ -12,11 +12,13 @@ import (
 )
 
 // Reference is the conventional byte-precise DIFT stack: the LA32 machine
-// with the dift engine attached directly as its tracker, no coarse filter
-// and no backend in the loop. It is the ground truth side of a differential
-// run — LATCH's correctness argument (§4, §6.2) is that every backend,
-// coarse filter included, is observationally equivalent to exactly this
-// configuration.
+// running every instruction through Step and the dift engine's Commit, with
+// no coarse filter, no fast loop and no backend in the loop. It is the ground
+// truth side of a differential run — LATCH's correctness argument (§4,
+// §6.2) is that every backend, coarse filter and fast path included, is
+// observationally equivalent to exactly this configuration. The machine
+// sees the engine only through vm.Tracker's methods, so vm.CPU.Run never
+// enters its fast loop; Engine is the engine itself.
 type Reference struct {
 	Machine *vm.CPU
 	Engine  *dift.Engine
@@ -33,9 +35,13 @@ func NewReference(pol policy.Policy) (*Reference, error) {
 	}
 	eng := dift.NewEngine(sh, pol)
 	m := vm.New()
-	m.SetTracker(eng)
+	m.SetTracker(stepOnly{eng})
 	return &Reference{Machine: m, Engine: eng, Shadow: sh}, nil
 }
+
+// stepOnly carries only vm.Tracker's methods, hiding the engine's fast-path
+// methods (vm.FastTracker, vm.TaintRegFile) from the machine.
+type stepOnly struct{ vm.Tracker }
 
 // RunProgram loads prog and executes up to maxSteps instructions, returning
 // the machine's exit code. A policy violation (or machine fault) surfaces as

@@ -59,6 +59,38 @@ func TestReferenceTracksTaintPrecisely(t *testing.T) {
 	}
 }
 
+// TestReferenceRunsStepOnly: the reference is the oracle the fast paths are
+// checked against, so it must not run them. A clean counting loop, which
+// any FastTracker-driven machine would run in the fast loop, leaves the
+// reference's fast-loop counters at zero while its engine still counts
+// every instruction.
+func TestReferenceRunsStepOnly(t *testing.T) {
+	ref, err := engine.NewReference(policy.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := isa.Assemble(`
+		movi r2, 0
+		movi r3, 100
+	loop:
+		addi r2, r2, 1
+		blt  r2, r3, loop
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.RunProgram(context.Background(), prog, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if entries, exits, steps := ref.Machine.FastLoopStats(); entries|exits|steps != 0 {
+		t.Fatalf("reference ran the fast loop: entries=%d exits=%d steps=%d", entries, exits, steps)
+	}
+	if got, want := ref.Engine.InstructionsTotal(), ref.Machine.Instret(); got != want || want != 203 {
+		t.Fatalf("engine committed %d of %d instructions, want 203", got, want)
+	}
+}
+
 func TestRunProfileSessionSnapshot(t *testing.T) {
 	p, err := workload.Get("gcc")
 	if err != nil {

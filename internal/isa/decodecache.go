@@ -22,10 +22,12 @@ type DecodeEntry struct {
 	In    Instr
 	pc    uint32
 	valid bool
-	// Aux is a caller-owned classification byte, reset to zero on Insert.
-	// The interpreter stores its fast-loop kind here so dispatch reads one
-	// precomputed byte from the already-resident slot.
-	Aux uint8
+	// Aux and Reads are caller-owned stamps, reset to zero on Insert; they
+	// fill the slot's padding. The interpreter stores the instruction's
+	// fast-loop kind in Aux and its register read set (bit r for register
+	// r) in Reads, so dispatch reads both from the already-resident slot.
+	Aux   uint8
+	Reads uint16
 }
 
 // DefaultDecodeCacheEntries is the default capacity: 4096 entries cover a
@@ -93,8 +95,8 @@ func (c *DecodeCache) AddStats(hits, misses uint64) {
 }
 
 // Insert caches the decode of the instruction at pc, displacing whatever
-// occupied its slot. It returns the slot so the owner can stamp its Aux
-// classification.
+// occupied its slot. It returns the slot so the owner can stamp its Aux and
+// Reads.
 func (c *DecodeCache) Insert(pc uint32, in Instr) *DecodeEntry {
 	e := &c.entries[c.index(pc)]
 	*e = DecodeEntry{In: in, pc: pc, valid: true}

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestInvalidateRangeOneWordSpan(t *testing.T) {
 	// An entry at pc covers [pc, pc+WordSize): a write into that word must
@@ -26,14 +29,24 @@ func TestInvalidateRangeOneWordSpan(t *testing.T) {
 
 func TestInsertResetsAux(t *testing.T) {
 	// Re-inserting a PC (e.g. after invalidation and refill) must drop the
-	// owner's stale Aux stamp along with the old decode.
+	// owner's stale Aux and Reads stamps along with the old decode.
 	c := NewDecodeCache(64)
-	c.Insert(0x100, Instr{Op: MOVI, Rd: 1, Imm: 5}).Aux = 7
+	e := c.Insert(0x100, Instr{Op: MOVI, Rd: 1, Imm: 5})
+	e.Aux, e.Reads = 7, 0x8001
 	in := Instr{Op: SUB, Rd: 3, Rs1: 1, Rs2: 1}
 	c.Insert(0x100, in)
 	e, ok := c.Probe().At(0x100)
-	if !ok || e.In != in || e.Aux != 0 {
+	if !ok || e.In != in || e.Aux != 0 || e.Reads != 0 {
 		t.Fatalf("Insert left stale slot state: %+v ok=%v", e, ok)
+	}
+}
+
+// TestDecodeEntrySize pins a slot at 16 bytes: the owner's stamps live in
+// what would otherwise be padding, so a probe still touches one slot of a
+// cache line.
+func TestDecodeEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(DecodeEntry{}); n != 16 {
+		t.Fatalf("DecodeEntry is %d bytes, want 16", n)
 	}
 }
 

@@ -75,8 +75,8 @@ func (r *Recorder) Steps() ([]TaintStep, error) {
 // LoadTaint loads recorded steps into a module holding no coarse taint and
 // no resident CTC or TLB line — a new one, or one after Reset — leaving the
 // coarse state the module's own watchers would have built seeing each
-// step's transitions in order: the CTT words, the page-domain counts with
-// the TLB bit of each page domain that turns tainted, and the CTC.
+// step's transitions in order: the CTT words, the page-domain counts (the
+// TLB stays empty, as the watchers would leave it) and the CTC.
 //
 // The CTC is warmed exactly, not replayed: only the shortest suffix of
 // steps holding min(CTCEntries, distinct words) words goes through the
@@ -107,7 +107,9 @@ func (m *Module) LoadTaint(steps []TaintStep) error {
 }
 
 // loadWord sets mask's bits in CTT word w and counts the newly set ones in
-// their page domains.
+// their page domains. A page domain turning tainted needs no TLB update:
+// LoadTaint starts from an empty TLB, so there is no resident bit to set,
+// and a later fill reads the count.
 func (m *Module) loadWord(w, mask, perPD uint32) {
 	if int(w) >= len(m.ctt.words) {
 		m.ctt.grow(w)

@@ -332,8 +332,8 @@ func (m *Module) pdGrow(i uint32) {
 func (m *Module) onDomainTransition(d uint32, tainted bool) {
 	addr := m.Shadow.DomainBase(d)
 	if tainted {
-		if m.ctt.SetBit(d) {
-			m.pdAdd(addr, 1)
+		if m.ctt.SetBit(d) && m.pdAdd(addr, 1) {
+			m.tlb.UpdateTaintBit(addr, true)
 		}
 		// Write-through: the update travels via the taint cache (stnt /
 		// Figure 12), allocating on miss.
@@ -380,17 +380,15 @@ func (m *Module) onByteTransition(addr uint32, tainted bool) {
 	line.Aux |= 1 << bitOf(d)
 }
 
-// pdAdd counts n more tainted domains in addr's page domain, setting its
-// TLB bit when the page domain turns tainted.
-func (m *Module) pdAdd(addr, n uint32) {
+// pdAdd counts n more tainted domains in addr's page domain and reports
+// whether the page domain turned tainted, for the caller to set its TLB bit.
+func (m *Module) pdAdd(addr, n uint32) bool {
 	pd := m.pdIndex(addr)
 	if int(pd) >= len(m.pdCount) {
 		m.pdGrow(pd)
 	}
-	if m.pdCount[pd] == 0 {
-		m.tlb.UpdateTaintBit(addr, true)
-	}
 	m.pdCount[pd] += n
+	return m.pdCount[pd] == n
 }
 
 func (m *Module) pdTaintDec(addr uint32) {

@@ -128,15 +128,21 @@ func TestFastLoopIndirectJumpFreshTaint(t *testing.T) {
 
 // FuzzFastLoopVsStep: a program executed through Run (fast loop eligible)
 // and through a plain Step loop must agree on every piece of architectural
-// and taint state, on the tracker's committed and tainted instruction
-// counts, and on the program's output. This is the semantic anchor for the
-// fast loop's inlined interpreter. Inputs are raw little-endian instruction
-// words plus file-source bytes, so the fuzzer reaches encodings the random
-// program generator never emits (backward and zero-offset branches, wild
-// registers, undecodable words, jumps into unmapped memory). The seeds are
-// 25 generated programs, the regressions the fuzzer found, two wild jumps,
-// and a program that runs the fast loop guarded — taint resident in memory,
-// registers clean — around tainted loads and stores.
+// and taint state — the 16 registers' byte taint and the TRF among it, which
+// must also equal a scan of those registers — on the tracker's committed and
+// tainted instruction counts, and on the program's output, under classical
+// and PIFT propagation. This is the semantic anchor for the fast loop's
+// inlined interpreter and its TRF bookkeeping. Inputs are raw little-endian
+// instruction words plus file-source bytes, so the fuzzer reaches encodings
+// the random program generator never emits (backward and zero-offset
+// branches, wild registers, undecodable words, jumps into unmapped memory).
+// The seeds are 25 generated programs, the regressions the fuzzer found, two
+// wild jumps, a program that runs the fast loop guarded — taint resident in
+// memory, registers clean — around tainted loads and stores, and three that
+// run it past tainted registers: the server program's checksum loop over
+// tainted file bytes, a strf-tainted register that clean code overwrites
+// before a jr through it (which must not fire), and a jr through a register
+// that is still tainted (the same violation on both sides).
 func FuzzFastLoopVsStep(f *testing.F) {
 	const (
 		origin   = 0x1000
@@ -200,6 +206,65 @@ func FuzzFastLoopVsStep(f *testing.F) {
 	`)
 	f.Add(guarded.Image, []byte("attacker-chosen!"))
 	f.Add(guarded.Image, []byte{0xFF, 0x00, 0x7F})
+	// The server program's checksum loop over tainted file bytes: the loop
+	// counter and bound stay clean while the sum is tainted, so the fast
+	// loop runs the counter, the address arithmetic and the loop branch past
+	// the tainted sum and exits at each tainted load and each instruction
+	// reading the loaded byte — the add, and a branch reading it as Rs1.
+	// The tainted sum is stored at the end.
+	f.Add(isa.MustAssemble(`
+		li   r1, 0x8000
+		movi r2, 128
+		sys  2            ; tainted file bytes at 0x8000
+		mov  r6, r1
+		movi r7, 0        ; i
+		movi r8, 0        ; checksum
+		movi r12, 0       ; zero bytes seen
+		beq  r6, r0, done
+	csum:
+		li   r9, 0x8000
+		add  r9, r9, r7
+		ldb  r10, [r9]
+		add  r8, r8, r10
+		bne  r0, r10, nz  ; reads the tainted byte as Rs1
+		addi r12, r12, 1
+	nz:
+		addi r7, r7, 1
+		blt  r7, r6, csum
+	done:
+		li   r11, 0x9000
+		stw  r8, [r11]    ; store the tainted checksum
+		mov  r1, r12
+		halt
+	`).Image, []byte("GET /index.html HTTP/1.0\x00\x00 checksum me"))
+	// strf taints r5 and r6; clean code overwrites r5 inside the fast loop,
+	// so the jr through it must not fire on either side.
+	f.Add(isa.MustAssemble(`
+		movi r1, 0x60     ; strf mask: r5 and r6
+		strf r1
+		li   r5, =target  ; clean overwrite of a tainted register
+		addi r7, r5, 0
+		jr   r5
+		halt
+	target:
+		movi r2, 7
+		halt
+	`).Image, []byte(nil))
+	// The same register still tainted at the jr: the fast loop runs the
+	// clean li past it, the add reading it exits, and both sides raise the
+	// same control-flow violation (under PIFT the add clears it, and
+	// neither does).
+	f.Add(isa.MustAssemble(`
+		movi r1, 0x20     ; strf mask: r5
+		strf r1
+		li   r6, =target
+		add  r5, r5, r6
+		movi r7, 3
+		jr   r5
+		halt
+	target:
+		halt
+	`).Image, []byte(nil))
 
 	f.Fuzz(func(t *testing.T, code, file []byte) {
 		code = code[:min(len(code), maxWords*isa.WordSize)&^(isa.WordSize-1)]
@@ -215,14 +280,19 @@ func FuzzFastLoopVsStep(f *testing.F) {
 			cycles  uint64
 			halted  bool
 			tainted uint64
+			// The registers' byte taint and the TRF.
+			regTaint [isa.NumRegs]dift.RegTaint
+			trf      uint16
 			// The tracker's committed and taint-touching instruction counts
 			// (the fast loop settles the first through CommitClean) and the
 			// bytes the program wrote out.
 			committed, touching uint64
 			output              string
 		}
-		exec := func(fast bool) outcome {
-			e := newDift()
+		exec := func(fast bool, mode policy.Propagation) outcome {
+			pol := policy.Default()
+			pol.Propagation = mode
+			e := dift.NewEngine(shadow.MustNew(64), pol)
 			c := New()
 			c.Env.FileData = append([]byte(nil), file...)
 			c.SetTracker(e)
@@ -244,25 +314,41 @@ func FuzzFastLoopVsStep(f *testing.F) {
 			}
 			o.regs, o.pc, o.instret, o.cycles, o.halted = c.Regs, c.PC, c.Instret(), c.Cycles(), c.Halted()
 			o.tainted = e.Shadow.TaintedBytes()
+			var scan uint16
+			for r := range o.regTaint {
+				o.regTaint[r] = e.RegTaint(r)
+				if o.regTaint[r].Tainted() {
+					scan |= 1 << r
+				}
+			}
+			if o.trf = e.TaintedRegs(); o.trf != scan {
+				t.Fatalf("%s fast=%v: TRF %016b, register scan %016b", mode, fast, o.trf, scan)
+			}
 			o.committed, o.touching = e.InstructionsTotal(), e.InstructionsTainted()
 			o.output = c.Env.Output.String()
 			return o
 		}
 
-		fast, slow := exec(true), exec(false)
-		if fast.steps != slow.steps || fast.err != slow.err || fast.regs != slow.regs ||
-			fast.pc != slow.pc || fast.instret != slow.instret || fast.cycles != slow.cycles ||
-			fast.halted != slow.halted || fast.tainted != slow.tainted {
-			t.Fatalf("state diverges\n fast: steps=%d err=%q pc=%#x instret=%d cycles=%d halted=%v tainted=%d regs=%v\n slow: steps=%d err=%q pc=%#x instret=%d cycles=%d halted=%v tainted=%d regs=%v",
-				fast.steps, fast.err, fast.pc, fast.instret, fast.cycles, fast.halted, fast.tainted, fast.regs,
-				slow.steps, slow.err, slow.pc, slow.instret, slow.cycles, slow.halted, slow.tainted, slow.regs)
-		}
-		if fast.committed != slow.committed || fast.touching != slow.touching {
-			t.Fatalf("tracker counts diverge: fast committed=%d tainted=%d, slow committed=%d tainted=%d",
-				fast.committed, fast.touching, slow.committed, slow.touching)
-		}
-		if fast.output != slow.output {
-			t.Fatalf("output diverges\n fast: %q\n slow: %q", fast.output, slow.output)
+		for _, mode := range []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT} {
+			fast, slow := exec(true, mode), exec(false, mode)
+			if fast.steps != slow.steps || fast.err != slow.err || fast.regs != slow.regs ||
+				fast.pc != slow.pc || fast.instret != slow.instret || fast.cycles != slow.cycles ||
+				fast.halted != slow.halted || fast.tainted != slow.tainted {
+				t.Fatalf("%s: state diverges\n fast: steps=%d err=%q pc=%#x instret=%d cycles=%d halted=%v tainted=%d regs=%v\n slow: steps=%d err=%q pc=%#x instret=%d cycles=%d halted=%v tainted=%d regs=%v",
+					mode, fast.steps, fast.err, fast.pc, fast.instret, fast.cycles, fast.halted, fast.tainted, fast.regs,
+					slow.steps, slow.err, slow.pc, slow.instret, slow.cycles, slow.halted, slow.tainted, slow.regs)
+			}
+			if fast.regTaint != slow.regTaint || fast.trf != slow.trf {
+				t.Fatalf("%s: register taint diverges\n fast: TRF %016b %v\n slow: TRF %016b %v",
+					mode, fast.trf, fast.regTaint, slow.trf, slow.regTaint)
+			}
+			if fast.committed != slow.committed || fast.touching != slow.touching {
+				t.Fatalf("%s: tracker counts diverge: fast committed=%d tainted=%d, slow committed=%d tainted=%d",
+					mode, fast.committed, fast.touching, slow.committed, slow.touching)
+			}
+			if fast.output != slow.output {
+				t.Fatalf("%s: output diverges\n fast: %q\n slow: %q", mode, fast.output, slow.output)
+			}
 		}
 	})
 }
@@ -291,5 +377,93 @@ func TestFastLoopGuardedStore(t *testing.T) {
 	}
 	if c.Mem.LoadWord(0x4000) != 7 {
 		t.Fatal("store into tainted domain lost")
+	}
+}
+
+// TestRegSetsMatchDIFT pins the read and write sets the fast loop stamps
+// and applies against the DIFT engine itself, for every opcode over random
+// operands: tainting only register r makes Touches true exactly when r is
+// in regReads; and for a fast-set instruction whose read set is clean, over
+// clean memory, Touches is false and Commit clears exactly the tainted
+// registers in regWrites — the premise that lets the loop skip Commit.
+func TestRegSetsMatchDIFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const addr = 0x3000
+	for op := isa.NOP; op <= isa.LTNT; op++ {
+		for i := 0; i < 50; i++ {
+			in := isa.Instr{Op: op, Rd: uint8(rng.Intn(isa.NumRegs)),
+				Rs1: uint8(rng.Intn(isa.NumRegs)), Rs2: uint8(rng.Intn(isa.NumRegs))}
+			reads := regReads(in)
+			for r := 0; r < isa.NumRegs; r++ {
+				e := newDift()
+				e.SetRegTaintMask(1<<r, shadow.MustLabel(0))
+				if got, want := e.Touches(in, addr), reads&(1<<r) != 0; got != want {
+					t.Fatalf("%v with only r%d tainted: Touches %v, read set %016b", in, r, got, reads)
+				}
+			}
+			if fastKinds[in.Op] == fkExit {
+				continue
+			}
+			for _, mode := range []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT} {
+				pol := policy.Default()
+				pol.Propagation = mode
+				e := dift.NewEngine(shadow.MustNew(64), pol)
+				e.SetRegTaintMask(uint32(^reads), shadow.MustLabel(0))
+				before := e.TaintedRegs()
+				if e.Touches(in, addr) {
+					t.Fatalf("%s %v: Touches with clean sources and memory", mode, in)
+				}
+				if err := e.Commit(0, in, addr); err != nil {
+					t.Fatal(err)
+				}
+				if cleared, want := before&^e.TaintedRegs(), before&regWrites(in); cleared != want {
+					t.Fatalf("%s %v: Commit cleared %016b, write set %016b of TRF %016b", mode, in, cleared, regWrites(in), before)
+				}
+				if e.TaintedRegs()&^before != 0 || e.Shadow.TaintedBytes() != 0 {
+					t.Fatalf("%s %v: Commit created taint", mode, in)
+				}
+			}
+		}
+	}
+}
+
+// TestFastLoopRunsPastTaintedRegs: with r5 tainted for the whole run and
+// never read, the engine's TRF lets the loop run the counting loop, and the
+// register stays tainted. A FastTracker that hides its TRF is entered only
+// while every register is clean, so the same run enters only for the movi
+// before the strf.
+func TestFastLoopRunsPastTaintedRegs(t *testing.T) {
+	const src = `
+		movi r1, 0x20     ; strf mask: r5
+		strf r1
+		movi r2, 0
+		movi r3, 200
+	loop:
+		addi r2, r2, 1
+		blt  r2, r3, loop
+		halt
+	`
+	e := newDift()
+	c, err := run(t, src, e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, steps := c.FastLoopStats(); steps < 400 {
+		t.Fatalf("fast loop ran %d instructions past a tainted r5, want >= 400", steps)
+	}
+	if e.TaintedRegs() != 1<<5 || !e.RegTaint(5).Tainted() {
+		t.Fatalf("TRF = %016b, want r5 alone", e.TaintedRegs())
+	}
+
+	e = newDift()
+	c, err = run(t, src, struct{ FastTracker }{e}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, steps := c.FastLoopStats(); steps != 1 {
+		t.Fatalf("without a TRF the loop ran %d instructions, want only the movi before the strf", steps)
+	}
+	if e.InstructionsTotal() != c.Instret() {
+		t.Fatalf("engine counted %d of %d instructions", e.InstructionsTotal(), c.Instret())
 	}
 }

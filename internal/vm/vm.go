@@ -53,27 +53,32 @@ type Tracker interface {
 
 var _ Tracker = (*dift.Engine)(nil)
 
-// FastTracker is the optional Tracker extension consulted by Run's
-// taint-free fast loop (the interpreter analog of the paper's §5.1 hardware
-// fast path). When the tracker proves the current epoch taint-free — no
-// register holds taint — Run enters a second interpreter loop that skips
-// every per-operand tracker call: Commit cannot move taint and no policy
-// check can fire. Memory accesses are screened against the coarse taint
-// state (MemCoarseClean, the TLB-page-taint-bit analog) before executing;
-// the first potentially tainted access exits back to the full loop, as do
-// indirect jumps, syscalls, taint-state opcodes (strf, stnt, ltnt), halts,
-// and self-modifying stores. The skipped per-instruction accounting is
-// settled wholesale through CommitClean.
+// FastTracker is the optional Tracker extension consulted by Run's fast loop
+// (the interpreter analog of the paper's §5.1 hardware mode). Run executes
+// an instruction in a second interpreter loop, which skips every
+// per-operand tracker call, when it cannot touch taint: its register
+// sources are clean and its memory access is screened against the coarse
+// taint state (MemCoarseClean, the TLB-page-taint-bit analog) before it
+// executes. Commit could then only clear the taint of what the instruction
+// writes, and no policy check can fire. The first instruction with a
+// tainted source or a potentially tainted access exits back to the full
+// loop, as do indirect jumps, syscalls, taint-state opcodes (strf, stnt,
+// ltnt), halts, and self-modifying stores. The skipped per-instruction
+// accounting is settled wholesale through CommitClean.
 //
-// The precise DIFT engine implements it. The co-simulation trackers
+// A FastTracker that also implements TaintRegFile hands the loop its taint
+// register file, so the loop tests each instruction's sources. One that
+// does not is entered only while EpochTaintFree holds.
+//
+// The precise DIFT engine implements both. The co-simulation trackers
 // deliberately do not: their per-instruction protocol (trap modeling, module
 // statistics) is itself the measurement, so they always take the full loop.
 type FastTracker interface {
 	Tracker
 	// EpochTaintFree reports whether the tracker's register state is
-	// entirely clean — the fast loop's entry condition. While it holds and
-	// every executed access is coarse-clean, no fast-set instruction can
-	// touch or propagate taint.
+	// entirely clean — the fast loop's entry condition for a tracker
+	// without a TaintRegFile. While it holds and every executed access is
+	// coarse-clean, no fast-set instruction can touch or propagate taint.
 	EpochTaintFree() bool
 	// TaintResident reports whether any memory byte is currently tainted.
 	// When false at entry, the fast loop runs unguarded: no instruction in
@@ -92,6 +97,25 @@ type FastTracker interface {
 }
 
 var _ FastTracker = (*dift.Engine)(nil)
+
+// TaintRegFile is the optional FastTracker extension that exposes the
+// tracker's taint register file (TRF): one bit per register, set while the
+// register holds taint, as the per-register tag §5.1's hardware mode checks.
+// With it Run's fast loop runs past tainted registers: it exits at the first
+// instruction whose register read set meets the TRF, as the hardware mode
+// traps only an instruction with a tainted source.
+type TaintRegFile interface {
+	// TaintedRegs returns the TRF: bit r is set while register r holds
+	// taint.
+	TaintedRegs() uint16
+	// ClearRegs clears the taint of every register in mask. Run calls it
+	// when a fast segment ends, for the tainted registers the segment
+	// overwrote: an instruction with clean sources and a coarse-clean
+	// memory operand writes a clean result.
+	ClearRegs(mask uint16)
+}
+
+var _ TaintRegFile = (*dift.Engine)(nil)
 
 // Env supplies the deterministic external world: file bytes for SysRead,
 // one buffer per inbound request for SysAccept/SysRecv, and an output sink.
@@ -143,13 +167,6 @@ var ErrUnmappedFetch = errors.New("instruction fetch from unmapped page")
 // CancelCheckInterval instructions of the cancellation, and a background
 // context costs the loop nothing beyond the mask test.
 const CancelCheckInterval = 4096
-
-// FastRetryInterval is how often (in committed steps, a power of two) Run
-// re-evaluates the fast loop's entry condition. Entry attempts cost a
-// 16-register taint scan, so they are amortized rather than per-step; a
-// taint-handling epoch therefore runs at most this many instructions past
-// the point where the registers went clean before the fast loop resumes.
-const FastRetryInterval = 64
 
 // CPU is the LA32 machine state.
 type CPU struct {
@@ -244,11 +261,11 @@ func (c *CPU) FastLoopStats() (entries, exits, steps uint64) {
 }
 
 // decode fetches and decodes the instruction word at pc and caches it,
-// stamping the slot with its fast-loop kind (so dispatch reads the
-// classification from the already-resident entry) and marking every page
-// the word spans as code (so stores over it are caught). Both loops fill the
-// cache through this helper: an unstamped slot reads as fkExit and would pin
-// the fast loop at that PC.
+// stamping the slot with its fast-loop kind and register read set (so
+// dispatch reads both from the already-resident entry) and marking every
+// page the word spans as code (so stores over it are caught). Both loops
+// fill the cache through this helper: an unstamped slot reads as fkExit and
+// would pin the fast loop at that PC.
 //
 // A zero word read from pages none of which is mapped fails with
 // ErrUnmappedFetch. The fetch costs the one counted lookup any fetch does;
@@ -262,7 +279,8 @@ func (c *CPU) decode(pc uint32) (isa.Instr, error) {
 	if err != nil {
 		return in, err
 	}
-	c.dcache.Insert(pc, in).Aux = fastKinds[in.Op]
+	e := c.dcache.Insert(pc, in)
+	e.Aux, e.Reads = fastKinds[in.Op], regReads(in)
 	c.codePages.Add(mem.PageNumber(pc))
 	c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
 	return in, nil
@@ -435,6 +453,40 @@ func buildFastKinds() [256]uint8 {
 	return t
 }
 
+// regReads returns in's register read set: the registers whose taint its
+// Commit propagates or checks. DTA does not propagate through addresses, so
+// the base register of a load or store is not in it. Move and ALU-immediate
+// read Rs1, ALU2 reads Rs1 and Rs2, a store reads its data register Rd, a
+// branch reads Rd and Rs1, and an indirect jump its target Rs1; loads,
+// immediates, direct jumps and nop read no register.
+func regReads(in isa.Instr) uint16 {
+	switch in.Op.Class() {
+	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
+		return 1 << in.Rs1
+	case isa.ClassALU2:
+		return 1<<in.Rs1 | 1<<in.Rs2
+	case isa.ClassStore:
+		return 1 << in.Rd
+	case isa.ClassBranch:
+		return 1<<in.Rd | 1<<in.Rs1
+	}
+	return 0
+}
+
+// regWrites returns the registers a fast-set instruction writes: Rd, LR for
+// call, or none for stores, branches, jmp and nop.
+func regWrites(in isa.Instr) uint16 {
+	switch in.Op.Class() {
+	case isa.ClassMove, isa.ClassImm, isa.ClassALU2, isa.ClassALUImm, isa.ClassLoad:
+		return 1 << in.Rd
+	case isa.ClassJump:
+		if in.Op == isa.CALL {
+			return 1 << isa.RegLR
+		}
+	}
+	return 0
+}
+
 // neverDone is Run's sentinel cancellation channel for nil and background
 // contexts: never closed, so the poll's select always takes the default arm
 // and the nil test stays out of the loop.
@@ -445,11 +497,14 @@ var neverDone <-chan struct{} = make(chan struct{})
 // instructions committed by this call.
 //
 // When the attached tracker implements FastTracker (or no tracker is
-// attached) and the epoch is taint-free, Run executes inside runFast — the
-// interpreter analog of the paper's §5.1 hardware fast path — re-checking
-// the entry condition every FastRetryInterval steps after an exit. Fast
-// segments are bounded so they end exactly on CancelCheckInterval
-// boundaries, preserving the cancellation granularity below.
+// attached), Run tries runFast — the interpreter analog of the paper's §5.1
+// hardware mode — before every Step. A TaintRegFile tracker's TRF lets the
+// loop run past tainted registers no instruction reads; any other
+// FastTracker is entered only while EpochTaintFree holds. When a segment
+// ends, Run clears the tainted registers it overwrote (ClearRegs) and
+// settles its accounting (CommitClean). Fast segments are bounded so they
+// end exactly on CancelCheckInterval boundaries, preserving the
+// cancellation granularity below.
 //
 // Cancellation is polled every CancelCheckInterval steps (including before
 // the first), so a canceled run stops within that bound; the context's own
@@ -465,6 +520,7 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 		}
 	}
 	ft, isFast := c.tracker.(FastTracker)
+	rf, _ := ft.(TaintRegFile)
 	// With no tracker at all the fast loop is trivially sound: there is
 	// nothing to consult. A tracker that is not a FastTracker (the co-sim
 	// monitors) always takes the full loop.
@@ -488,7 +544,7 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 			default:
 			}
 		}
-		if fastCapable && steps&(FastRetryInterval-1) == 0 && (ft == nil || ft.EpochTaintFree()) {
+		if fastCapable && (rf != nil || ft == nil || ft.EpochTaintFree()) {
 			// Unguarded when no memory byte is tainted: the fast set cannot
 			// create taint, so per-access coarse checks are unnecessary.
 			guarded := ft != nil && ft.TaintResident()
@@ -498,13 +554,20 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 			if rem := maxSteps - steps; rem < limit {
 				limit = rem
 			}
-			n, err := c.runFast(ft, limit, guarded)
+			var trf uint16
+			if rf != nil {
+				trf = rf.TaintedRegs()
+			}
+			n, cleared, err := c.runFast(ft, limit, guarded, trf)
 			if n > 0 {
 				steps += n
 				c.fastSteps += n
 				if !resident {
 					c.fastEntries++
 					resident = true
+				}
+				if cleared != 0 {
+					rf.ClearRegs(cleared)
 				}
 				if ft != nil {
 					ft.CommitClean(n)
@@ -533,41 +596,47 @@ func (c *CPU) Run(ctx context.Context, maxSteps uint64) (uint64, error) {
 	return steps, nil
 }
 
-// runFast is the taint-free fast interpreter loop: no tracker calls and no
-// shadow lookups. It executes at most limit instructions and returns early
-// on the first exit-class instruction (syscall, indirect jump, halt,
-// taint-state op), the first coarse-unclean memory access (guarded mode),
-// or the first store into a page holding cached code — leaving that
-// instruction for the full loop to execute with precise checks — or on a
-// fetch that fails to decode, whose error it returns with the PC left at the
-// failed fetch. Returns the number of instructions committed.
+// runFast is the fast interpreter loop: no tracker calls and no shadow
+// lookups. trf0 is the taint register file at entry. The loop executes at
+// most limit instructions and returns early on the first exit-class
+// instruction (syscall, indirect jump, halt, taint-state op), the first
+// instruction whose register read set meets the TRF, the first coarse-unclean
+// memory access (guarded mode), or the first store into a page holding
+// cached code — leaving that instruction for the full loop to execute with
+// precise checks — or on a fetch that fails to decode, whose error it
+// returns with the PC left at the failed fetch. It returns the number of
+// instructions committed and cleared, the registers of trf0 they overwrote.
 //
-// The caller settles tracker accounting for the returned count via
-// FastTracker.CommitClean: in a clean epoch none of them touched taint.
-func (c *CPU) runFast(ft FastTracker, limit uint64, guarded bool) (uint64, error) {
-	var n uint64
-	var fetchErr error
+// Every instruction it runs has clean sources and a coarse-clean memory
+// operand (or no memory taint exists anywhere), so none touched taint and
+// each wrote a clean result. The caller settles the tracker for that:
+// TaintRegFile.ClearRegs(cleared) and FastTracker.CommitClean(n).
+func (c *CPU) runFast(ft FastTracker, limit uint64, guarded bool, trf0 uint16) (n uint64, cleared uint16, err error) {
 	// Architectural state lives in locals for the duration of the segment —
-	// the PC stays in a register across instructions and the retired/cycle
-	// counters are flushed once on exit instead of read-modify-written per
-	// instruction.
+	// the PC stays in a register across instructions and the cycle counter
+	// is flushed once on exit instead of read-modify-written per
+	// instruction. The loop keeps as few values live as it can: the retired
+	// count and the decode-cache hits (one per instruction run, plus the
+	// one the loop exited at) are derived from n at exit, and the registers
+	// cleared from trf, which only loses bits.
 	pc := c.PC
 	r := &c.Regs
-	cycles, instret := c.cycles, c.instret
+	cycles := c.cycles
 	probe := c.dcache.Probe()
-	var hits, misses uint64
+	trf := trf0
+	var misses uint64
+	hitExit := uint64(1) // the exit instruction's slot hit, unless reset below
 loop:
 	for n < limit {
 		e, ok := probe.At(pc)
 		if !ok {
 			misses++
-			if _, err := c.decode(pc); err != nil {
-				fetchErr = err
+			if _, err = c.decode(pc); err != nil {
+				hitExit = 0
 				break
 			}
 			continue
 		}
-		hits++
 		in, k := e.In, e.Aux
 		if k == fkExit {
 			break
@@ -585,6 +654,14 @@ loop:
 			if k == fkStore && c.storeHitsCode(addr, uint32(size)) {
 				break // self-modifying store: full loop handles invalidation
 			}
+		}
+		if trf != 0 {
+			// The TRF work runs only while some register is tainted, so a
+			// taint-free segment pays one test for it.
+			if e.Reads&trf != 0 {
+				break // a tainted source: the full loop propagates it
+			}
+			trf &^= regWrites(in)
 		}
 		// Architectural semantics, mirroring exec for the fast set. A store
 		// reaching this switch passed the code-page screen, so the noteStore
@@ -684,15 +761,17 @@ loop:
 			break loop
 		}
 		cycles += uint64(cycleTable[in.Op])
-		instret++
 		n++
 		pc = next
 	}
+	if n == limit {
+		hitExit = 0
+	}
 	c.PC = pc
 	c.cycles = cycles
-	c.instret = instret
-	c.dcache.AddStats(hits, misses)
-	return n, fetchErr
+	c.instret += n
+	c.dcache.AddStats(n+hitExit, misses)
+	return n, trf0 &^ trf, err
 }
 
 // Step executes one instruction.
