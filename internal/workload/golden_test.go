@@ -51,18 +51,42 @@ type digestCase struct {
 	digest uint64
 }
 
-// goldenDigests pins the first 50,000 events of each stream. They guard the
-// calibration: the EXPERIMENTS.md results were produced from exactly these
-// streams, so an unintended change to the generator, the profile constants,
-// or the RNG's draws shows up as a digest change. When a change is
-// deliberate (recalibration), update the values here and rerun the
+// goldenDigests pins the first 50,000 events of each stream: every
+// registered profile unsampled, and one sampled case per suite. They guard
+// the calibration: the EXPERIMENTS.md results were produced from exactly
+// these streams, so an unintended change to the generator, the profile
+// constants, or the RNG's draws shows up as a digest change. When a change
+// is deliberate (recalibration), update the values here and rerun the
 // experiment suite so EXPERIMENTS.md stays truthful.
 var goldenDigests = []digestCase{
 	{"astar", policy.Sampling{}, 0x8aaf6d5bc190a5b4},
+	{"bzip2", policy.Sampling{}, 0xadc6916f16cad8ca},
+	{"cactusADM", policy.Sampling{}, 0x62700d3629a19d32},
+	{"calculix", policy.Sampling{}, 0x873f41fdadd96352},
 	{"gcc", policy.Sampling{}, 0x66c8c71fbcdca87c},
+	{"gobmk", policy.Sampling{}, 0x7c7fd3a9051b32d8},
+	{"gromacs", policy.Sampling{}, 0x70eb3ac18a52b9ec},
+	{"h264ref", policy.Sampling{}, 0x434ea14e129d3ce7},
+	{"hmmer", policy.Sampling{}, 0x2744a556da9ceb0c},
+	{"lbm", policy.Sampling{}, 0x7e254b354389f1de},
+	{"mcf", policy.Sampling{}, 0xbd6e3bc01a65c618},
+	{"namd", policy.Sampling{}, 0x024b11dd837331f8},
+	{"omnetpp", policy.Sampling{}, 0xa0d1b3a01ff3bc64},
+	{"perlbench", policy.Sampling{}, 0x5c859f496cf1023c},
+	{"povray", policy.Sampling{}, 0x347f31805eec7ebb},
+	{"sjeng", policy.Sampling{}, 0x840acedc15b040a1},
+	{"soplex", policy.Sampling{}, 0x01dc4e1f4234b18f},
 	{"sphinx3", policy.Sampling{}, 0x53657093f52461fc},
+	{"wrf", policy.Sampling{}, 0x639154f6b71d494f},
+	{"xalancbmk", policy.Sampling{}, 0x639c317a3b1d9a11},
 	{"apache", policy.Sampling{}, 0xfbb8ef7afbc3201a},
+	{"apache-25", policy.Sampling{}, 0x42355db7c8cb0ed2},
+	{"apache-50", policy.Sampling{}, 0xa2f27be9c23447a1},
+	{"apache-75", policy.Sampling{}, 0x5bd48f384d6027b5},
+	{"curl", policy.Sampling{}, 0x43ef440577350187},
 	{"mysql", policy.Sampling{}, 0x8db030e1e7918d50},
+	{"wget", policy.Sampling{}, 0xd5c343f090c26897},
+	{"sphinx3", policy.Sampling{SampleFraction: 0.25, SampleSeed: 3}, 0x7b2e32bb1f4c774b},
 	{"apache", policy.Sampling{SampleFraction: 0.5, SampleSeed: 7}, 0x25a688c21fc0dcc2},
 }
 
@@ -145,6 +169,30 @@ func TestRunBatchesDigests(t *testing.T) {
 			if state != state1 {
 				t.Errorf("%s %+v at buffer %d: shadow state at delivery differs from buffer 1", c.name, c.sample, size)
 			}
+		}
+	}
+}
+
+// TestGoldenDigestsCoverEveryProfile: goldenDigests pins every registered
+// profile's unsampled stream and a sampled stream from each suite.
+func TestGoldenDigestsCoverEveryProfile(t *testing.T) {
+	unsampled := map[string]bool{}
+	sampled := map[Suite]bool{}
+	for _, c := range goldenDigests {
+		if c.sample.Enabled() {
+			sampled[MustGet(c.name).Suite] = true
+		} else {
+			unsampled[c.name] = true
+		}
+	}
+	for _, name := range Names() {
+		if !unsampled[name] {
+			t.Errorf("%s: no golden digest for its unsampled stream", name)
+		}
+	}
+	for _, s := range []Suite{SuiteSPEC, SuiteNetwork} {
+		if !sampled[s] {
+			t.Errorf("%s: no golden digest for a sampled stream", s)
 		}
 	}
 }
