@@ -170,14 +170,17 @@ bench-gate:
 # wild jumps into unmapped memory, taint resident in memory, so guarded mode
 # runs, and tainted registers the loop runs past: a checksum loop over
 # tainted file bytes, a strf-tainted register overwritten before a jr
-# through it, and a jr through one still tainted), then the
-# backend-equivalence fuzzer, which drives the differential checker from
-# random case seeds.
+# through it, and a jr through one still tainted), the stream generator's
+# decision thresholds (FuzzThreshold checks that comparing an Int63 draw
+# with threshold(p) decides as math/rand's Float64() < p does, for any
+# probability and draw), then the backend-equivalence fuzzer, which drives
+# the differential checker from random case seeds.
 fuzz:
 	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=10s
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzThreshold -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that

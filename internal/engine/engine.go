@@ -50,8 +50,9 @@
 // it only while its shadow maps at most 8,192 tag pages and its coarse
 // tables kept the size Config.AddressSpan gives them, so the idle sessions
 // a process keeps stay bounded (about 56 MiB each, plus the recorder's
-// buffer of 8 bytes a step, 0.5 MiB for sphinx3's layout at 8-byte domains)
-// whatever it ran. A sweep's first consumer runs on such a session; the
+// buffer of 8 bytes a step, 0.5 MiB for sphinx3's layout at 8-byte domains,
+// and the 12 KiB buffer every run on the session streams through) whatever
+// it ran. A sweep's first consumer runs on such a session; the
 // others run on spare modules attached to its shadow for the sweep, which
 // the idle state keeps beside the sessions: at most 8 per GOMAXPROCS, each
 // only with its coarse tables at their AddressSpan size (about 2 MiB at
@@ -233,7 +234,7 @@ func (s *Session) run(ctx context.Context, b Backend, p workload.Profile, opts R
 		return nil, err
 	}
 	return s.drive(ctx, b, p, opts, func(deliver func([]trace.Event) bool) {
-		g.RunBatches(opts.Events, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+		g.RunBatches(opts.Events, s.batchBuf(), func(evs []trace.Event) {
 			if !deliver(evs) {
 				g.Stop()
 			}

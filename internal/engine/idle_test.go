@@ -79,8 +79,9 @@ func profile(t *testing.T, name string) workload.Profile {
 }
 
 // TestRunProfileRecycledSession: a session that carried a run of another
-// workload goes back on the idle list, and the next run takes it and
-// produces exactly what a fresh session produces.
+// workload goes back on the idle list, and the next run takes it, streams
+// through the delivery buffer it kept, and produces exactly what a fresh
+// session produces.
 func TestRunProfileRecycledSession(t *testing.T) {
 	gcc := profile(t, "gcc")
 	opts := RunOptions{Events: 30_000}
@@ -97,12 +98,16 @@ func TestRunProfileRecycledSession(t *testing.T) {
 	if dirty.sess == ws || !isIdle(dirty.sess) {
 		t.Fatal("the dirtying run did not put a session of its own on the idle list")
 	}
+	buf := dirty.sess.batch
 	got, gs, err := RunProfileSession(context.Background(), &probeBackend{cfg: latch.DefaultConfig()}, gcc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gs != dirty.sess {
 		t.Fatal("the run did not take the idle session")
+	}
+	if len(buf) != EventBatchSize || len(gs.batch) != EventBatchSize || &gs.batch[0] != &buf[0] {
+		t.Fatal("the recycled run did not stream through the delivery buffer its session kept")
 	}
 	if isIdle(gs) {
 		t.Fatal("RunProfileSession left the session it handed out on the idle list")

@@ -9,6 +9,7 @@ import (
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
+	"latch/internal/trace"
 	"latch/internal/workload"
 )
 
@@ -41,7 +42,10 @@ func (c Cycles) Overhead() float64 {
 // the latch module and its shadow taint state, the workload profile behind
 // the stream, the telemetry wiring, the event cursor, the
 // hardware/software epoch and trap state machine, and the unified cycle
-// accounting. Backends keep only their policy-specific state.
+// accounting. Backends keep only their policy-specific state. A session
+// also owns the EventBatchSize-event buffer the stream of every run on it
+// is delivered through, allocated by the first run that streams and kept
+// across Recycle like the recorder.
 type Session struct {
 	Module   *latch.Module
 	Shadow   *shadow.Shadow
@@ -85,6 +89,17 @@ type Session struct {
 	// rec records layout materializations for the bulk load; built by the
 	// first one and kept across Recycle with its buffer.
 	rec *latch.Recorder
+	// batch is the delivery buffer (see batchBuf).
+	batch []trace.Event
+}
+
+// batchBuf returns the session's EventBatchSize-event delivery buffer,
+// allocating it on first use.
+func (s *Session) batchBuf() []trace.Event {
+	if s.batch == nil {
+		s.batch = make([]trace.Event, EventBatchSize)
+	}
+	return s.batch
 }
 
 // Recycle returns the session to the state NewSession(cfg) builds, whatever
@@ -109,7 +124,7 @@ func (s *Session) Recycle(cfg latch.Config) error {
 	if err := s.Module.Reconfigure(cfg); err != nil {
 		return err
 	}
-	*s = Session{Module: s.Module, Shadow: s.Shadow, missPenalty: cfg.CTCMissPenalty, rec: s.rec}
+	*s = Session{Module: s.Module, Shadow: s.Shadow, missPenalty: cfg.CTCMissPenalty, rec: s.rec, batch: s.batch}
 	return nil
 }
 
@@ -156,13 +171,15 @@ func (s *Session) materialize(p workload.Profile, spl policy.Sampling, more ...*
 }
 
 // Generate builds p's generator, sampled by spl, on the shadow of an idle
-// session and calls fn with it, for runs that read only the generator: its
-// stream and the shadow it writes. No module watches the shadow meanwhile,
-// so the layout and the stream cost only their shadow writes. The session
-// goes back on the idle list when fn returns, so fn must not keep the
-// generator or its shadow; the next run to take the session registers the
-// module's watchers again when it recycles it.
-func Generate(p workload.Profile, spl policy.Sampling, fn func(*workload.Generator) error) error {
+// session and calls fn with it and the session's EventBatchSize-event
+// delivery buffer, for runs that read only the generator: its stream, which
+// fn draws through RunBatches into buf, and the shadow it writes. No module
+// watches the shadow meanwhile, so the layout and the stream cost only
+// their shadow writes. The session goes back on the idle list when fn
+// returns, so fn must not keep the generator, its shadow or buf; the next
+// run to take the session registers the module's watchers again when it
+// recycles it.
+func Generate(p workload.Profile, spl policy.Sampling, fn func(g *workload.Generator, buf []trace.Event) error) error {
 	s, err := takeSession(latch.DefaultConfig())
 	if err != nil {
 		return err
@@ -174,7 +191,7 @@ func Generate(p workload.Profile, spl policy.Sampling, fn func(*workload.Generat
 	if err != nil {
 		return err
 	}
-	return fn(g)
+	return fn(g, s.batchBuf())
 }
 
 // maxIdlePages bounds the tag pages a session may map and still go back on

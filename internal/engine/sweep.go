@@ -171,7 +171,7 @@ func (sw *sweep) run(ctx context.Context, p workload.Profile, opts RunOptions) (
 		}
 	}
 	done := ctx.Done()
-	g.RunBatches(opts.Events, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+	g.RunBatches(opts.Events, lead.batchBuf(), func(evs []trace.Event) {
 		for i, c := range sw.cs {
 			sw.active = i
 			c.step(evs)
@@ -232,8 +232,8 @@ func Record(p workload.Profile, n uint64) (*Recording, error) {
 		return nil, fmt.Errorf("engine: cannot record %s: its stream reads the shadow (near-taint accesses or churn)", p.Name)
 	}
 	r := &Recording{p: p, evs: make([]trace.Event, 0, min(n, 1<<20))}
-	err := Generate(p, policy.Sampling{}, func(g *workload.Generator) error {
-		g.RunBatches(n, make([]trace.Event, EventBatchSize), func(evs []trace.Event) {
+	err := Generate(p, policy.Sampling{}, func(g *workload.Generator, buf []trace.Event) error {
+		g.RunBatches(n, buf, func(evs []trace.Event) {
 			r.evs = append(r.evs, evs...)
 		})
 		return nil
@@ -269,7 +269,7 @@ func (r *Recording) Run(ctx context.Context, b Backend, opts RunOptions) (Result
 		return nil, err
 	}
 	return s.drive(ctx, b, r.p, opts, func(deliver func([]trace.Event) bool) {
-		buf := make([]trace.Event, EventBatchSize)
+		buf := s.batchBuf()
 		for evs := r.evs[:opts.Events]; len(evs) > 0; {
 			batch := buf[:copy(buf, evs)]
 			evs = evs[len(batch):]

@@ -201,9 +201,13 @@ func (r *Runner) Temporal(s workload.Suite) ([]temporalResult, error) {
 		if err != nil {
 			return err
 		}
-		return engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+		return engine.Generate(p, r.sampling(), func(g *workload.Generator, buf []trace.Event) error {
 			a := trace.NewEpochAnalyzer()
-			g.Run(r.opts.EpochEvents, a)
+			g.RunBatches(r.opts.EpochEvents, buf, func(evs []trace.Event) {
+				for _, ev := range evs {
+					a.Consume(ev)
+				}
+			})
 			a.Finish()
 			js.Events = a.TotalInstructions()
 			out[i] = temporalResult{
@@ -285,7 +289,7 @@ func (r *Runner) pagesTable(s workload.Suite, title string) (*stats.Table, error
 		if err != nil {
 			return err
 		}
-		return engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+		return engine.Generate(p, r.sampling(), func(g *workload.Generator, _ []trace.Event) error {
 			tainted := g.Shadow().EverTaintedPages()
 			rows[i] = []any{name, p.PagesAccessed, tainted,
 				100 * float64(tainted) / float64(p.PagesAccessed),
@@ -320,23 +324,25 @@ func (r *Runner) Figure6() (*stats.Table, error) {
 		}
 		coarse := make([]uint64, len(Fig6Granularities))
 		var precise uint64
-		err = engine.Generate(p, r.sampling(), func(g *workload.Generator) error {
+		err = engine.Generate(p, r.sampling(), func(g *workload.Generator, buf []trace.Event) error {
 			sh := g.Shadow()
-			g.Run(r.opts.Fig6Events, trace.SinkFunc(func(ev trace.Event) {
-				js.Events++
-				if !ev.IsMem {
-					return
-				}
-				js.Checks++
-				if ev.Tainted {
-					precise++
-				}
-				for gi, gsize := range Fig6Granularities {
-					if sh.MustTaintedAt(ev.Addr, gsize) {
-						coarse[gi]++
+			g.RunBatches(r.opts.Fig6Events, buf, func(evs []trace.Event) {
+				js.Events += uint64(len(evs))
+				for _, ev := range evs {
+					if !ev.IsMem {
+						continue
+					}
+					js.Checks++
+					if ev.Tainted {
+						precise++
+					}
+					for gi, gsize := range Fig6Granularities {
+						if sh.MustTaintedAt(ev.Addr, gsize) {
+							coarse[gi]++
+						}
 					}
 				}
-			}))
+			})
 			return nil
 		})
 		if err != nil {
