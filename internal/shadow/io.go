@@ -146,6 +146,9 @@ func ReadSnapshot(r io.Reader) (*Shadow, error) {
 		if err := binary.Read(br, binary.LittleEndian, &runCount); err != nil {
 			return nil, fmt.Errorf("%w: page %d: %v", ErrBadSnapshot, i, err)
 		}
+		if pn >= mem.PageCount {
+			return nil, fmt.Errorf("%w: page %d: page number %#x outside the address space", ErrBadSnapshot, i, pn)
+		}
 		base := pn << mem.PageShift
 		for j := uint16(0); j < runCount; j++ {
 			var run taintRun

@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,25 @@ func TestSnapshotErrors(t *testing.T) {
 	buf.Write([]byte{1})           // tag
 	if _, err := ReadSnapshot(&buf); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("overflowing run: err = %v", err)
+	}
+	// Page numbers past the address space are refused, not shifted into a
+	// 32-bit address that aliases a low page; the last page loads.
+	page := func(pn uint32) *bytes.Buffer {
+		var buf bytes.Buffer
+		buf.WriteString("LSHD")
+		buf.Write([]byte{1, 0, 0, 0, 64, 0, 0, 0, 1, 0, 0, 0})
+		buf.Write(binary.LittleEndian.AppendUint32(nil, pn))
+		buf.Write([]byte{1, 0, 8, 0, 4, 0, 1}) // 1 run: off 8, len 4, tag 1
+		return &buf
+	}
+	for _, pn := range []uint32{mem.PageCount, 0x100001, 0xFFFFFFFF} {
+		if _, err := ReadSnapshot(page(pn)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("page %#x: err = %v", pn, err)
+		}
+	}
+	s, err := ReadSnapshot(page(mem.PageCount - 1))
+	if err != nil || s.TaintedBytes() != 4 || s.Get(0xFFFFF008) != MustLabel(0) {
+		t.Fatalf("last page: err = %v", err)
 	}
 }
 
