@@ -197,8 +197,10 @@ type Observer interface {
 // attach one Metrics to any number of concurrently running modules; the
 // zero value is ready for use.
 type Metrics struct {
-	checks         atomic.Uint64
-	resolved       [NumLevels]atomic.Uint64
+	// resolved counts the coarse checks each level resolved, and in its
+	// last slot those reported with an out-of-range level, so their sum
+	// counts every check and a negative check costs one add.
+	resolved       [NumLevels + 1]atomic.Uint64
 	positives      atomic.Uint64
 	falsePositives atomic.Uint64
 
@@ -228,10 +230,7 @@ var _ Observer = (*Metrics)(nil)
 
 // CoarseCheck implements Observer.
 func (m *Metrics) CoarseCheck(level Level, positive, falsePositive bool) {
-	m.checks.Add(1)
-	if level < NumLevels {
-		m.resolved[level].Add(1)
-	}
+	m.resolved[min(level, NumLevels)].Add(1)
 	if positive {
 		m.positives.Add(1)
 	}
@@ -357,13 +356,21 @@ type Snapshot struct {
 	NetSourceBytes  uint64 `json:"net_source_bytes"`
 }
 
-// Snapshot reads the registry.
+// Snapshot reads the registry. Each resolve-level counter is read once and
+// CoarseChecks is their sum, so within one snapshot it always equals the
+// three resolved fields plus the checks reported with an out-of-range level.
 func (m *Metrics) Snapshot() Snapshot {
+	var resolved [NumLevels + 1]uint64
+	var checks uint64
+	for i := range m.resolved {
+		resolved[i] = m.resolved[i].Load()
+		checks += resolved[i]
+	}
 	return Snapshot{
-		CoarseChecks:    m.checks.Load(),
-		ResolvedTLB:     m.resolved[LevelTLB].Load(),
-		ResolvedCTC:     m.resolved[LevelCTC].Load(),
-		ResolvedPrecise: m.resolved[LevelPrecise].Load(),
+		CoarseChecks:    checks,
+		ResolvedTLB:     resolved[LevelTLB],
+		ResolvedCTC:     resolved[LevelCTC],
+		ResolvedPrecise: resolved[LevelPrecise],
 		CoarsePositives: m.positives.Load(),
 		FalsePositives:  m.falsePositives.Load(),
 

@@ -13,6 +13,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.CoarseCheck(LevelCTC, false, false)
 	m.CoarseCheck(LevelPrecise, true, true)
 	m.CoarseCheck(LevelPrecise, true, false)
+	m.CoarseCheck(NumLevels+2, false, false) // counted as a check, resolved at no level
 
 	m.CacheMiss(CacheTLB)
 	m.CacheMiss(CacheCTC)
@@ -39,7 +40,7 @@ func TestMetricsSnapshot(t *testing.T) {
 
 	s := m.Snapshot()
 	want := Snapshot{
-		CoarseChecks:    4,
+		CoarseChecks:    5,
 		ResolvedTLB:     1,
 		ResolvedCTC:     1,
 		ResolvedPrecise: 2,
