@@ -173,14 +173,18 @@ bench-gate:
 # through it, and a jr through one still tainted), the stream generator's
 # decision thresholds (FuzzThreshold checks that comparing an Int63 draw
 # with threshold(p) decides as math/rand's Float64() < p does, for any
-# probability and draw), then the backend-equivalence fuzzer, which drives
-# the differential checker from random case seeds.
+# probability and draw), the shadow's page copy (FuzzCopyPage checks that
+# CopyPage leaves the tags, counters and ever-tainted pages, and reports to
+# the watchers, what per-byte Sets of the source page's tainted bytes in
+# rotated order do, at every domain size), then the backend-equivalence
+# fuzzer, which drives the differential checker from random case seeds.
 fuzz:
 	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=10s
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
 	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzThreshold -fuzztime=10s
+	$(GO) test ./internal/shadow -run='^$$' -fuzz=FuzzCopyPage -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that

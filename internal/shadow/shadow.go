@@ -17,7 +17,10 @@
 // Byte-level transitions go to a second watcher (OnByteTransition), which
 // sees every clear but only one taint assertion per domain per write: the
 // hardware's update is per domain, so a multi-kilobyte taint write costs a
-// watcher call per domain, not per byte.
+// watcher call per domain, not per byte. A taint layout that repeats a page
+// pattern writes each repeat with CopyPage, which copies a page's tags and
+// counters wholesale and reports, in order, the transitions that writing
+// its bytes from a given offset would.
 //
 // The tag pages run on mem.Table, the page map guest memory uses, and the
 // ever-tainted set is a mem.PageSet, so the propagate path (Set/Get)
@@ -346,6 +349,87 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 			}
 		}
 	}
+}
+
+// CopyPage copies the taint of page src onto page dst, which must hold none:
+// src's tags and domain counts, and dst joins the ever-tainted pages when
+// src holds taint. It is observably equivalent to a Set of each tainted byte
+// of src onto the same offset of dst, in the offset order from, from+1, …,
+// PageSize−1, 0, …, from−1 — identical counter updates and domain-watcher
+// callback sequence, and the byte watcher's sequence with each domain's
+// repeated taint assertions dropped (see ByteWatcher) — but costs one page
+// copy and a watcher call per tainted domain. Only the domain holding from
+// is scanned, to order it, unless a byte watcher needs each domain's first
+// tainted byte. It returns an error and changes nothing when dst holds
+// taint, when from is not a page offset or when a page number lies outside
+// the address space; an unmapped or clean src copies nothing.
+func (s *Shadow) CopyPage(dst, src, from uint32) error {
+	if dst >= mem.PageCount || src >= mem.PageCount {
+		return fmt.Errorf("shadow: copying page %#x onto page %#x outside the address space", src, dst)
+	}
+	if from >= mem.PageSize {
+		return fmt.Errorf("shadow: copy order starts at offset %d outside a page", from)
+	}
+	dp := s.pages.Lookup(dst)
+	if dp != nil && dp.taintedBytes != 0 {
+		return fmt.Errorf("shadow: copying onto page %#x holding %d tainted bytes", dst, dp.taintedBytes)
+	}
+	sp := s.pages.Lookup(src)
+	if sp == nil || sp.taintedBytes == 0 {
+		return nil
+	}
+	if dp == nil {
+		dp = s.pages.Get(dst)
+	}
+	dp.tags = sp.tags
+	counts := dp.domainBytes[:s.domPerPage]
+	copy(counts, sp.domainBytes[:s.domPerPage])
+	dp.taintedBytes = sp.taintedBytes
+	s.taintedBytes += uint64(sp.taintedBytes)
+	s.everTainted.Add(dst)
+	if s.onDomain == nil && s.onByte == nil {
+		return nil
+	}
+	// The Sets visit the domains in rotated order from f, the one holding
+	// from, which comes first if it holds a tainted byte at or after from
+	// and last otherwise.
+	base := dst << mem.PageShift
+	f := from >> s.domShift
+	end := (f + 1) << s.domShift
+	fFirst := counts[f] != 0 && firstTainted(&dp.tags, from, end) < end
+	if fFirst {
+		s.reportCopied(dp, base, f, from)
+	}
+	for i := uint32(1); i < s.domPerPage; i++ {
+		if d := (f + i) & (s.domPerPage - 1); counts[d] != 0 {
+			s.reportCopied(dp, base, d, d<<s.domShift)
+		}
+	}
+	if counts[f] != 0 && !fFirst {
+		s.reportCopied(dp, base, f, f<<s.domShift)
+	}
+	return nil
+}
+
+// reportCopied reports domain d of the page at base, copied tainted, to the
+// domain watcher and, at its first tainted byte at or after page offset lo,
+// to the byte watcher.
+func (s *Shadow) reportCopied(p *page, base, d, lo uint32) {
+	if s.onDomain != nil {
+		s.onDomain(base>>s.domShift+d, true)
+	}
+	if s.onByte != nil {
+		s.onByte(base+firstTainted(&p.tags, lo, (d+1)<<s.domShift), true)
+	}
+}
+
+// firstTainted returns the offset of the first tainted tag in [lo, hi), or
+// hi when there is none.
+func firstTainted(tags *[mem.PageSize]Tag, lo, hi uint32) uint32 {
+	for lo < hi && tags[lo] == TagClean {
+		lo++
+	}
+	return lo
 }
 
 // RangeTag returns the union of tags over [addr, addr+n).
