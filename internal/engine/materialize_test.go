@@ -138,24 +138,28 @@ func TestMaterializeMatchesWatchers(t *testing.T) {
 	}
 }
 
-// BenchmarkMaterialize times materializing sphinx3's layout (4,133 tainted
-// pages) at 64-byte domains and loading it, alone and into the six modules
-// of a six-consumer sweep.
+// BenchmarkMaterialize times materializing a layout at 64-byte domains and
+// loading it, alone and into the six modules of a six-consumer sweep:
+// sphinx3's 4,133 tainted pages of 16-byte runs every 64 bytes, astar's
+// 2,001 of 8-byte runs every 128, mysql's 435 of 64-byte runs every 256,
+// and bzip2's 70 whole tainted pages.
 func BenchmarkMaterialize(b *testing.B) {
-	p := workload.MustGet("sphinx3")
-	for _, n := range []int{1, 6} {
-		b.Run(fmt.Sprintf("consumers=%d", n), func(b *testing.B) {
-			mb := newMaterializeBench(b, n)
-			mb.materialize(b, p, policy.Sampling{})
-			mb.reset()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
+	for _, name := range []string{"sphinx3", "astar", "mysql", "bzip2"} {
+		p := workload.MustGet(name)
+		for _, n := range []int{1, 6} {
+			b.Run(fmt.Sprintf("%s/consumers=%d", name, n), func(b *testing.B) {
+				mb := newMaterializeBench(b, n)
 				mb.materialize(b, p, policy.Sampling{})
-				b.StopTimer()
 				mb.reset()
-				b.StartTimer()
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					mb.materialize(b, p, policy.Sampling{})
+					b.StopTimer()
+					mb.reset()
+					b.StartTimer()
+				}
+			})
+		}
 	}
 }
