@@ -1,7 +1,7 @@
 # Verification entry points. `make verify` is the full pre-merge gate:
-# gofmt cleanliness, tier-1 build+test, go vet, and the race-detector pass
-# over every package (the worker-pool harness and the suite runners are
-# exercised under -race by their own tests).
+# gofmt cleanliness, tier-1 build+test, go vet, the coverage floors, and the
+# race-detector pass over every package (the worker-pool harness and the
+# suite runners are exercised under -race by their own tests).
 
 GO ?= go
 GOFMT ?= gofmt
@@ -41,7 +41,7 @@ race:
 		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestRunProfileConcurrent|TestRunSweepConcurrent' \
 		./internal/ring ./internal/platch ./internal/enginetest
 
-verify: fmt test vet race diffcheck serve-smoke paper-smoke examples
+verify: fmt test vet cover race diffcheck serve-smoke paper-smoke examples
 
 # Example tier: run every program under examples/ (each finishes in under a
 # second) and fail on the first non-zero exit. `go build ./...` only compiles

@@ -86,17 +86,6 @@ func run() int {
 		return fail(err)
 	}
 
-	geom := latch.DefaultConfig()
-	if *domainSize > 0 {
-		geom.DomainSize = uint32(*domainSize)
-	}
-	if *ctcEntries > 0 {
-		geom.CTCEntries = *ctcEntries
-	}
-	if *tlbEntries > 0 {
-		geom.TLBEntries = *tlbEntries
-	}
-
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -104,7 +93,7 @@ func run() int {
 		MaxDeadline:     *maxDeadline,
 		Quota:           serve.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 		CanaryEveryN:    *canaryN,
-		Geometry:        geom,
+		Geometry:        f.geometry(),
 		Backends:        splitList(*backends),
 		Policy: serve.PolicyGate{
 			AllowTenantPolicies: *allowPolicy,
@@ -194,6 +183,11 @@ func validateFlags(f flagSet) error {
 	if f.TLBEntries < 0 || (f.TLBEntries > 0 && !powerOfTwo(uint64(f.TLBEntries))) {
 		return fmt.Errorf("-tlb-entries must be a power of two, got %d", f.TLBEntries)
 	}
+	// A power of two can still lie outside the shadow's domain-size range;
+	// every job would then fail at session setup.
+	if err := f.geometry().Validate(); err != nil {
+		return fmt.Errorf("-domain-size/-ctc-entries/-tlb-entries: %w", err)
+	}
 	for _, c := range splitList(f.PinChecks) {
 		if c != "control-flow" && c != "leak" {
 			return fmt.Errorf("-pin-checks: unknown check %q (known: control-flow, leak)", c)
@@ -219,6 +213,22 @@ func validateFlags(f flagSet) error {
 		}
 	}
 	return nil
+}
+
+// geometry returns the module geometry the flags select: the paper default
+// with each nonzero override applied.
+func (f flagSet) geometry() latch.Config {
+	geom := latch.DefaultConfig()
+	if f.DomainSize > 0 {
+		geom.DomainSize = uint32(f.DomainSize)
+	}
+	if f.CTCEntries > 0 {
+		geom.CTCEntries = f.CTCEntries
+	}
+	if f.TLBEntries > 0 {
+		geom.TLBEntries = f.TLBEntries
+	}
+	return geom
 }
 
 func powerOfTwo(n uint64) bool { return n > 0 && n&(n-1) == 0 }

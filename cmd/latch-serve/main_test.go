@@ -30,6 +30,8 @@ func TestValidateFlags(t *testing.T) {
 		{"odd ctc entries", func(f *flagSet) { f.CTCEntries = 12 }, "power of two"},
 		{"odd tlb entries", func(f *flagSet) { f.TLBEntries = 100 }, "power of two"},
 		{"negative ctc entries", func(f *flagSet) { f.CTCEntries = -4 }, "power of two"},
+		{"domain size below the shadow's range", func(f *flagSet) { f.DomainSize = 4 }, "invalid domain size 4"},
+		{"domain size above the shadow's range", func(f *flagSet) { f.DomainSize = 8192 }, "invalid domain size 8192"},
 		{"pow2 geometry passes", func(f *flagSet) { f.DomainSize = 128; f.CTCEntries = 32; f.TLBEntries = 256 }, ""},
 		{"unknown backend", func(f *flagSet) { f.Backends = "slatch,bogus" }, "unknown backend"},
 		{"known backends pass", func(f *flagSet) { f.Backends = "slatch,hlatch" }, ""},

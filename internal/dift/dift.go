@@ -203,11 +203,6 @@ func (e *Engine) TaintMemory(addr uint32, n int, tag shadow.Tag) {
 	e.Shadow.SetRange(addr, n, tag)
 }
 
-// ClearMemory removes taint from [addr, addr+n).
-func (e *Engine) ClearMemory(addr uint32, n int) {
-	e.Shadow.SetRange(addr, n, shadow.TagClean)
-}
-
 // Violations returns all recorded violations.
 func (e *Engine) Violations() []Violation { return e.violations }
 
@@ -228,11 +223,46 @@ func (e *Engine) violate(v Violation) error {
 	return nil
 }
 
+// RegReads returns in's register read set, bit r for register r: the
+// registers whose taint Commit propagates or checks, which §5.1's hardware
+// mode tests against the TRF. DTA does not propagate through addresses, so
+// the base register of a load or store is not in it: a store reads only its
+// data register. Touches tests the same registers.
+func RegReads(in isa.Instr) uint16 {
+	switch in.Op.Class() {
+	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
+		return 1 << in.Rs1
+	case isa.ClassALU2:
+		return 1<<in.Rs1 | 1<<in.Rs2
+	case isa.ClassStore:
+		return 1 << in.Rd
+	case isa.ClassBranch:
+		return 1<<in.Rd | 1<<in.Rs1
+	}
+	return 0
+}
+
+// RegWrites returns the registers whose taint Commit writes: Rd for move,
+// immediate, ALU and load, LR for call and callr, and none for any other
+// instruction.
+func RegWrites(in isa.Instr) uint16 {
+	switch in.Op.Class() {
+	case isa.ClassMove, isa.ClassImm, isa.ClassALU2, isa.ClassALUImm, isa.ClassLoad:
+		return 1 << in.Rd
+	case isa.ClassJump, isa.ClassJumpInd:
+		if in.Op == isa.CALL || in.Op == isa.CALLR {
+			return 1 << isa.RegLR
+		}
+	}
+	return 0
+}
+
 // Touches reports whether instruction in, with effective memory address addr
 // (for loads/stores), manipulates tainted data under the current precise
 // state. This is the ground-truth predicate of the paper's locality analysis
 // ("instructions touching tainted data", Tables 1–2) and of the S-LATCH
-// false-positive filter.
+// false-positive filter. Its register tests are RegReads, spelled out per
+// class because Touches runs in every Commit.
 func (e *Engine) Touches(in isa.Instr, addr uint32) bool {
 	switch in.Op.Class() {
 	case isa.ClassMove:

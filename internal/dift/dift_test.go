@@ -323,6 +323,57 @@ func TestTouches(t *testing.T) {
 	}
 }
 
+// TestRegSetsMatchDIFT holds RegReads and RegWrites to Touches and Commit
+// for every opcode over random operands: tainting only register r makes
+// Touches true exactly when r is in RegReads; and with clean sources and
+// clean memory, Commit clears exactly the tainted registers in RegWrites and
+// creates no taint, under classical and PIFT propagation. Those are the
+// premises on which the VM's fast loop skips Commit and P-LATCH's monitored
+// core filters its log.
+func TestRegSetsMatchDIFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const addr = 0x3000
+	// Every engine's shadow stays clean, and SetRegTaintMask rewrites every
+	// register's taint, so one engine per propagation mode serves each case.
+	modes := []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT}
+	engines := make([]*Engine, len(modes))
+	for i, mode := range modes {
+		pol := policy.Default()
+		pol.Propagation = mode
+		engines[i] = newEngine(t, pol)
+	}
+	for op := isa.NOP; op <= isa.LTNT; op++ {
+		for i := 0; i < 50; i++ {
+			in := isa.Instr{Op: op, Rd: uint8(rng.Intn(isa.NumRegs)),
+				Rs1: uint8(rng.Intn(isa.NumRegs)), Rs2: uint8(rng.Intn(isa.NumRegs))}
+			reads, writes := RegReads(in), RegWrites(in)
+			for r, e := 0, engines[0]; r < isa.NumRegs; r++ {
+				e.SetRegTaintMask(1<<r, shadow.MustLabel(0))
+				if got, want := e.Touches(in, addr), reads&(1<<r) != 0; got != want {
+					t.Fatalf("%v with only r%d tainted: Touches %v, read set %016b", in, r, got, reads)
+				}
+			}
+			for m, mode := range modes {
+				e := engines[m]
+				e.SetRegTaintMask(uint32(^reads), shadow.MustLabel(0))
+				before := e.TaintedRegs()
+				if e.Touches(in, addr) {
+					t.Fatalf("%s %v: Touches with clean sources and memory", mode, in)
+				}
+				if err := e.Commit(0, in, addr); err != nil {
+					t.Fatal(err)
+				}
+				if cleared, want := before&^e.TaintedRegs(), before&writes; cleared != want {
+					t.Fatalf("%s %v: Commit cleared %016b, write set %016b of TRF %016b", mode, in, cleared, writes, before)
+				}
+				if e.TaintedRegs()&^before != 0 || e.Shadow.TaintedBytes() != 0 {
+					t.Fatalf("%s %v: Commit created taint", mode, in)
+				}
+			}
+		}
+	}
+}
+
 func TestInstructionCounters(t *testing.T) {
 	e := newEngine(t, policy.Default())
 	e.TaintMemory(100, 4, shadow.MustLabel(0))

@@ -153,6 +153,3 @@ func (c *DecodeCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // ResetStats zeroes the counters without touching contents.
 func (c *DecodeCache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// Entries returns the cache capacity.
-func (c *DecodeCache) Entries() int { return len(c.entries) }

@@ -1,9 +1,9 @@
 // Package latch implements the core LATCH hardware module from the paper:
 // the coarse taint representation (taint domains and the in-memory Coarse
 // Taint Table), the tiny Coarse Taint Cache with its per-domain clear bits,
-// the TLB page-level taint bits, the taint register file, and the
-// multi-granular update and checking logic that ties them to the
-// byte-precise shadow state (Figures 7, 8 and 12).
+// the TLB page-level taint bits, and the multi-granular update and checking
+// logic that ties them to the byte-precise shadow state (Figures 7, 8 and
+// 12).
 //
 // The module supports the two synchronization disciplines the paper
 // describes: the hardware AND-chain of H-LATCH, which keeps the coarse state

@@ -153,7 +153,6 @@ type Module struct {
 	// Pre-sized from Config.AddressSpan; grown geometrically beyond it.
 	pdCount []uint32
 	pdShift uint
-	trf     TRF
 
 	tlb        *cache.TLB
 	ctc        *cache.Cache
@@ -220,7 +219,6 @@ func (m *Module) Reconfigure(cfg Config) error {
 		m.baseTcache = cache.MustNew(base)
 	}
 	m.cfg = cfg
-	m.trf.Reset()
 	m.stats = Stats{}
 	m.obs = nil
 	onDomain, onByte := m.Watchers()
@@ -280,9 +278,6 @@ func (m *Module) Stats() Stats { return m.stats }
 
 // CTT exposes the coarse taint table (read-mostly; used by experiments).
 func (m *Module) CTT() *CTT { return m.ctt }
-
-// TRF returns the taint register file.
-func (m *Module) TRF() *TRF { return &m.trf }
 
 // TLBStats returns the TLB's cache statistics.
 func (m *Module) TLBStats() cache.Stats { return m.tlb.Stats() }
@@ -616,10 +611,10 @@ func (m *Module) FlushCaches() {
 	m.tlb.Flush()
 }
 
-// Reset returns the module to its just-constructed state: the CTT, the
-// page-domain counts, and the taint register file are cleared, every cache
-// (TLB, CTC, taint caches) is emptied without scanning — there is no taint
-// left to retire — and all statistics are zeroed.
+// Reset returns the module to its just-constructed state: the CTT and the
+// page-domain counts are cleared, every cache (TLB, CTC, taint caches) is
+// emptied without scanning — there is no taint left to retire — and all
+// statistics are zeroed.
 //
 // The coarse tables are cleared only over the shadow's ever-tainted pages:
 // a CTT bit or page-domain count is raised only from a shadow taint
@@ -631,7 +626,6 @@ func (m *Module) FlushCaches() {
 // past Config.AddressSpan; see TablesGrown.
 func (m *Module) Reset() {
 	m.Shadow.ForEachEverTaintedPage(m.clearPage)
-	m.trf.Reset()
 	m.tlb.Flush()
 	m.ctc.Flush(nil)
 	m.tcache.Flush(nil)

@@ -393,31 +393,6 @@ func TestStatsPercentages(t *testing.T) {
 	}
 }
 
-func TestTRF(t *testing.T) {
-	var trf TRF
-	if trf.AnyTainted() {
-		t.Fatal("fresh TRF tainted")
-	}
-	trf.Set(3, shadow.MustLabel(0))
-	if !trf.Tainted(3) || trf.Tainted(2) || !trf.AnyTainted() {
-		t.Fatal("Set/Tainted wrong")
-	}
-	if trf.Mask() != 1<<3 {
-		t.Fatalf("Mask = %#x", trf.Mask())
-	}
-	trf.SetMask(0b101, shadow.MustLabel(1))
-	if !trf.Tainted(0) || trf.Tainted(1) || !trf.Tainted(2) || trf.Tainted(3) {
-		t.Fatal("SetMask wrong")
-	}
-	if trf.Get(0) != shadow.MustLabel(1) {
-		t.Fatal("Get wrong")
-	}
-	trf.Reset()
-	if trf.AnyTainted() {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	m, sh := newModule(t, nil)
 	sh.Set(0, shadow.MustLabel(0))
@@ -658,10 +633,10 @@ func TestLazyScanConvergesToEager(t *testing.T) {
 // space (growing the dense tables), clears part of the taint, and checks
 // that Reset followed by the shadow's Reset leaves a module
 // indistinguishable from New under both clear policies: every CTT word,
-// the occupancy counts, every page's taint bits, the statistics and the
-// TRF, and the verdicts and statistics of the same operations replayed on
-// both. Sentinels planted in an untainted page's CTT word and page-domain
-// count must survive: the reset writes only the tainted pages' words.
+// the occupancy counts, every page's taint bits, the statistics, and the
+// verdicts and statistics of the same operations replayed on both.
+// Sentinels planted in an untainted page's CTT word and page-domain count
+// must survive: the reset writes only the tainted pages' words.
 func TestResetMatchesNew(t *testing.T) {
 	for _, cp := range []ClearPolicy{EagerClear, LazyClear} {
 		t.Run(cp.String(), func(t *testing.T) {
@@ -678,7 +653,6 @@ func TestResetMatchesNew(t *testing.T) {
 				sh.SetRange(0xFFFFF000, 16, tag)
 				m.StoreTaint(0x8100, tag)
 				sh.SetRange(0x8000, 64, shadow.TagClean)
-				m.TRF().Set(3, tag)
 				var out []CheckResult
 				for _, a := range []uint32{0x8000, 0x8040, 0x8100, 0xFFFFF000, 0x1000} {
 					out = append(out, m.CheckMem(a, 4))
@@ -720,7 +694,7 @@ func TestResetMatchesNew(t *testing.T) {
 					t.Fatalf("page %#x taint bits %b after Reset, New has %b", pn, got, want)
 				}
 			}
-			if m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() || *m.TRF() != *fresh.TRF() {
+			if m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() {
 				t.Fatalf("state after Reset differs from New:\nstats %+v\nnew   %+v", m.Stats(), fresh.Stats())
 			}
 
@@ -761,7 +735,6 @@ func TestReconfigureMatchesNew(t *testing.T) {
 		m.StoreTaint(0x8200, tag)
 		sh.SetRange(0x8000, 128, shadow.TagClean)
 		m.StoreTaint(0x20010, shadow.TagClean)
-		m.TRF().Set(2, tag)
 		var out []CheckResult
 		for _, a := range []uint32{0x8000, 0x8080, 0x8200, 0x20010, 0x21000, 0x1000} {
 			out = append(out, m.CheckMem(a, 4))
@@ -783,7 +756,7 @@ func TestReconfigureMatchesNew(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		fresh, freshSh := newModule(t, func(c *Config) { *c = cfg })
-		if m.Config() != cfg || m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() || *m.TRF() != *fresh.TRF() {
+		if m.Config() != cfg || m.Stats() != fresh.Stats() || m.TLBStats() != fresh.TLBStats() {
 			t.Fatalf("step %d: reconfigured module differs from New before any work", i)
 		}
 		got, want := work(m, sh), work(fresh, freshSh)

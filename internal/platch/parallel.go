@@ -73,13 +73,15 @@ func (s ParallelStats) Overhead() float64 {
 }
 
 // logEntry is one committed instruction shipped to the monitor. For an
-// indirect jump, target is the transfer target the monitor's control-flow
-// check reports; other entries ignore it.
+// indirect jump, arg is the transfer target the monitor's control-flow
+// check reports; for strf, arg and tag are the register mask and tag the
+// monitor applies. Other entries ignore both.
 type logEntry struct {
 	pc      uint32
 	in      isa.Instr
 	addr    uint32
-	target  uint32
+	arg     uint32
+	tag     shadow.Tag
 	instret uint64
 }
 
@@ -98,7 +100,13 @@ type Parallel struct {
 	cfg     ParallelConfig
 	service float64 // monitor cycles per log entry
 	pend    *pendingFIFO
-	target  uint32 // the last indirect-jump target, for Commit's log entry
+	// trf is the monitored core's TRF, bit r for register r, kept in step
+	// with commit: the monitor's own register state lags.
+	trf uint16
+	// arg and tag are what Commit's next log entry carries: an indirect
+	// jump's target, or strf's mask and tag.
+	arg uint32
+	tag shadow.Tag
 
 	queue         []logEntry
 	monitorBudget float64
@@ -170,9 +178,14 @@ func (p *Parallel) processOne() {
 		p.pend.pop()
 	}
 	before := len(p.Engine.Violations())
-	if e.in.Op.Class() == isa.ClassJumpInd {
+	switch {
+	case e.in.Op.Class() == isa.ClassJumpInd:
 		// The monitor validates the (already taken) transfer.
-		_ = p.Engine.IndirectTarget(e.pc, int(e.in.Rs1), e.target)
+		_ = p.Engine.IndirectTarget(e.pc, int(e.in.Rs1), e.arg)
+	case e.in.Op == isa.STRF:
+		// strf reaches the monitor's registers in log order, after the
+		// entries logged before it.
+		p.Engine.SetRegTaintMask(e.arg, e.tag)
 	}
 	_ = p.Engine.Commit(e.pc, e.in, e.addr)
 	for _, v := range p.Engine.Violations()[before:] {
@@ -217,7 +230,7 @@ func (p *Parallel) Touches(isa.Instr, uint32) bool { return false }
 // validates control transfers after the fact. It keeps the target for the
 // log entry Commit ships next.
 func (p *Parallel) IndirectTarget(_ uint32, _ int, target uint32) error {
-	p.target = target
+	p.arg = target
 	return nil
 }
 
@@ -228,10 +241,9 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	p.stats.MonitoredCycle++
 	p.tick(1)
 
-	// The hardware filter: TRF bits for register sources (maintained
-	// synchronously by the monitored core — the monitor's own register
-	// state lags and cannot be consulted in time), the coarse stack for
-	// memory operands, and the pending-update FIFO for outstanding stores.
+	// The hardware filter: TRF bits for register sources, the coarse stack
+	// for memory operands, and the pending-update FIFO for outstanding
+	// stores. strf always ships, so the monitor applies it in log order.
 	var memPositive bool
 	if in.ReadsMem() || in.WritesMem() {
 		res := p.Module.CheckMem(addr, in.Op.MemSize())
@@ -241,7 +253,7 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 			p.stats.PendingExtra++
 		}
 	}
-	enq := !p.cfg.Filtered || memPositive || p.trfSourceTainted(in)
+	enq := !p.cfg.Filtered || memPositive || p.trf&dift.RegReads(in) != 0 || in.Op == isa.STRF
 	p.updateTRF(in, memPositive)
 	if !enq {
 		return nil
@@ -258,7 +270,7 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 		p.stats.MonitoredCycle += p.service
 		p.tick(p.service)
 	}
-	p.queue = append(p.queue, logEntry{pc: pc, in: in, addr: addr, target: p.target, instret: p.Machine.Instret()})
+	p.queue = append(p.queue, logEntry{pc: pc, in: in, addr: addr, arg: p.arg, tag: p.tag, instret: p.Machine.Instret()})
 	if len(p.queue) > p.stats.MaxQueueDepth {
 		p.stats.MaxQueueDepth = len(p.queue)
 	}
@@ -270,50 +282,24 @@ func (p *Parallel) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	return nil
 }
 
-// trfSourceTainted consults the hardware taint register file for the
-// instruction's register sources (for stores, the data register).
-func (p *Parallel) trfSourceTainted(in isa.Instr) bool {
-	trf := p.Module.TRF()
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
-		return trf.Tainted(int(in.Rs1))
-	case isa.ClassALU2:
-		return trf.Tainted(int(in.Rs1)) || trf.Tainted(int(in.Rs2))
-	case isa.ClassBranch, isa.ClassStore:
-		return trf.Tainted(int(in.Rd)) || (in.Op.Class() == isa.ClassBranch && trf.Tainted(int(in.Rs1)))
-	}
-	return false
-}
-
 // updateTRF is the monitored core's synchronous single-bit register taint
-// propagation: loads adopt the coarse verdict for their address (a
-// conservative over-approximation that the hardware can compute without
-// waiting for the monitor), everything else follows the union rules.
+// propagation over dift's write set: a load adopts the coarse verdict for
+// its address (a conservative over-approximation that the hardware can
+// compute without waiting for the monitor); move, ALU and ALU-immediate
+// results are tainted when a register they read is, except xor-with-self;
+// every other register write is clean.
 func (p *Parallel) updateTRF(in isa.Instr, memPositive bool) {
-	trf := p.Module.TRF()
+	var tainted bool
 	switch in.Op.Class() {
-	case isa.ClassMove:
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
-	case isa.ClassImm:
-		trf.Set(int(in.Rd), shadow.TagClean)
-	case isa.ClassALU2:
-		if in.Op == isa.XOR && in.Rs1 == in.Rs2 {
-			trf.Set(int(in.Rd), shadow.TagClean)
-			break
-		}
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1))|trf.Get(int(in.Rs2)))
-	case isa.ClassALUImm:
-		trf.Set(int(in.Rd), trf.Get(int(in.Rs1)))
 	case isa.ClassLoad:
-		if memPositive {
-			trf.Set(int(in.Rd), shadow.MustLabel(0))
-		} else {
-			trf.Set(int(in.Rd), shadow.TagClean)
-		}
-	case isa.ClassJump, isa.ClassJumpInd:
-		if in.Op == isa.CALL || in.Op == isa.CALLR {
-			trf.Set(isa.RegLR, shadow.TagClean)
-		}
+		tainted = memPositive
+	case isa.ClassMove, isa.ClassALU2, isa.ClassALUImm:
+		tainted = p.trf&dift.RegReads(in) != 0 && !(in.Op == isa.XOR && in.Rs1 == in.Rs2)
+	}
+	w := dift.RegWrites(in)
+	p.trf &^= w
+	if tainted {
+		p.trf |= w
 	}
 }
 
@@ -353,7 +339,13 @@ func (p *Parallel) SetTaintByte(addr uint32, tag shadow.Tag) {
 	p.Module.StoreTaint(addr, tag)
 }
 
-// SetRegTaintMask forwards strf.
+// SetRegTaintMask rewrites the monitored core's TRF at once (strf) and
+// keeps the mask and tag for the log entry Commit ships next: the monitor
+// applies them when it reaches that entry, after the entries before it.
 func (p *Parallel) SetRegTaintMask(mask uint32, tag shadow.Tag) {
-	p.Engine.SetRegTaintMask(mask, tag)
+	p.trf = 0
+	if tag != shadow.TagClean {
+		p.trf = uint16(mask)
+	}
+	p.arg, p.tag = mask, tag
 }

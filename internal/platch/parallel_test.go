@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"latch/internal/dift"
+	"latch/internal/engine"
+	"latch/internal/isa"
 	"latch/internal/policy"
 	"latch/internal/vm"
 	"latch/internal/workload"
@@ -226,5 +228,83 @@ _start:
 	vs := p.Violations()
 	if len(vs) != 1 || vs[0].Violation.Kind != dift.ViolationControlFlow || vs[0].Violation.Addr != 0x1000 {
 		t.Fatalf("violations %+v, want one control-flow violation to 0x1000", vs)
+	}
+}
+
+// TestParallelStrfReachesMonitorInLogOrder: strf taints r1 after the movi
+// and li that wrote it, so the jr through r1 is a control-flow violation on
+// the reference stack. The monitored core's TRF takes the mask at once, and
+// the monitor applies it when it reaches the strf's log entry, after the
+// earlier entries; had it been applied to the lagging monitor at once, the
+// unfiltered baseline's replay of the li would clear it again. Both modes
+// report the one violation, deferred, at the target the jr took.
+func TestParallelStrfReachesMonitorInLogOrder(t *testing.T) {
+	const src = `
+	movi r2, 2          ; strf mask: r1
+	li   r1, 0x1000
+	strf r2
+	jr   r1
+`
+	ref, err := engine.NewReference(policy.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := isa.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v dift.Violation
+	if _, err := ref.RunProgram(context.Background(), prog, 100); !errors.As(err, &v) ||
+		v.Kind != dift.ViolationControlFlow || v.PC != 0xc || v.Addr != 0x1000 {
+		t.Fatalf("reference: err = %v, want a control-flow violation at pc 0xc to 0x1000", err)
+	}
+	for _, filtered := range []bool{true, false} {
+		p := newParallel(t, func(c *ParallelConfig) { c.Filtered = filtered })
+		_, runErr := p.Run(context.Background(), src, 100)
+		var f vm.Fault
+		if !errors.As(runErr, &f) {
+			t.Fatalf("filtered=%v: err = %v, want the fault at the jump target", filtered, runErr)
+		}
+		vs := p.Violations()
+		if len(vs) != 1 || vs[0].Violation != v || vs[0].Lag() == 0 {
+			t.Fatalf("filtered=%v: violations %+v, want one deferred %+v", filtered, vs, v)
+		}
+	}
+}
+
+// TestParallelTRFUpdate pins the monitored core's single-bit register taint
+// rules: a load adopts the coarse verdict, move and ALU results are tainted
+// when a register they read is (xor-with-self excepted), and every other
+// register write is clean.
+func TestParallelTRFUpdate(t *testing.T) {
+	const lr = 1 << isa.RegLR
+	cases := []struct {
+		in          isa.Instr
+		trf         uint16
+		memPositive bool
+		want        uint16
+	}{
+		{isa.Instr{Op: isa.LDW, Rd: 3, Rs1: 1}, 1 << 1, true, 1<<1 | 1<<3},
+		{isa.Instr{Op: isa.LDB, Rd: 3, Rs1: 1}, 1<<1 | 1<<3, false, 1 << 1},
+		{isa.Instr{Op: isa.MOV, Rd: 2, Rs1: 1}, 1 << 1, false, 1<<1 | 1<<2},
+		{isa.Instr{Op: isa.MOV, Rd: 2, Rs1: 1}, 1 << 2, false, 0},
+		{isa.Instr{Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2}, 1 << 2, false, 1<<2 | 1<<3},
+		{isa.Instr{Op: isa.XOR, Rd: 3, Rs1: 1, Rs2: 2}, 1 << 1, false, 1<<1 | 1<<3},
+		{isa.Instr{Op: isa.XOR, Rd: 3, Rs1: 1, Rs2: 1}, 1<<1 | 1<<3, false, 1 << 1},
+		{isa.Instr{Op: isa.ADDI, Rd: 4, Rs1: 1}, 1 << 1, false, 1<<1 | 1<<4},
+		{isa.Instr{Op: isa.MOVI, Rd: 1}, 1 << 1, true, 0},
+		{isa.Instr{Op: isa.CALL}, lr | 1<<1, false, 1 << 1},
+		{isa.Instr{Op: isa.CALLR, Rs1: 1}, lr | 1<<1, false, 1 << 1},
+		{isa.Instr{Op: isa.STW, Rd: 1, Rs1: 2}, 1<<1 | 1<<2, true, 1<<1 | 1<<2},
+		{isa.Instr{Op: isa.BEQ, Rd: 1, Rs1: 2}, 1 << 1, false, 1 << 1},
+	}
+	p := newParallel(t, nil)
+	for _, c := range cases {
+		p.trf = c.trf
+		p.updateTRF(c.in, c.memPositive)
+		if p.trf != c.want {
+			t.Errorf("%v over TRF %016b (memory positive %v): TRF %016b, want %016b",
+				c.in, c.trf, c.memPositive, p.trf, c.want)
+		}
 	}
 }

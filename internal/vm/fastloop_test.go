@@ -380,53 +380,6 @@ func TestFastLoopGuardedStore(t *testing.T) {
 	}
 }
 
-// TestRegSetsMatchDIFT pins the read and write sets the fast loop stamps
-// and applies against the DIFT engine itself, for every opcode over random
-// operands: tainting only register r makes Touches true exactly when r is
-// in regReads; and for a fast-set instruction whose read set is clean, over
-// clean memory, Touches is false and Commit clears exactly the tainted
-// registers in regWrites — the premise that lets the loop skip Commit.
-func TestRegSetsMatchDIFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const addr = 0x3000
-	for op := isa.NOP; op <= isa.LTNT; op++ {
-		for i := 0; i < 50; i++ {
-			in := isa.Instr{Op: op, Rd: uint8(rng.Intn(isa.NumRegs)),
-				Rs1: uint8(rng.Intn(isa.NumRegs)), Rs2: uint8(rng.Intn(isa.NumRegs))}
-			reads := regReads(in)
-			for r := 0; r < isa.NumRegs; r++ {
-				e := newDift()
-				e.SetRegTaintMask(1<<r, shadow.MustLabel(0))
-				if got, want := e.Touches(in, addr), reads&(1<<r) != 0; got != want {
-					t.Fatalf("%v with only r%d tainted: Touches %v, read set %016b", in, r, got, reads)
-				}
-			}
-			if fastKinds[in.Op] == fkExit {
-				continue
-			}
-			for _, mode := range []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT} {
-				pol := policy.Default()
-				pol.Propagation = mode
-				e := dift.NewEngine(shadow.MustNew(64), pol)
-				e.SetRegTaintMask(uint32(^reads), shadow.MustLabel(0))
-				before := e.TaintedRegs()
-				if e.Touches(in, addr) {
-					t.Fatalf("%s %v: Touches with clean sources and memory", mode, in)
-				}
-				if err := e.Commit(0, in, addr); err != nil {
-					t.Fatal(err)
-				}
-				if cleared, want := before&^e.TaintedRegs(), before&regWrites(in); cleared != want {
-					t.Fatalf("%s %v: Commit cleared %016b, write set %016b of TRF %016b", mode, in, cleared, regWrites(in), before)
-				}
-				if e.TaintedRegs()&^before != 0 || e.Shadow.TaintedBytes() != 0 {
-					t.Fatalf("%s %v: Commit created taint", mode, in)
-				}
-			}
-		}
-	}
-}
-
 // TestFastLoopRunsPastTaintedRegs: with r5 tainted for the whole run and
 // never read, the engine's TRF lets the loop run the counting loop, and the
 // register stays tainted. A FastTracker that hides its TRF is entered only

@@ -280,7 +280,7 @@ func (c *CPU) decode(pc uint32) (isa.Instr, error) {
 		return in, err
 	}
 	e := c.dcache.Insert(pc, in)
-	e.Aux, e.Reads = fastKinds[in.Op], regReads(in)
+	e.Aux, e.Reads = fastKinds[in.Op], dift.RegReads(in)
 	c.codePages.Add(mem.PageNumber(pc))
 	c.codePages.Add(mem.PageNumber(pc + isa.WordSize - 1))
 	return in, nil
@@ -451,40 +451,6 @@ func buildFastKinds() [256]uint8 {
 		}
 	}
 	return t
-}
-
-// regReads returns in's register read set: the registers whose taint its
-// Commit propagates or checks. DTA does not propagate through addresses, so
-// the base register of a load or store is not in it. Move and ALU-immediate
-// read Rs1, ALU2 reads Rs1 and Rs2, a store reads its data register Rd, a
-// branch reads Rd and Rs1, and an indirect jump its target Rs1; loads,
-// immediates, direct jumps and nop read no register.
-func regReads(in isa.Instr) uint16 {
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassALUImm, isa.ClassJumpInd:
-		return 1 << in.Rs1
-	case isa.ClassALU2:
-		return 1<<in.Rs1 | 1<<in.Rs2
-	case isa.ClassStore:
-		return 1 << in.Rd
-	case isa.ClassBranch:
-		return 1<<in.Rd | 1<<in.Rs1
-	}
-	return 0
-}
-
-// regWrites returns the registers a fast-set instruction writes: Rd, LR for
-// call, or none for stores, branches, jmp and nop.
-func regWrites(in isa.Instr) uint16 {
-	switch in.Op.Class() {
-	case isa.ClassMove, isa.ClassImm, isa.ClassALU2, isa.ClassALUImm, isa.ClassLoad:
-		return 1 << in.Rd
-	case isa.ClassJump:
-		if in.Op == isa.CALL {
-			return 1 << isa.RegLR
-		}
-	}
-	return 0
 }
 
 // neverDone is Run's sentinel cancellation channel for nil and background
@@ -661,7 +627,7 @@ loop:
 			if e.Reads&trf != 0 {
 				break // a tainted source: the full loop propagates it
 			}
-			trf &^= regWrites(in)
+			trf &^= dift.RegWrites(in)
 		}
 		// Architectural semantics, mirroring exec for the fast set. A store
 		// reaching this switch passed the code-page screen, so the noteStore
