@@ -176,16 +176,29 @@ bench-gate:
 # probability and draw), the shadow's page copy (FuzzCopyPage checks that
 # CopyPage leaves the tags, counters and ever-tainted pages, and reports to
 # the watchers, what per-byte Sets of the source page's tainted bytes in
-# rotated order do, at every domain size), then the backend-equivalence
-# fuzzer, which drives the differential checker from random case seeds.
+# rotated order do, at every domain size), the assembler and decoder on
+# arbitrary input (FuzzAssemble: any source assembles or is rejected
+# without a panic, with every label inside the image; FuzzDecode: any word
+# decodes or is rejected, and a decoded instruction re-encodes to a word
+# that decodes the same), the policy's JSON round trip
+# (FuzzPolicyRoundTrip), the lock-free SPSC ring against a mutex-guarded
+# model under random geometry, producer flushes and consumer batches
+# (FuzzRingSPSC), then the backend-equivalence fuzzer, which drives the
+# differential checker from random case seeds. Each pattern is anchored:
+# go test refuses to fuzz when -fuzz matches more than one target, and
+# FuzzAssemble alone would also match FuzzAssembleDecode.
 fuzz:
-	$(GO) test ./internal/mem -run='^$$' -fuzz=FuzzPageTable -fuzztime=10s
-	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=10s
-	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssembleDecode -fuzztime=10s
-	$(GO) test ./internal/vm -run='^$$' -fuzz=FuzzFastLoopVsStep -fuzztime=10s
-	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzThreshold -fuzztime=10s
-	$(GO) test ./internal/shadow -run='^$$' -fuzz=FuzzCopyPage -fuzztime=10s
-	$(GO) test ./internal/diffcheck -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=30s
+	$(GO) test ./internal/mem -run='^$$' -fuzz='^FuzzPageTable$$' -fuzztime=10s
+	$(GO) test ./internal/cache -run='^$$' -fuzz='^FuzzCacheLRU$$' -fuzztime=10s
+	$(GO) test ./internal/isa -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=10s
+	$(GO) test ./internal/isa -run='^$$' -fuzz='^FuzzAssembleDecode$$' -fuzztime=10s
+	$(GO) test ./internal/isa -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
+	$(GO) test ./internal/vm -run='^$$' -fuzz='^FuzzFastLoopVsStep$$' -fuzztime=10s
+	$(GO) test ./internal/workload -run='^$$' -fuzz='^FuzzThreshold$$' -fuzztime=10s
+	$(GO) test ./internal/shadow -run='^$$' -fuzz='^FuzzCopyPage$$' -fuzztime=10s
+	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzPolicyRoundTrip$$' -fuzztime=10s
+	$(GO) test ./internal/ring -run='^$$' -fuzz='^FuzzRingSPSC$$' -fuzztime=10s
+	$(GO) test ./internal/diffcheck -run='^$$' -fuzz='^FuzzBackendEquivalence$$' -fuzztime=30s
 
 # Regenerate the experiment golden tables (and the telemetry snapshot that
 # rides along with them) after an intentional model change.

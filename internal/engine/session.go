@@ -320,7 +320,7 @@ func (s *Session) Mode() Mode { return s.mode }
 // the CTC miss penalty for any misses the check caused (§6.1).
 func (s *Session) CheckMem(addr uint32, size int) latch.CheckResult {
 	res := s.Module.CheckMem(addr, size)
-	if now := s.Module.Stats().CTCCheckMisses; now != s.lastMisses {
+	if now := s.Module.CTCCheckMisses(); now != s.lastMisses {
 		s.Cycles.CTCMiss += (now - s.lastMisses) * s.missPenalty
 		s.lastMisses = now
 	}

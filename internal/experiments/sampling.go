@@ -115,7 +115,8 @@ func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
 //
 // The detection side is one pool job per fraction. The overhead side is one
 // job per frontier workload: it records the workload's unsampled stream
-// once and replays it into every (fraction, seed) point (engine.Record).
+// once (engine.Record) and replays it once per distinct sampled layout
+// among its (fraction, seed) points (frontierPoints).
 func (r *Runner) Frontier() ([]FrontierRow, error) {
 	r.mu.Lock()
 	if r.frontier != nil {
@@ -158,10 +159,8 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 	// estimate: a single seed's sweep collapses to the in-or-out decision
 	// of the handful of taint runs a short stream touches, while the seed
 	// mean resolves the fraction itself. Each seed's sweep is monotone by
-	// nesting, so the mean is too. points[w][i][seed-1] is workload w's
-	// point at fraction i.
-	type point struct{ overhead, swInstrPct float64 }
-	points := make([][][frontierSeeds]point, len(frontierWorkloads))
+	// nesting, so the mean is too.
+	points := make([][][frontierSeeds]frontierPoint, len(frontierWorkloads))
 	err = r.runJobs("sampling", frontierWorkloads, func(w int, wname string, js *JobStat) error {
 		// The profile seed derives from (pass, workload) only — never the
 		// fraction or sampling seed — so every point replays the same
@@ -174,42 +173,82 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 		if err != nil {
 			return fmt.Errorf("sampling %s: %w", wname, err)
 		}
-		points[w] = make([][frontierSeeds]point, len(FrontierFractions))
-		for i, f := range FrontierFractions {
-			for seed := uint64(1); seed <= frontierSeeds; seed++ {
-				pol := r.policy()
-				pol.Sampling = policy.Sampling{SampleFraction: f, SampleSeed: seed}
-				opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("sampling"), Policy: pol}
-				res, err := rec.Run(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), opts)
-				if err != nil {
-					return fmt.Errorf("sampling %s @ %.2f: %w", wname, f, err)
-				}
-				sr := res.(slatch.Result)
-				js.Events += sr.Events
-				points[w][i][seed-1] = point{sr.Overhead(), 100 * float64(sr.SWInstrs) / float64(sr.Events)}
-			}
-		}
-		return nil
+		points[w], js.Events, err = r.frontierPoints(p, rec)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Sum seeds outer, workloads inner: sampling.golden pins the rounding
-	// of this order.
-	for i := range rows {
-		for seed := 0; seed < frontierSeeds; seed++ {
-			for w := range frontierWorkloads {
-				rows[i].MeanOverhead += points[w][i][seed].overhead
-				rows[i].SWInstrPct += points[w][i][seed].swInstrPct
-			}
-		}
-		rows[i].MeanOverhead /= float64(len(frontierWorkloads) * frontierSeeds)
-		rows[i].SWInstrPct /= float64(len(frontierWorkloads) * frontierSeeds)
-	}
+	addOverheads(rows, points)
 	r.mu.Lock()
 	r.frontier = rows
 	r.mu.Unlock()
 	return rows, nil
+}
+
+// frontierPoint is one frontier workload's S-LATCH result at one (fraction,
+// seed) point.
+type frontierPoint struct{ overhead, swInstrPct float64 }
+
+// frontierPoints returns workload p's points, pts[i][seed-1] at fraction i,
+// replayed from rec, and the events it replayed. A replay's result depends
+// only on the recording and on which of p's taint runs the sampled layout
+// keeps, so each distinct layout (workload.LayoutKey) is replayed once and
+// every later point with that layout takes its values: the frontier's 200
+// points hold 43 layouts.
+func (r *Runner) frontierPoints(p workload.Profile, rec *engine.Recording) ([][frontierSeeds]frontierPoint, uint64, error) {
+	pts := make([][frontierSeeds]frontierPoint, len(FrontierFractions))
+	replayed := map[string]frontierPoint{}
+	var events uint64
+	for i, f := range FrontierFractions {
+		for seed := uint64(1); seed <= frontierSeeds; seed++ {
+			spl := policy.Sampling{SampleFraction: f, SampleSeed: seed}
+			key := workload.LayoutKey(p, spl)
+			pt, ok := replayed[key]
+			if !ok {
+				var n uint64
+				var err error
+				if pt, n, err = r.replayPoint(rec, spl); err != nil {
+					return nil, 0, fmt.Errorf("sampling %s @ %.2f: %w", p.Name, f, err)
+				}
+				events += n
+				replayed[key] = pt
+			}
+			pts[i][seed-1] = pt
+		}
+	}
+	return pts, events, nil
+}
+
+// replayPoint replays rec through S-LATCH under spl and returns the point
+// and the events it replayed.
+func (r *Runner) replayPoint(rec *engine.Recording, spl policy.Sampling) (frontierPoint, uint64, error) {
+	pol := r.policy()
+	pol.Sampling = spl
+	opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("sampling"), Policy: pol}
+	res, err := rec.Run(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), opts)
+	if err != nil {
+		return frontierPoint{}, 0, err
+	}
+	sr := res.(slatch.Result)
+	return frontierPoint{sr.Overhead(), 100 * float64(sr.SWInstrs) / float64(sr.Events)}, sr.Events, nil
+}
+
+// addOverheads sets each row's MeanOverhead and SWInstrPct to the mean of
+// its points, where points[w][i][seed-1] is workload w's point at fraction
+// i. It sums seeds outer, workloads inner: sampling.golden pins the
+// rounding of this order.
+func addOverheads(rows []FrontierRow, points [][][frontierSeeds]frontierPoint) {
+	for i := range rows {
+		for seed := 0; seed < frontierSeeds; seed++ {
+			for w := range points {
+				rows[i].MeanOverhead += points[w][i][seed].overhead
+				rows[i].SWInstrPct += points[w][i][seed].swInstrPct
+			}
+		}
+		rows[i].MeanOverhead /= float64(len(points) * frontierSeeds)
+		rows[i].SWInstrPct /= float64(len(points) * frontierSeeds)
+	}
 }
 
 // SamplingFrontier renders the selective-tracing frontier: what detection

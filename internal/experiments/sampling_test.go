@@ -162,3 +162,69 @@ func TestFrontierReplayMatchesRunProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontierReplaysEachLayoutOnce is the memo's oracle: at a short length,
+// each frontier workload's memoized points equal, exactly, a replay of
+// every one of its 40 (fraction, seed) points, and so the memoized rows
+// equal rows summed from the 200 replays, field for field; the detection
+// side replays no layout and is taken as it is. The overhead jobs replay
+// only the 43 distinct layouts (bzip2 29, cactusADM 2, gobmk 2, lbm 4,
+// sjeng 6), and their events count only those replays.
+func TestFrontierReplaysEachLayoutOnce(t *testing.T) {
+	opts := goldenOptions(1)
+	opts.Events = 20_000
+	memo := NewRunner(opts)
+	rows, err := memo.Frontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	for _, js := range memo.JobStats() {
+		events += js.Events
+	}
+	if want := 43 * opts.Events; events != want {
+		t.Errorf("the overhead jobs replayed %d events, want %d: one replay per distinct layout", events, want)
+	}
+
+	all := NewRunner(opts)
+	points := make([][][frontierSeeds]frontierPoint, len(frontierWorkloads))
+	for w, name := range frontierWorkloads {
+		p, err := all.jobProfile("sampling", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := engine.Record(p, opts.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[w] = make([][frontierSeeds]frontierPoint, len(FrontierFractions))
+		for i, f := range FrontierFractions {
+			for seed := uint64(1); seed <= frontierSeeds; seed++ {
+				if points[w][i][seed-1], _, err = all.replayPoint(rec, policy.Sampling{SampleFraction: f, SampleSeed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		memoized, _, err := memo.frontierPoints(p, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range memoized {
+			for seed, got := range memoized[i] {
+				if want := points[w][i][seed]; got != want {
+					t.Errorf("%s at fraction %v seed %d: memoized %+v, replayed %+v", name, FrontierFractions[i], seed+1, got, want)
+				}
+			}
+		}
+	}
+	want := make([]FrontierRow, len(rows))
+	for i, row := range rows {
+		want[i] = FrontierRow{Fraction: row.Fraction, Detected: row.Detected, AttackRuns: row.AttackRuns, DetectionPct: row.DetectionPct}
+	}
+	addOverheads(want, points)
+	for i := range rows {
+		if rows[i] != want[i] {
+			t.Errorf("row %d: memoized %+v, every point replayed %+v", i, rows[i], want[i])
+		}
+	}
+}

@@ -276,6 +276,10 @@ func (m *Module) SetObserver(obs telemetry.Observer) { m.obs = obs }
 // Stats returns a copy of the counters.
 func (m *Module) Stats() Stats { return m.stats }
 
+// CTCCheckMisses returns Stats().CTCCheckMisses without copying the
+// counters, for the per-check cycle accounting.
+func (m *Module) CTCCheckMisses() uint64 { return m.stats.CTCCheckMisses }
+
 // CTT exposes the coarse taint table (read-mostly; used by experiments).
 func (m *Module) CTT() *CTT { return m.ctt }
 

@@ -315,6 +315,9 @@ func TestCTCMissCounting(t *testing.T) {
 	if st.CTCCheckMisses == 0 {
 		t.Fatal("cyclic sweep produced no CTC misses")
 	}
+	if got := m.CTCCheckMisses(); got != st.CTCCheckMisses {
+		t.Fatalf("CTCCheckMisses() = %d, Stats().CTCCheckMisses = %d", got, st.CTCCheckMisses)
+	}
 	if st.CTCCheckAccesses != 60 {
 		t.Fatalf("CTC accesses = %d, want 60", st.CTCCheckAccesses)
 	}

@@ -24,16 +24,12 @@ type Generator struct {
 	p  Profile
 	sh *shadow.Shadow
 
-	// Selective tracing: when sampled is set (a SampleFraction strictly
-	// between 0 and 1), whole taint runs are deterministically sampled
-	// in or out by the policy sampler (KindLayout, ordinal = global run
-	// index). Sampled-out runs stay clean in the shadow and their events
-	// are emitted untainted; everything else about the stream — the
-	// addresses, the epoch schedule, the RNG draws — is unchanged, so
-	// the same profile seed produces the same access pattern at every
-	// fraction.
-	smp     policy.Sampler
-	sampled bool
+	// Selective tracing: sampled-out runs stay clean in the shadow and
+	// their events are emitted untainted; everything else about the
+	// stream — the addresses, the epoch schedule, the RNG draws — is
+	// unchanged, so the same profile seed produces the same access
+	// pattern at every fraction.
+	runSampler
 
 	// stopped is set by Stop: RunBatches returns at the next event
 	// boundary and delivers nothing more. Once stopped the stream must not
@@ -177,23 +173,11 @@ func NewSampledGeneratorOn(p Profile, sh *shadow.Shadow, spl policy.Sampling) (*
 		burstCuts:    newAccessCuts(p.BurstNearTaint, p.HotFraction),
 		reuseLeft:    p.TaintReuse,
 		emittedClean: make([]float64, len(p.Epochs)),
-		smp:          policy.NewSampler(spl),
-		sampled:      spl.Enabled(),
+		tbpp:         taintedPerPage(p),
+		runSampler:   newRunSampler(spl),
 	}
+	g.gbpp = mem.PageSize - g.tbpp
 	g.rng.seed(p.Seed)
-	if p.RunLen >= mem.PageSize {
-		g.tbpp, g.gbpp = mem.PageSize, 0
-	} else {
-		full := mem.PageSize / g.period
-		rem := mem.PageSize % g.period
-		g.tbpp = full * p.RunLen
-		if rem > p.RunLen {
-			g.tbpp += p.RunLen
-		} else {
-			g.tbpp += rem
-		}
-		g.gbpp = mem.PageSize - g.tbpp
-	}
 	if g.gbpp == 0 && (p.CleanNearTaint > 0 || p.BurstNearTaint > 0) {
 		return nil, fmt.Errorf("workload %s: near-taint accesses configured but layout has no clean bytes in tainted pages", p.Name)
 	}
@@ -299,13 +283,64 @@ func (g *Generator) gapAddr(i int) uint32 {
 // totalTaintBytes is the size of the profile's tainted-byte index space.
 func (g *Generator) totalTaintBytes() int { return g.tbpp * g.p.PagesTainted }
 
+// taintedPerPage returns how many bytes of each tainted page p's runs
+// cover: the whole page when a run fills it, else the runs of the page's
+// whole periods plus as much of one more run as fits before the page ends.
+func taintedPerPage(p Profile) int {
+	if p.RunLen >= mem.PageSize {
+		return mem.PageSize
+	}
+	period := p.RunLen + p.GapLen
+	return mem.PageSize/period*p.RunLen + min(mem.PageSize%period, p.RunLen)
+}
+
+// taintRuns returns the number of p's global taint runs: its tainted-byte
+// index space cut into RunLen-byte runs, the last one possibly shorter. A
+// run of a layout whose runs do not fill its pages may span two pages.
+func taintRuns(p Profile) int {
+	return (taintedPerPage(p)*p.PagesTainted + p.RunLen - 1) / p.RunLen
+}
+
+// runSampler is the selective-tracing rule over a layout's taint runs:
+// when sampled is set (a SampleFraction strictly between 0 and 1), whole
+// runs are deterministically sampled in or out by the policy sampler
+// (KindLayout, ordinal = global run index).
+type runSampler struct {
+	smp     policy.Sampler
+	sampled bool
+}
+
+func newRunSampler(spl policy.Sampling) runSampler {
+	return runSampler{smp: policy.NewSampler(spl), sampled: spl.Enabled()}
+}
+
 // runSampled reports whether the given global taint run is tainted under
 // the selective-tracing spec. With sampling disabled every run is in.
-func (g *Generator) runSampled(run int) bool {
-	if !g.sampled {
+func (s runSampler) runSampled(run int) bool {
+	if !s.sampled {
 		return true
 	}
-	return g.smp.Sample(policy.KindLayout, uint64(run))
+	return s.smp.Sample(policy.KindLayout, uint64(run))
+}
+
+// LayoutKey returns the taint layout spl materializes for p as a run set:
+// one bit per global taint run of p, set when spl keeps the run, so a
+// disabled spec sets every bit. A generator reads spl only through the runs
+// it keeps, and a sampled spec that keeps every run writes them in the
+// unsampled layout's byte order, so two specs have equal keys exactly when
+// they leave the same shadow, report the same transitions to its watchers
+// in the same order, and emit the same stream. The key is exact, not a
+// hash, and writes no shadow. Keys of different profiles are not
+// comparable.
+func LayoutKey(p Profile, spl policy.Sampling) string {
+	s, runs := newRunSampler(spl), taintRuns(p)
+	key := make([]byte, (runs+7)/8)
+	for run := range runs {
+		if s.runSampled(run) {
+			key[run/8] |= 1 << (run % 8)
+		}
+	}
+	return string(key)
 }
 
 // taintTag is the tag tainted-byte index i carries: the taint label when
@@ -331,15 +366,12 @@ func (g *Generator) materialize() {
 		// runs so they never enter the shadow (or the coarse state built
 		// by its watchers).
 		total := g.totalTaintBytes()
-		for start := 0; start < total; start += g.p.RunLen {
-			if !g.runSampled(start / g.p.RunLen) {
+		for run := range taintRuns(g.p) {
+			if !g.runSampled(run) {
 				continue
 			}
-			n := g.p.RunLen
-			if start+n > total {
-				n = total - start
-			}
-			g.setRunTaint(start, n, shadow.MustLabel(0))
+			start := run * g.p.RunLen
+			g.setRunTaint(start, min(g.p.RunLen, total-start), shadow.MustLabel(0))
 		}
 		return
 	}

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"latch/internal/policy"
@@ -150,5 +153,95 @@ func TestSampledOutRunsStayClean(t *testing.T) {
 func TestSampledGeneratorRejectsBadFraction(t *testing.T) {
 	if _, err := NewSampledGenerator(MustGet("bzip2"), shadow.DefaultDomainSize, policy.Sampling{SampleFraction: 1.5}); err == nil {
 		t.Fatal("fraction 1.5 accepted")
+	}
+}
+
+// layoutPrint is what one sampled layout leaves behind: a digest of its
+// shadow snapshot (every tainted byte's tag, page by page) and one of the
+// transitions its watchers reported and the steps the engine's recorder
+// merged them into, which is what a module's bulk load takes.
+type layoutPrint struct{ shadow, reports [sha256.Size]byte }
+
+// printLayout materializes p's layout under spl and digests it.
+func printLayout(t *testing.T, p Profile, spl policy.Sampling) layoutPrint {
+	t.Helper()
+	sh := shadow.MustNew(shadow.DefaultDomainSize)
+	w := newLayoutWatch(sh)
+	if _, err := NewSampledGeneratorOn(p, sh, spl); err != nil {
+		t.Fatal(err)
+	}
+	snap := sha256.New()
+	if _, err := sh.WriteTo(snap); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := w.rec.Steps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := sha256.New()
+	if err := binary.Write(reports, binary.LittleEndian, w.log); err != nil {
+		t.Fatal(err)
+	}
+	if err := binary.Write(reports, binary.LittleEndian, steps); err != nil {
+		t.Fatal(err)
+	}
+	var lp layoutPrint
+	snap.Sum(lp.shadow[:0])
+	reports.Sum(lp.reports[:0])
+	return lp
+}
+
+// TestLayoutKeyIsExact pins LayoutKey's promise, which lets the sampling
+// frontier replay each distinct layout once: for the frontier's profiles,
+// astar (sub-page runs, 64,032 of them) and a one-page shape of two
+// sub-page runs, the last one cut short, at fractions {0, 0.01, 0.1, 0.25,
+// 0.5, 1} and seeds 1-8, two specs have equal keys exactly when their
+// materialized shadows are byte-identical, and specs with equal keys also
+// report the same transitions to the watchers. Fractions 0 and 1 disable
+// sampling and key every run in; the short shape has a sampled spec that
+// keeps both runs, whose run-by-run write must match the unsampled one.
+func TestLayoutKeyIsExact(t *testing.T) {
+	var profiles []Profile
+	for _, name := range []string{"bzip2", "cactusADM", "gobmk", "lbm", "sjeng", "astar"} {
+		profiles = append(profiles, MustGet(name))
+	}
+	short := MustGet("soplex")
+	short.Name, short.RunLen, short.GapLen = "soplex-1500-1100", 1500, 1100
+	short.PagesAccessed += 1 - short.PagesTainted
+	short.PagesTainted = 1
+	profiles = append(profiles, short)
+
+	for _, p := range profiles {
+		full, ones := LayoutKey(p, policy.Sampling{}), 0
+		for _, b := range []byte(full) {
+			ones += bits.OnesCount8(b)
+		}
+		if len(full) != (taintRuns(p)+7)/8 || ones != taintRuns(p) {
+			t.Fatalf("%s: unsampled key sets %d bits of %d bytes, want one bit per run (%d)", p.Name, ones, len(full), taintRuns(p))
+		}
+		byKey := map[string]layoutPrint{}
+		byShadow := map[[sha256.Size]byte]string{}
+		sampledFull := false
+		for _, f := range []float64{0, 0.01, 0.1, 0.25, 0.5, 1} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				spl := policy.Sampling{SampleFraction: f, SampleSeed: seed}
+				key, lp := LayoutKey(p, spl), printLayout(t, p, spl)
+				if !spl.Enabled() && key != full {
+					t.Fatalf("%s: disabled spec %+v does not key every run in", p.Name, spl)
+				}
+				sampledFull = sampledFull || spl.Enabled() && key == full
+				if prev, ok := byKey[key]; ok && prev != lp {
+					t.Errorf("%s: %+v shares its key with an earlier spec but materializes a different layout (shadow equal: %v)",
+						p.Name, spl, prev.shadow == lp.shadow)
+				}
+				if prev, ok := byShadow[lp.shadow]; ok && prev != key {
+					t.Errorf("%s: %+v materializes an earlier spec's shadow under a different key", p.Name, spl)
+				}
+				byKey[key], byShadow[lp.shadow] = lp, key
+			}
+		}
+		if p.Name == short.Name && !sampledFull {
+			t.Errorf("%s: no sampled spec kept every run; the run-by-run write of a full layout went unchecked", p.Name)
+		}
 	}
 }
