@@ -100,10 +100,12 @@ diffcheck:
 # every P-LATCH machine (the filter and queue models, the concurrent
 # backend, and the two-core co-simulation of real programs),
 # internal/latch is the module itself, including the reconfiguration
-# recycled sessions run through, and internal/dift is the precise engine
-# whose taint register file the fast loop runs against — each must hold
-# statement coverage at or above 85%.
-COVER_PKGS = policy mem engine shadow vm cache workload platch latch dift
+# recycled sessions run through, internal/dift is the precise engine
+# whose taint register file the fast loop runs against, internal/cosim
+# drives every backend over real programs, and internal/serve recycles
+# machine stacks for every served job — each must hold statement coverage
+# at or above 85%.
+COVER_PKGS = policy mem engine shadow vm cache workload platch latch dift cosim serve
 
 cover:
 	@for p in $(COVER_PKGS); do \

@@ -293,7 +293,10 @@ func runCoSim(ctx context.Context, src string, pol latch.Policy, input []byte, r
 	if err != nil {
 		return fail(err)
 	}
-	_, runErr := mon.RunProgram(ctx, prog, maxSteps)
+	run, runErr := mon.RunProgram(ctx, prog, maxSteps)
+	if run.Violation != nil {
+		runErr = *run.Violation
+	}
 	res := mon.Result().(slatch.Result)
 	st := mon.Session // returns and traps are session counters the result does not carry
 	fmt.Printf("instructions: %d (hardware %d, software %d)\n",

@@ -2,18 +2,19 @@ package cosim
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
+	"latch/internal/platch" // registers platch and cplatch
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/vm"
 	"latch/internal/workload"
 
-	_ "latch/internal/slatch" // registers the backend NewMonitor("slatch") resolves
+	_ "latch/internal/hlatch" // registers the other backends NewMonitor resolves
+	_ "latch/internal/slatch"
 )
 
 // newSLatch builds the S-LATCH co-simulation: a Monitor around the
@@ -56,6 +57,59 @@ func TestCleanProgramStaysInHardware(t *testing.T) {
 	}
 	if st.Cycles.Overhead() > 0.01 {
 		t.Fatalf("clean overhead = %v", st.Cycles.Overhead())
+	}
+}
+
+// TestCoSimulatedMachinesSeeEveryCommit: a co-simulated machine's tracker
+// must see every committed instruction, so the VM may never run one in its
+// fast loop, which settles a clean segment with one CommitClean and no
+// Commit. A Monitor over every registered backend, and a Parallel, run a
+// clean loop that an engine-driven machine runs in the fast loop: neither
+// enters it, and each counts every instruction the machine retired.
+func TestCoSimulatedMachinesSeeEveryCommit(t *testing.T) {
+	const src = `
+		movi r1, 100
+		movi r2, 0
+	loop:
+		add  r2, r2, r1
+		addi r1, r1, -1
+		bne  r1, r0, loop
+		halt
+	`
+	prog := isa.MustAssemble(src)
+	names := engine.Names()
+	if len(names) < 4 {
+		t.Fatalf("registry has %v, want every backend", names)
+	}
+	for _, name := range names {
+		m, err := NewMonitor(name, policy.Default(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := m.RunProgram(context.Background(), prog, 10_000)
+		res := m.Result()
+		if runErr != nil {
+			t.Fatalf("%s: %v", name, runErr)
+		}
+		if entries, _, steps := m.Machine.FastLoopStats(); entries != 0 || steps != 0 {
+			t.Errorf("%s: the machine ran %d instructions in %d fast-loop entries", name, steps, entries)
+		}
+		if got, want := res.EventCount(), m.Machine.Instret(); got != want || want != 303 {
+			t.Errorf("%s: the backend saw %d of %d instructions, want 303", name, got, want)
+		}
+	}
+	p, err := platch.NewParallel(platch.DefaultParallelConfig(), policy.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background(), src, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _, steps := p.Machine.FastLoopStats(); entries != 0 || steps != 0 {
+		t.Errorf("parallel: the machine ran %d instructions in %d fast-loop entries", steps, entries)
+	}
+	if got, want := p.Stats().Instructions, p.Machine.Instret(); got != want || want != 303 {
+		t.Errorf("parallel: the monitored core committed %d of %d instructions, want 303", got, want)
 	}
 }
 
@@ -102,10 +156,9 @@ func TestExploitCaughtInBothModes(t *testing.T) {
 	}
 	s := newSLatch(t)
 	s.Machine.Env.FileData = append(make([]byte, 16), 0x00, 0x10, 0x00, 0x00)
-	_, err = s.Run(context.Background(), src, 100_000)
-	var v dift.Violation
-	if !errors.As(err, &v) || v.Kind != dift.ViolationControlFlow {
-		t.Fatalf("err = %v, want control-flow violation", err)
+	res, err := s.Run(context.Background(), src, 100_000)
+	if err != nil || res.Violation == nil || res.Violation.Kind != dift.ViolationControlFlow {
+		t.Fatalf("violation = %v, err = %v, want a control-flow violation", res.Violation, err)
 	}
 	// The trap (and switch) must have occurred before the violation: the
 	// tainted pointer load put the system in software mode.
@@ -215,6 +268,9 @@ func TestSubstitutionMostlyHardware(t *testing.T) {
 }
 
 func TestTrackerInterfaceDelegation(t *testing.T) {
+	if _, err := NewMonitor("no-such-backend", policy.Default(), nil); err == nil {
+		t.Fatal("NewMonitor accepted an unregistered backend")
+	}
 	s := newSLatch(t)
 	// Output with leak checking disabled passes.
 	if err := s.Output(0, 0x100, 4); err != nil {
@@ -226,6 +282,9 @@ func TestTrackerInterfaceDelegation(t *testing.T) {
 	s.SetTaintByte(0x40, shadow.MustLabel(1))
 	if !s.Session.Shadow.Get(0x40).Tainted() {
 		t.Fatal("stnt delegation failed")
+	}
+	if ldb := (isa.Instr{Op: isa.LDB, Rd: 1}); !s.Touches(ldb, 0x40) || s.Touches(ldb, 0x80) {
+		t.Fatal("Touches does not follow the precise engine")
 	}
 	s.SetRegTaintMask(0b100, shadow.MustLabel(0))
 	if !s.Engine.RegTaint(2).Tainted() {

@@ -65,7 +65,10 @@ func runSLatchCosim(t *testing.T, src string, input []byte, requests [][]byte) (
 	mon := newSLatch(t)
 	mon.Machine.Env.FileData = input
 	mon.Machine.Env.Requests = requests
-	_, runErr := mon.Run(context.Background(), src, 1_000_000)
+	res, runErr := mon.Run(context.Background(), src, 1_000_000)
+	if res.Violation != nil {
+		runErr = *res.Violation // stops the run as it stops runPure's
+	}
 	return finalState{
 		regs: mon.Machine.Regs, exitCode: mon.Machine.ExitCode(),
 		output: mon.Machine.Env.Output.String(), tainted: taintSnapshot(mon.Session.Shadow),

@@ -2,7 +2,10 @@
 // with the byte-precise DIFT engine running alongside as ground truth.
 //
 // Its one machine, Monitor, runs any registered engine backend over a
-// program's commit stream. Each committed instruction becomes the
+// program's commit stream. It is built on an engine.Stack (the machine, the
+// precise engine, and a Session's module and shadow: the stack latch.System
+// is), with the Monitor as the machine's tracker, so its own code is only
+// the backend step. Each committed instruction becomes the
 // trace.Event the calibrated generators emit, with the precise engine's
 // verdict in its Tainted flag, and the backend steps it through a shared
 // engine.Session. With the "slatch" backend this is the cycle-accounted
@@ -13,10 +16,12 @@
 // back. The two-mode protocol and its cost constants live only in package
 // slatch and the engine's epoch machine.
 //
-// The two-core P-LATCH machine (§5.2) is platch.Parallel. Monitor commits
-// every instruction synchronously; Parallel's monitor lags, writing the
-// shadow only as it replays the log, so it lives with the other P-LATCH
-// machines and their shared parameters.
+// The two-core P-LATCH machine (§5.2) is platch.Parallel, built on the same
+// stack. Monitor commits every instruction synchronously; Parallel's
+// monitor lags, writing the shadow only as it replays the log, so it lives
+// with the other P-LATCH machines and their shared parameters. Neither is a
+// vm.FastTracker: the machine under a co-simulation never enters the fast
+// loop, so the tracker sees every commit.
 //
 // Soundness argument mirrored from the paper: in S-LATCH hardware mode no
 // instruction with a tainted source operand executes un-trapped (tainted
@@ -34,7 +39,6 @@ import (
 	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
-	"latch/internal/latch"
 	"latch/internal/policy"
 	"latch/internal/shadow"
 	"latch/internal/telemetry"
@@ -50,12 +54,23 @@ import (
 // engine.Session. Equivalence checks can therefore compare any backend's
 // view of a program against the conventional engine's on identical inputs,
 // and NewMonitor("slatch", ...) is the S-LATCH co-simulation.
+//
+// The machine and the engine are those of an engine.Stack, with the
+// Monitor as the machine's tracker. A Monitor serves one program: the stack
+// is not reset under it, since a reset would drop the Monitor as tracker
+// and keep the backend's state.
 type Monitor struct {
+	// Tracker is the engine seen only through vm.Tracker's methods, which
+	// the Monitor passes on unchanged but for Commit and SetTaintByte. As
+	// in engine.Reference, the engine's fast-path methods (vm.FastTracker)
+	// stay hidden, so the machine commits every instruction through the
+	// backend step.
+	vm.Tracker
 	Machine *vm.CPU
 	Engine  *dift.Engine
-	Module  *latch.Module
 	Session *engine.Session
 
+	stack   *engine.Stack
 	backend engine.Backend
 }
 
@@ -74,46 +89,32 @@ func NewMonitor(backendName string, pol policy.Policy, obs telemetry.Observer) (
 		return nil, err
 	}
 	b := sch.New()
-	sess, err := engine.NewSession(b.Config())
+	st, sess, err := engine.NewStack(b.Config(), pol, obs)
 	if err != nil {
 		return nil, err
 	}
-	sess.AttachObserver(obs)
 	sess.Profile.LibdftSlowdown = swSlowdown
-	m := &Monitor{
-		Engine:  dift.NewEngine(sess.Shadow, pol),
-		Module:  sess.Module,
-		Session: sess,
-		backend: b,
-	}
 	if err := b.Init(sess); err != nil {
 		return nil, err
 	}
-	m.Engine.SetObserver(obs)
-	m.Machine = vm.New()
+	m := &Monitor{Tracker: st.Engine, Machine: st.Machine, Engine: st.Engine, Session: sess, stack: st, backend: b}
 	m.Machine.SetTracker(m)
-	m.Machine.SetObserver(obs)
 	return m, nil
 }
 
-// Run assembles src, loads it, and executes up to maxSteps instructions.
-func (m *Monitor) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	return m.RunProgram(ctx, prog, maxSteps)
+// Run assembles src, loads it, and executes up to maxSteps instructions
+// (engine.Stack.Run).
+func (m *Monitor) Run(ctx context.Context, src string, maxSteps uint64) (engine.RunResult, error) {
+	return m.stack.Run(ctx, src, maxSteps)
 }
 
 // RunProgram loads an already-assembled program and executes up to maxSteps
-// instructions. The differential checker uses this entry point: generated
-// programs exist as instruction slices, not assembly source.
-func (m *Monitor) RunProgram(ctx context.Context, prog *isa.Program, maxSteps uint64) (uint32, error) {
-	m.Machine.Load(prog)
-	if _, err := m.Machine.Run(ctx, maxSteps); err != nil {
-		return 0, err
-	}
-	return m.Machine.ExitCode(), nil
+// instructions (engine.Stack.RunProgram): a policy violation is returned in
+// the RunResult, as the Reference returns it. The differential checker uses
+// this entry point: generated programs exist as instruction slices, not
+// assembly source.
+func (m *Monitor) RunProgram(ctx context.Context, prog *isa.Program, maxSteps uint64) (engine.RunResult, error) {
+	return m.stack.RunProgram(ctx, prog, maxSteps)
 }
 
 // Result finalizes the backend over the session.
@@ -122,19 +123,6 @@ func (m *Monitor) Result() engine.Result {
 }
 
 // --- vm.Tracker ---
-
-// Touches delegates the ground-truth predicate to the precise engine. The VM
-// does not call it: Commit asks the engine directly for each event's
-// Tainted flag.
-func (m *Monitor) Touches(in isa.Instr, addr uint32) bool {
-	return m.Engine.Touches(in, addr)
-}
-
-// IndirectTarget enforces the control-flow policy synchronously through the
-// precise engine; the backend under test only sees the event stream.
-func (m *Monitor) IndirectTarget(pc uint32, reg int, target uint32) error {
-	return m.Engine.IndirectTarget(pc, reg, target)
-}
 
 // Commit translates the committed instruction into a trace event, steps the
 // backend, then lets the precise engine propagate.
@@ -156,26 +144,7 @@ func (m *Monitor) Commit(pc uint32, in isa.Instr, addr uint32) error {
 	return m.Engine.Commit(pc, in, addr)
 }
 
-// Input forwards taint initialization to the engine (coarse state follows
-// through the shadow watchers).
-func (m *Monitor) Input(addr uint32, n int, source dift.InputSource, conn int) {
-	m.Engine.Input(addr, n, source, conn)
-}
-
-// Output forwards sink checks.
-func (m *Monitor) Output(pc uint32, addr uint32, n int) error {
-	return m.Engine.Output(pc, addr, n)
-}
-
-// Accept forwards connection registration.
-func (m *Monitor) Accept() int { return m.Engine.Accept() }
-
-// SetTaintByte forwards stnt, write-through included.
+// SetTaintByte forwards stnt through the module, write-through included.
 func (m *Monitor) SetTaintByte(addr uint32, tag shadow.Tag) {
-	m.Module.StoreTaint(addr, tag)
-}
-
-// SetRegTaintMask forwards strf.
-func (m *Monitor) SetRegTaintMask(mask uint32, tag shadow.Tag) {
-	m.Engine.SetRegTaintMask(mask, tag)
+	m.Session.Module.StoreTaint(addr, tag)
 }

@@ -146,7 +146,7 @@ type Outcome struct {
 	Regs       [isa.NumRegs]uint32
 	Instret    uint64
 	Output     string
-	Err        string // normalized run error ("" for clean exit)
+	Err        string // normalized run error ("" for a clean exit or a violation)
 	Violations []string
 	TaintCount int    // tainted bytes in the final shadow state
 	TaintHash  uint64 // order-independent digest of (addr, tag) pairs

@@ -7,6 +7,7 @@ import (
 
 	"latch/internal/engine"
 	"latch/internal/latch"
+	"latch/internal/shadow"
 	"latch/internal/trace"
 	"latch/internal/workload"
 )
@@ -81,11 +82,15 @@ func ModuleInvariant(pol latch.ClearPolicy, profileName string, events uint64, s
 	p.Seed = workload.DeriveSeed(seed, "diffcheck", "invariant", pol.String(), profileName)
 	cfg := latch.DefaultConfig()
 	cfg.Clear = pol
-	s, err := engine.NewSession(cfg)
+	sh, err := shadow.New(cfg.DomainSize)
 	if err != nil {
 		return err
 	}
-	g, err := workload.NewGeneratorOn(p, s.Shadow)
+	m, err := latch.New(cfg, sh)
+	if err != nil {
+		return err
+	}
+	g, err := workload.NewGeneratorOn(p, sh)
 	if err != nil {
 		return err
 	}
@@ -96,14 +101,14 @@ func ModuleInvariant(pol latch.ClearPolicy, profileName string, events uint64, s
 			return
 		}
 		memEvents++
-		res := s.Module.CheckMem(ev.Addr, int(ev.Size))
-		if !res.CoarsePositive && s.Shadow.RangeTainted(ev.Addr, int(ev.Size)) {
+		res := m.CheckMem(ev.Addr, int(ev.Size))
+		if !res.CoarsePositive && sh.RangeTainted(ev.Addr, int(ev.Size)) {
 			fail = fmt.Errorf("diffcheck: %s/%s event %d: tainted access %#x+%d missed by coarse check",
 				pol, profileName, ev.Seq, ev.Addr, ev.Size)
 			return
 		}
 		if pol == latch.LazyClear && memEvents%8192 == 0 {
-			s.Module.ScanResidentClears()
+			m.ScanResidentClears()
 		}
 	}))
 	return fail

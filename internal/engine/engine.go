@@ -42,9 +42,22 @@
 // shadow holds taint. Record refuses a profile whose stream reads the
 // shadow after materialization, the only case where that is exact.
 //
-// Runs do not build their Session: like the paper's LATCH module, which is
-// cleared between runs rather than rebuilt (§5.1), a session is recycled.
-// RunProfile takes one from a process-wide idle list, Session.Recycle
+// Program-driven runs execute real LA32 programs on one machine stack,
+// Stack: NewStack builds a Session for a geometry and puts the vm.CPU and
+// the byte-precise dift.Engine over its module and shadow, with one
+// observer in every layer. latch.System is the Stack; cosim.Monitor and
+// platch.Parallel build one and install themselves as the machine's
+// tracker. Stack.Reset clears a used stack in place for the next program
+// (the module over the pages the last run tainted, then the shadow and the
+// machine), and one retention rule (Stack.Retainable, and the idle list
+// below) decides what a recycled stack or session may keep. Reference, the
+// oracle of every differential check, keeps its own module-free machine
+// that runs Step alone; it returns a violation in the same RunResult as the
+// Stack.
+//
+// Profile runs do not build their Session: like the paper's LATCH module,
+// which is cleared between runs rather than rebuilt (§5.1), a session is
+// recycled. RunProfile takes one from a process-wide idle list, Session.Recycle
 // reconfigures it in place for the backend's geometry, and the run puts it
 // back. The list holds at most GOMAXPROCS sessions, and a session returns to
 // it only while its shadow maps at most 8,192 tag pages and its coarse
@@ -345,7 +358,7 @@ func RunScheme(ctx context.Context, name string, p workload.Profile, opts RunOpt
 // byte-precise shadow taint state and the latch module attached to it.
 // Profile-driven runs go through RunProfile, which also owns the stream
 // cursor and recycles sessions instead of building them; program-driven
-// runs (the co-simulations) drive Step themselves.
+// runs build theirs through NewStack.
 func NewSession(cfg latch.Config) (*Session, error) {
 	sh, err := shadow.New(cfg.DomainSize)
 	if err != nil {

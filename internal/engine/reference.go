@@ -43,14 +43,11 @@ func NewReference(pol policy.Policy) (*Reference, error) {
 // methods (vm.FastTracker, vm.TaintRegFile) from the machine.
 type stepOnly struct{ vm.Tracker }
 
-// RunProgram loads prog and executes up to maxSteps instructions, returning
-// the machine's exit code. A policy violation (or machine fault) surfaces as
-// the error, exactly as it does on the co-simulated side. Cancellation
-// follows vm.CPU.Run: polled every vm.CancelCheckInterval instructions.
-func (r *Reference) RunProgram(ctx context.Context, prog *isa.Program, maxSteps uint64) (uint32, error) {
-	r.Machine.Load(prog)
-	if _, err := r.Machine.Run(ctx, maxSteps); err != nil {
-		return 0, err
-	}
-	return r.Machine.ExitCode(), nil
+// RunProgram loads prog and executes up to maxSteps instructions under the
+// contract of Stack.RunProgram: a policy violation is returned inside the
+// RunResult, so the two sides of a differential run read it the same way.
+// Cancellation follows vm.CPU.Run: polled every vm.CancelCheckInterval
+// instructions.
+func (r *Reference) RunProgram(ctx context.Context, prog *isa.Program, maxSteps uint64) (RunResult, error) {
+	return runProgram(ctx, r.Machine, prog, maxSteps)
 }

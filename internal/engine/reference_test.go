@@ -26,12 +26,12 @@ func TestReferenceRunsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := ref.RunProgram(context.Background(), prog, 1000)
+	res, err := ref.RunProgram(context.Background(), prog, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != 42 {
-		t.Fatalf("exit code = %d, want 42", code)
+	if res.ExitCode != 42 || res.Steps != 2 || res.Violation != nil {
+		t.Fatalf("result = %+v, want exit code 42 after 2 steps", res)
 	}
 }
 
@@ -44,15 +44,16 @@ func TestReferenceTracksTaintPrecisely(t *testing.T) {
 	prog, err := isa.Assemble(`
 		li   r1, 0x3000
 		movi r2, 4
-		sys  2           ; read 4 tainted file bytes to 0x3000
+		sys  2           ; read 4 tainted file bytes to 0x3000 (r1 = count)
+		li   r1, 0x3000
 		ldw  r3, [r1]
 		jr   r3          ; tainted indirect jump: policy violation
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.RunProgram(context.Background(), prog, 1000); err == nil {
-		t.Fatal("tainted indirect jump not detected")
+	if res, err := ref.RunProgram(context.Background(), prog, 1000); err != nil || res.Violation == nil {
+		t.Fatalf("tainted indirect jump not detected: err = %v", err)
 	}
 	if !ref.Shadow.RangeTainted(0x3000, 4) {
 		t.Fatal("file input not tainted in reference shadow")

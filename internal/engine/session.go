@@ -238,15 +238,15 @@ func takeSession(cfg latch.Config) (*Session, error) {
 }
 
 // releaseSession puts a session whose run is over back on the idle list,
-// unless the list is full or the run left it holding more than the bound:
-// more than maxIdlePages tag pages, or coarse tables grown past
-// Config.AddressSpan. It drops the session's references to the run's
-// observer, policy and profile either way.
+// unless the list is full or the run left it holding more than
+// retainable allows at maxIdlePages (a session maps no guest pages). It
+// drops the session's references to the run's observer, policy and profile
+// either way.
 func releaseSession(s *Session) {
 	s.AttachObserver(nil)
 	s.Policy = policy.Policy{}
 	s.Profile = workload.Profile{}
-	if s.Shadow.PagesAllocated() > maxIdlePages || s.Module.TablesGrown() {
+	if !retainable(0, s.Shadow, s.Module, maxIdlePages) {
 		return
 	}
 	idle.mu.Lock()

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"latch/internal/cosim"
-	"latch/internal/dift"
 	"latch/internal/engine"
 	"latch/internal/isa"
 	"latch/internal/policy"
@@ -66,49 +64,62 @@ func attackStacks() []string {
 	return append([]string{"reference"}, engine.Names()...)
 }
 
-// runAttack executes one attack on one stack under one propagation mode
-// and reports the detection verdict cell.
-func (r *Runner) runAttack(c attackCase, stack string, mode policy.Propagation) (string, error) {
+// runAttack executes one attack on one stack under one propagation mode,
+// adds the instructions it ran and the backend's coarse checks to js, and
+// reports the detection verdict cell.
+func (r *Runner) runAttack(c attackCase, stack string, mode policy.Propagation, js *JobStat) (string, error) {
 	pol := r.policy()
 	pol.Propagation = mode
 	pol.FailFast = true
 	pol.CheckLeak = true // the launder verdict is only meaningful with the sink check armed
-	src, err := workload.ProgramSource(c.program)
-	if err != nil {
-		return "", err
-	}
-	run := func() error {
+	run := func() (engine.RunResult, error) {
 		if stack == "reference" {
-			ref, err := engine.NewReference(pol)
-			if err != nil {
-				return err
-			}
-			c.setup(ref.Machine.Env)
-			prog, err := isa.Assemble(src)
-			if err != nil {
-				return err
-			}
-			_, err = ref.RunProgram(context.Background(), prog, 1_000_000)
-			return err
+			_, res, err := runReference(pol, c.program, c.setup)
+			return res, err
+		}
+		src, err := workload.ProgramSource(c.program)
+		if err != nil {
+			return engine.RunResult{}, err
 		}
 		mon, err := cosim.NewMonitor(stack, pol, r.passObserver("attacks"))
 		if err != nil {
-			return err
+			return engine.RunResult{}, err
 		}
 		c.setup(mon.Machine.Env)
-		_, err = mon.Run(context.Background(), src, 1_000_000)
-		mon.Result() // finalize: cplatch joins its monitor goroutine
-		return err
+		res, err := mon.Run(context.Background(), src, 1_000_000)
+		js.Checks += mon.Result().CheckCount() // finalize: cplatch joins its monitor goroutine
+		return res, err
 	}
-	err = run()
-	var v dift.Violation
-	if errors.As(err, &v) {
-		return "detected (" + v.Kind.String() + ")", nil
-	}
+	res, err := run()
+	js.Events += res.Steps
 	if err != nil {
 		return "", fmt.Errorf("attacks %s on %s: %w", c.name, stack, err)
 	}
+	if res.Violation != nil {
+		return "detected (" + res.Violation.Kind.String() + ")", nil
+	}
 	return "missed", nil
+}
+
+// runReference runs the named canned program, its inputs installed by
+// setup, on a new module-free reference stack under pol, for up to a
+// million instructions.
+func runReference(pol policy.Policy, program string, setup func(*vm.Env)) (*engine.Reference, engine.RunResult, error) {
+	ref, err := engine.NewReference(pol)
+	if err != nil {
+		return nil, engine.RunResult{}, err
+	}
+	setup(ref.Machine.Env)
+	src, err := workload.ProgramSource(program)
+	if err != nil {
+		return nil, engine.RunResult{}, err
+	}
+	prog, err := isa.Assemble(src)
+	if err != nil {
+		return nil, engine.RunResult{}, err
+	}
+	res, err := ref.RunProgram(context.Background(), prog, 1_000_000)
+	return ref, res, err
 }
 
 // Attacks renders the detection matrix: every canned attack against every
@@ -127,7 +138,7 @@ func (r *Runner) Attacks() (*stats.Table, error) {
 		for mi, mode := range modes {
 			row := []any{c.name, mode.String()}
 			for _, stack := range stacks {
-				cell, err := r.runAttack(c, stack, mode)
+				cell, err := r.runAttack(c, stack, mode, js)
 				if err != nil {
 					return err
 				}

@@ -86,9 +86,12 @@ func runMonitored(t *testing.T, backend string, c cosimCase) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(context.Background(), src, 1_000_000)
+	run, err := m.Run(context.Background(), src, 1_000_000)
 	if res := m.Result(); res.EventCount() == 0 {
 		t.Fatalf("%s/%s: backend saw no events", backend, c.name)
+	}
+	if run.Violation != nil {
+		return *run.Violation // as the conventional machine returns it
 	}
 	return err
 }

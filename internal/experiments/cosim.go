@@ -95,6 +95,7 @@ func (r *Runner) ParallelCoSim() (*stats.Table, error) {
 			if _, err := sys.Run(context.Background(), src, 1_000_000); err != nil {
 				return platch.ParallelStats{}, fmt.Errorf("platch-cosim %s: %w", c.name, err)
 			}
+			js.Checks += sys.Module.Stats().Checks
 			return sys.Stats(), nil
 		}
 		filtered, err := run(true)
@@ -144,7 +145,7 @@ func (r *Runner) CoSim() (*stats.Table, error) {
 		}
 		res := mon.Result().(slatch.Result)
 		n := float64(res.Events)
-		js.Events = res.Events
+		js.Events, js.Checks = res.Events, res.CheckCount()
 		rows[i] = []any{c.name, res.Events,
 			100 * float64(res.HWInstrs) / n, 100 * float64(res.SWInstrs) / n,
 			res.Switches, res.FalsePositives,

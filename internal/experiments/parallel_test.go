@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"latch/internal/stats"
 	"latch/internal/workload"
 )
 
@@ -133,6 +134,30 @@ func TestJobStatsRecorded(t *testing.T) {
 	summary := r.StatsSummary()
 	if summary.Rows() != 2 { // hlatch + TOTAL
 		t.Fatalf("summary rows = %d", summary.Rows())
+	}
+
+	// The program-driven passes count what their machines ran: instructions
+	// always, and coarse checks wherever a module ran. PIFT runs on the
+	// module-free reference stack.
+	opts := parallelTestOptions(manyWorkers())
+	opts.Events = 5_000
+	prog := NewRunner(opts)
+	for _, run := range []func() (*stats.Table, error){prog.Attacks, prog.CoSim, prog.PIFT, prog.ParallelCoSim, prog.SamplingFrontier} {
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	work := map[string]JobStat{}
+	for _, js := range prog.JobStats() {
+		w := work[js.Pass]
+		w.Events += js.Events
+		w.Checks += js.Checks
+		work[js.Pass] = w
+	}
+	for pass, module := range map[string]bool{"attacks": true, "cosim": true, "pift": false, "platch-cosim": true, "sampling": true} {
+		if w := work[pass]; w.Events == 0 || (w.Checks != 0) != module {
+			t.Errorf("pass %s recorded %d instructions and %d coarse checks (module: %v)", pass, w.Events, w.Checks, module)
+		}
 	}
 }
 

@@ -1,15 +1,8 @@
 package experiments
 
 import (
-	"context"
-
-	"latch/internal/dift"
-	"latch/internal/isa"
 	"latch/internal/policy"
-	"latch/internal/shadow"
 	"latch/internal/stats"
-	"latch/internal/vm"
-	"latch/internal/workload"
 )
 
 // PIFT compares classical DTA against the PIFT-style approximate
@@ -24,14 +17,18 @@ func (r *Runner) PIFT() (*stats.Table, error) {
 	rows := make([][]any, len(cosimCases))
 	err := r.runJobs("pift", cosimCaseNames(), func(i int, name string, js *JobStat) error {
 		c := cosimCases[i]
-		classical, err := runWithMode(c, r.policy(), policy.PropagationClassical)
-		if err != nil {
-			return err
+		var tainted [2]uint64
+		for k, mode := range []policy.Propagation{policy.PropagationClassical, policy.PropagationPIFT} {
+			pol := r.policy()
+			pol.Propagation = mode
+			ref, res, err := runReference(pol, c.program, c.setup)
+			js.Events += res.Steps
+			if err != nil {
+				return err
+			}
+			tainted[k] = ref.Shadow.TaintedBytes()
 		}
-		pift, err := runWithMode(c, r.policy(), policy.PropagationPIFT)
-		if err != nil {
-			return err
-		}
+		classical, pift := tainted[0], tainted[1]
 		var under float64
 		if classical > 0 {
 			under = 100 * float64(classical-pift) / float64(classical)
@@ -46,28 +43,4 @@ func (r *Runner) PIFT() (*stats.Table, error) {
 		t.AddRowf(row...)
 	}
 	return t, nil
-}
-
-// runWithMode executes one scenario under the given propagation mode and
-// returns the tainted byte count at exit.
-func runWithMode(c cosimCase, pol policy.Policy, mode policy.Propagation) (uint64, error) {
-	pol.Propagation = mode
-	sh := shadow.MustNew(shadow.DefaultDomainSize)
-	eng := dift.NewEngine(sh, pol)
-	m := vm.New()
-	m.SetTracker(eng)
-	c.setup(m.Env)
-	src, err := workload.ProgramSource(c.program)
-	if err != nil {
-		return 0, err
-	}
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	m.Load(prog)
-	if _, err := m.Run(context.Background(), 1_000_000); err != nil {
-		return 0, err
-	}
-	return sh.TaintedBytes(), nil
 }

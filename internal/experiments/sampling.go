@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"latch/internal/dift"
 	"latch/internal/engine"
-	"latch/internal/isa"
 	"latch/internal/policy"
 	"latch/internal/slatch"
 	"latch/internal/stats"
@@ -75,22 +73,8 @@ func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
 	}
 	pol := policy.Default()
 	pol.Sampling = spl
-	ref, err := engine.NewReference(pol)
-	if err != nil {
-		return false, err
-	}
-	c.setup(ref.Machine.Env)
-	src, err := workload.ProgramSource(c.program)
-	if err != nil {
-		return false, err
-	}
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return false, err
-	}
-	_, err = ref.RunProgram(context.Background(), prog, 1_000_000)
-	var v dift.Violation
-	if errors.As(err, &v) {
+	_, res, err := runReference(pol, c.program, c.setup)
+	if res.Violation != nil {
 		return true, nil
 	}
 	// A sampled-out exploit is free to corrupt the machine — the overflow's
@@ -173,7 +157,7 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 		if err != nil {
 			return fmt.Errorf("sampling %s: %w", wname, err)
 		}
-		points[w], js.Events, err = r.frontierPoints(p, rec)
+		points[w], err = r.frontierPoints(p, rec, js)
 		return err
 	})
 	if err != nil {
@@ -191,47 +175,46 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 type frontierPoint struct{ overhead, swInstrPct float64 }
 
 // frontierPoints returns workload p's points, pts[i][seed-1] at fraction i,
-// replayed from rec, and the events it replayed. A replay's result depends
-// only on the recording and on which of p's taint runs the sampled layout
-// keeps, so each distinct layout (workload.LayoutKey) is replayed once and
-// every later point with that layout takes its values: the frontier's 200
-// points hold 43 layouts.
-func (r *Runner) frontierPoints(p workload.Profile, rec *engine.Recording) ([][frontierSeeds]frontierPoint, uint64, error) {
+// replayed from rec, and adds the replays' events and coarse checks to js.
+// A replay's result depends only on the recording and on which of p's taint
+// runs the sampled layout keeps, so each distinct layout
+// (workload.LayoutKey) is replayed once and every later point with that
+// layout takes its values: the frontier's 200 points hold 43 layouts.
+func (r *Runner) frontierPoints(p workload.Profile, rec *engine.Recording, js *JobStat) ([][frontierSeeds]frontierPoint, error) {
 	pts := make([][frontierSeeds]frontierPoint, len(FrontierFractions))
 	replayed := map[string]frontierPoint{}
-	var events uint64
 	for i, f := range FrontierFractions {
 		for seed := uint64(1); seed <= frontierSeeds; seed++ {
 			spl := policy.Sampling{SampleFraction: f, SampleSeed: seed}
 			key := workload.LayoutKey(p, spl)
 			pt, ok := replayed[key]
 			if !ok {
-				var n uint64
 				var err error
-				if pt, n, err = r.replayPoint(rec, spl); err != nil {
-					return nil, 0, fmt.Errorf("sampling %s @ %.2f: %w", p.Name, f, err)
+				if pt, err = r.replayPoint(rec, spl, js); err != nil {
+					return nil, fmt.Errorf("sampling %s @ %.2f: %w", p.Name, f, err)
 				}
-				events += n
 				replayed[key] = pt
 			}
 			pts[i][seed-1] = pt
 		}
 	}
-	return pts, events, nil
+	return pts, nil
 }
 
-// replayPoint replays rec through S-LATCH under spl and returns the point
-// and the events it replayed.
-func (r *Runner) replayPoint(rec *engine.Recording, spl policy.Sampling) (frontierPoint, uint64, error) {
+// replayPoint replays rec through S-LATCH under spl, adds the replay's
+// events and coarse checks to js, and returns the point.
+func (r *Runner) replayPoint(rec *engine.Recording, spl policy.Sampling, js *JobStat) (frontierPoint, error) {
 	pol := r.policy()
 	pol.Sampling = spl
 	opts := engine.RunOptions{Events: r.opts.Events, Observer: r.passObserver("sampling"), Policy: pol}
 	res, err := rec.Run(context.Background(), slatch.NewBackend(slatch.DefaultConfig()), opts)
 	if err != nil {
-		return frontierPoint{}, 0, err
+		return frontierPoint{}, err
 	}
 	sr := res.(slatch.Result)
-	return frontierPoint{sr.Overhead(), 100 * float64(sr.SWInstrs) / float64(sr.Events)}, sr.Events, nil
+	js.Events += sr.Events
+	js.Checks += sr.CheckCount()
+	return frontierPoint{sr.Overhead(), 100 * float64(sr.SWInstrs) / float64(sr.Events)}, nil
 }
 
 // addOverheads sets each row's MeanOverhead and SWInstrPct to the mean of

@@ -178,12 +178,16 @@ func TestFrontierReplaysEachLayoutOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events uint64
+	var events, checks uint64
 	for _, js := range memo.JobStats() {
 		events += js.Events
+		checks += js.Checks
 	}
 	if want := 43 * opts.Events; events != want {
 		t.Errorf("the overhead jobs replayed %d events, want %d: one replay per distinct layout", events, want)
+	}
+	if checks == 0 {
+		t.Error("the overhead jobs reported no coarse checks")
 	}
 
 	all := NewRunner(opts)
@@ -200,12 +204,12 @@ func TestFrontierReplaysEachLayoutOnce(t *testing.T) {
 		points[w] = make([][frontierSeeds]frontierPoint, len(FrontierFractions))
 		for i, f := range FrontierFractions {
 			for seed := uint64(1); seed <= frontierSeeds; seed++ {
-				if points[w][i][seed-1], _, err = all.replayPoint(rec, policy.Sampling{SampleFraction: f, SampleSeed: seed}); err != nil {
+				if points[w][i][seed-1], err = all.replayPoint(rec, policy.Sampling{SampleFraction: f, SampleSeed: seed}, &JobStat{}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		memoized, _, err := memo.frontierPoints(p, rec)
+		memoized, err := memo.frontierPoints(p, rec, &JobStat{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -625,7 +625,7 @@ func (m *Module) FlushCaches() {
 // transition, which marks its page ever-tainted, so no other word can be
 // nonzero and the reset costs what the last run tainted, not the tables'
 // size. Reset therefore must run before the shadow's own Reset, which
-// forgets those pages (engine.Session.Recycle and latch.System.Reset do
+// forgets those pages (engine.Session.Recycle and engine.Stack.Reset do
 // both, in that order). The tables keep their length, including any growth
 // past Config.AddressSpan; see TablesGrown.
 func (m *Module) Reset() {

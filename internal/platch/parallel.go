@@ -91,12 +91,18 @@ type logEntry struct {
 // the log through a byte-precise DIFT engine at its own service rate.
 // Violations are therefore detected with a lag; output syscalls and
 // program exit act as sync points that drain the log first.
+//
+// The machine, the monitor's engine, the module and the shadow are those of
+// an engine.Stack, with the Parallel as the machine's tracker. A Parallel
+// serves one program: the stack is not reset under it, since a reset would
+// drop the Parallel as tracker and keep its log.
 type Parallel struct {
 	Machine *vm.CPU
 	Engine  *dift.Engine // the monitor's engine (owns the shadow)
 	Module  *latch.Module
 	Shadow  *shadow.Shadow
 
+	stack   *engine.Stack
 	cfg     ParallelConfig
 	service float64 // monitor cycles per log entry
 	pend    *pendingFIFO
@@ -122,25 +128,23 @@ func NewParallel(cfg ParallelConfig, pol policy.Policy) (*Parallel, error) {
 	if cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("platch: queue depth %d must be positive", cfg.QueueDepth)
 	}
-	sess, err := engine.NewSession(moduleConfig())
+	pol.FailFast = false // deferred detection: record, then surface
+	st, _, err := engine.NewStack(moduleConfig(), pol, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
-	sess.AttachObserver(cfg.Observer)
-	pol.FailFast = false // deferred detection: record, then surface
 	p := &Parallel{
-		Engine:  dift.NewEngine(sess.Shadow, pol),
-		Module:  sess.Module,
-		Shadow:  sess.Shadow,
+		Machine: st.Machine,
+		Engine:  st.Engine,
+		Module:  st.Module,
+		Shadow:  st.Shadow,
+		stack:   st,
 		cfg:     cfg,
 		service: serviceCycles(simpleLBAOverhead),
 		pend:    newPendingFIFO(pendingEntries),
 		queue:   make([]logEntry, 0, cfg.QueueDepth),
 	}
-	p.Engine.SetObserver(cfg.Observer)
-	p.Machine = vm.New()
 	p.Machine.SetTracker(p)
-	p.Machine.SetObserver(cfg.Observer)
 	return p, nil
 }
 
@@ -150,22 +154,15 @@ func (p *Parallel) Stats() ParallelStats { return p.stats }
 // Violations returns the monitor's deferred detections.
 func (p *Parallel) Violations() []DeferredViolation { return p.violations }
 
-// Run assembles src, executes it, and drains the monitor when the machine
-// stops. A fault is a sync point like exit: the log is drained before the
-// fault is returned, so violations the lagging monitor had not reached yet
-// are still reported.
-func (p *Parallel) Run(ctx context.Context, src string, maxSteps uint64) (uint32, error) {
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		return 0, err
-	}
-	p.Machine.Load(prog)
-	_, err = p.Machine.Run(ctx, maxSteps)
+// Run assembles src, executes it (engine.Stack.Run), and drains the monitor
+// when the machine stops. A fault is a sync point like exit: the log is
+// drained before the fault is returned, so violations the lagging monitor
+// had not reached yet are still reported. A violation surfaced at an output
+// sync point stops the machine and is returned in the RunResult.
+func (p *Parallel) Run(ctx context.Context, src string, maxSteps uint64) (engine.RunResult, error) {
+	res, err := p.stack.Run(ctx, src, maxSteps)
 	p.drain()
-	if err != nil {
-		return 0, err
-	}
-	return p.Machine.ExitCode(), nil
+	return res, err
 }
 
 // processOne replays the oldest log entry through the monitor's engine.

@@ -158,8 +158,8 @@ func TestParallelOutputSyncPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := par.Run(context.Background(), src, 100_000); err == nil {
-		t.Fatal("leak not surfaced at the output sync point")
+	if res, err := par.Run(context.Background(), src, 100_000); err != nil || res.Violation == nil || res.Violation.Kind != dift.ViolationLeak {
+		t.Fatalf("leak not surfaced at the output sync point: violation %v, err %v", res.Violation, err)
 	}
 }
 
@@ -253,10 +253,13 @@ func TestParallelStrfReachesMonitorInLogOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v dift.Violation
-	if _, err := ref.RunProgram(context.Background(), prog, 100); !errors.As(err, &v) ||
-		v.Kind != dift.ViolationControlFlow || v.PC != 0xc || v.Addr != 0x1000 {
+	res, err := ref.RunProgram(context.Background(), prog, 100)
+	if err != nil || res.Violation == nil {
 		t.Fatalf("reference: err = %v, want a control-flow violation at pc 0xc to 0x1000", err)
+	}
+	v := *res.Violation
+	if v.Kind != dift.ViolationControlFlow || v.PC != 0xc || v.Addr != 0x1000 {
+		t.Fatalf("reference: violation %v, want a control-flow violation at pc 0xc to 0x1000", v)
 	}
 	for _, filtered := range []bool{true, false} {
 		p := newParallel(t, func(c *ParallelConfig) { c.Filtered = filtered })

@@ -66,17 +66,7 @@ func (c *canary) check(ctx context.Context, id uint64, job *programJob, served l
 	}
 	ref.Machine.Env.FileData = job.input()
 	ref.Machine.Env.Requests = job.requestBytes()
-	ref.Machine.Load(job.prog)
-	_, refErr := ref.Machine.Run(ctx, job.maxSteps())
-
-	refRes := latch.RunResult{ExitCode: ref.Machine.ExitCode(), Steps: ref.Machine.Instret()}
-	if refErr != nil {
-		var v latch.Violation
-		if asViolation(refErr, &v) {
-			refRes.Violation = &v
-			refErr = nil
-		}
-	}
+	refRes, refErr := ref.RunProgram(ctx, job.prog, job.maxSteps())
 
 	c.mu.Lock()
 	c.checked++

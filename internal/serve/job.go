@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -251,9 +250,4 @@ type violationObserver struct {
 func (o violationObserver) Violation(kind telemetry.ViolationKind, pc, addr uint32) {
 	o.Metrics.Violation(kind, pc, addr)
 	o.st.send(violationLine{Type: "violation", Kind: kind.String(), PC: pc, Addr: addr})
-}
-
-// asViolation is errors.As specialized to the facade's Violation type.
-func asViolation(err error, v *latch.Violation) bool {
-	return errors.As(err, v)
 }

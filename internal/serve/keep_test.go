@@ -97,7 +97,7 @@ func TestWorkerKeepsBoundedSystem(t *testing.T) {
 	}
 
 	post(small)
-	if sys := kept(); sys == nil || !reusable(sys) {
+	if sys := kept(); sys == nil || !sys.Retainable(keepPages) {
 		t.Fatal("the worker did not keep its System after a small job")
 	}
 	base := liveHeap()
@@ -108,7 +108,7 @@ func TestWorkerKeepsBoundedSystem(t *testing.T) {
 				i, sys.Machine.Mem.PagesAllocated(), sys.Shadow.PagesAllocated(), sys.Module.TablesGrown())
 		}
 		post(small)
-		if sys := kept(); sys == nil || !reusable(sys) {
+		if sys := kept(); sys == nil || !sys.Retainable(keepPages) {
 			t.Fatalf("large job %d: no reusable System after the next small job", i)
 		}
 		if heap := liveHeap(); heap > base+4<<20 {
@@ -119,7 +119,7 @@ func TestWorkerKeepsBoundedSystem(t *testing.T) {
 		post(spreadJob(k))
 	}
 	post(small)
-	if sys := kept(); sys == nil || !reusable(sys) {
+	if sys := kept(); sys == nil || !sys.Retainable(keepPages) {
 		t.Fatal("no reusable System after the spread jobs")
 	}
 	if heap := liveHeap(); heap > base+4<<20 {

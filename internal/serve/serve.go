@@ -458,16 +458,9 @@ func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
 // worker keeps is then at most a freshly built System plus keepPages pages
 // of each kind and the page-table leaves mapping them — under 2 MiB more,
 // whatever jobs it ran — and the last job's input, which maxJobBytes
-// bounds. The built-in programs use a handful of pages.
+// bounds. The built-in programs use a handful of pages. System.Retainable
+// applies the bound, by the rule the engine's idle sessions are kept under.
 const keepPages = 64
-
-// reusable reports whether sys stayed within keepPages and the table sizes
-// latch.New gave it.
-func reusable(sys *latch.System) bool {
-	return sys.Machine.Mem.PagesAllocated() <= keepPages &&
-		sys.Shadow.PagesAllocated() <= keepPages &&
-		!sys.Module.TablesGrown()
-}
 
 // runProgram executes one LA32 program job on the worker's recycled System
 // (the facade's single-machine DIFT stack): reset in place for the job's
@@ -498,7 +491,7 @@ func (s *Server) runProgram(ctx context.Context, st *stream, ws *workerState, jo
 	output := sys.Machine.Env.Output.String()
 	sys.Machine.Env.Output = bytes.Buffer{} // a kept System must not pin the job's output
 	ws.system = nil
-	if reusable(sys) {
+	if sys.Retainable(keepPages) {
 		ws.system = sys
 	}
 

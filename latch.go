@@ -40,10 +40,8 @@
 package latch
 
 import (
-	"context"
-	"errors"
-
 	"latch/internal/dift"
+	"latch/internal/engine"
 	"latch/internal/isa"
 	latchcore "latch/internal/latch"
 	"latch/internal/policy"
@@ -96,6 +94,16 @@ type (
 	// Env is the machine's deterministic external world (file data,
 	// inbound requests, output sink).
 	Env = vm.Env
+
+	// System is a complete single-machine DIFT stack: one shadow taint
+	// state shared by the byte-precise engine and the LATCH module,
+	// attached to an LA32 machine. New builds one; Reset clears one in
+	// place for the next run, and RunProgram returns a policy violation
+	// inside its RunResult, as data.
+	System = engine.Stack
+	// RunResult is the typed outcome of one System run: exit code, steps,
+	// and the violation that stopped the program, if any.
+	RunResult = engine.RunResult
 )
 
 // Clear policies (see ClearPolicy).
@@ -137,97 +145,3 @@ func DefaultPolicy() Policy { return policy.Default() }
 
 // Assemble translates LA32 assembly into a loadable program.
 func Assemble(src string) (*Program, error) { return isa.Assemble(src) }
-
-// System wires a complete single-machine DIFT stack: one shadow taint state
-// shared by the byte-precise engine and the LATCH module, attached to an
-// LA32 machine. This is the configuration S-LATCH runs on one core: the
-// module provides the coarse checks, the engine the precise semantics.
-type System struct {
-	Machine *Machine
-	Engine  *Engine
-	Module  *Module
-	Shadow  *Shadow
-
-	// Observer is the observer attached at construction (nil if none).
-	Observer Observer
-}
-
-// Reset returns s to the state New would build for pol and obs, reusing its
-// shadow, module, and machine in place: the module is cleared over the
-// pages the last run tainted, then the shadow and the machine are emptied
-// onto their page free lists (the machine gets a fresh Env), and a fresh
-// engine for pol is wired in with obs attached to every layer. A reset
-// costs what the last run touched, so a long-lived caller (cmd/latch-serve's
-// workers) pays latch.New's table allocation once rather than per run;
-// results are identical to a fresh System's. The Config is kept. Storage
-// the last run grew — memory pages, tables grown past Config.AddressSpan —
-// is kept too; callers that bound what they retain build a fresh System
-// instead (see Module.TablesGrown).
-func (s *System) Reset(pol Policy, obs Observer) {
-	s.Module.Reset() // before the shadow, which forgets the tainted pages
-	s.Shadow.Reset()
-	s.Machine.Reset()
-	s.wire(dift.NewEngine(s.Shadow, pol), obs)
-}
-
-// wire makes eng, an engine over the shared shadow, the machine's tracker
-// and attaches obs to every layer.
-func (s *System) wire(eng *Engine, obs Observer) {
-	s.Engine = eng
-	eng.SetObserver(obs)
-	s.Module.SetObserver(obs)
-	s.Machine.SetTracker(eng)
-	s.Machine.SetObserver(obs)
-	s.Observer = obs
-}
-
-// RunResult is the typed outcome of one System.Run: the machine's exit
-// code, the number of instructions this run committed, and — when the DIFT
-// policy fired — the violation itself, as data rather than an error. A
-// violation is an expected analysis outcome (it is the whole point of the
-// checker), so it terminates execution but does not make the run itself
-// fail.
-type RunResult struct {
-	// ExitCode is the code passed to sys exit (0 for HALT, and 0 when a
-	// violation stopped the program before it exited).
-	ExitCode uint32
-	// Steps is the number of instructions committed by this run.
-	Steps uint64
-	// Violation is the policy violation that stopped the program, or nil
-	// for a clean run.
-	Violation *Violation
-}
-
-// Run assembles src and runs it with RunProgram; an assembly error is
-// returned as the error.
-func (s *System) Run(ctx context.Context, src string, maxSteps uint64) (RunResult, error) {
-	prog, err := Assemble(src)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return s.RunProgram(ctx, prog, maxSteps)
-}
-
-// RunProgram loads prog and executes up to maxSteps instructions under the
-// context: cancellation or a deadline stops the machine within
-// vm.CancelCheckInterval instructions and surfaces ctx.Err(). Loading
-// copies the image, so one assembled Program may be run by any number of
-// Systems.
-//
-// A DIFT policy violation is returned inside the RunResult, not as an
-// error; errors are reserved for infrastructure failures — machine faults,
-// exhausted step budgets, cancellation.
-func (s *System) RunProgram(ctx context.Context, prog *Program, maxSteps uint64) (RunResult, error) {
-	s.Machine.Load(prog)
-	steps, err := s.Machine.Run(ctx, maxSteps)
-	res := RunResult{ExitCode: s.Machine.ExitCode(), Steps: steps}
-	if err != nil {
-		var v Violation
-		if errors.As(err, &v) {
-			res.Violation = &v
-			return res, nil
-		}
-		return res, err
-	}
-	return res, nil
-}

@@ -96,21 +96,6 @@ func TestLabelAndTags(t *testing.T) {
 	}
 }
 
-func TestClearPolicyOptionOrderIndependent(t *testing.T) {
-	for _, opts := range [][]latch.Option{
-		{latch.WithClearPolicy(latch.LazyClear), latch.WithConfig(latch.DefaultConfig())},
-		{latch.WithConfig(latch.DefaultConfig()), latch.WithClearPolicy(latch.LazyClear)},
-	} {
-		sys, err := latch.New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.Module.Config().Clear; got != latch.LazyClear {
-			t.Fatalf("clear policy = %v, want LazyClear", got)
-		}
-	}
-}
-
 func TestViolationSentinels(t *testing.T) {
 	sys, err := latch.New()
 	if err != nil {

@@ -2,10 +2,8 @@ package latch
 
 import (
 	"latch/internal/dift"
-	latchcore "latch/internal/latch"
-	"latch/internal/shadow"
+	"latch/internal/engine"
 	"latch/internal/telemetry"
-	"latch/internal/vm"
 )
 
 // Observability re-exports: the telemetry package is internal layout; these
@@ -45,19 +43,16 @@ var (
 
 // sysOptions collects the configuration a System is built from.
 type sysOptions struct {
-	cfg      Config
-	pol      Policy
-	obs      Observer
-	clear    ClearPolicy
-	setClear bool
+	cfg Config
+	pol Policy
+	obs Observer
 }
 
 // Option configures a System built by New.
 type Option func(*sysOptions)
 
-// WithConfig replaces the hardware configuration (default: DefaultConfig).
-// A clear policy chosen via WithClearPolicy survives this option regardless
-// of order.
+// WithConfig replaces the hardware configuration (default: DefaultConfig),
+// clear policy included.
 func WithConfig(cfg Config) Option {
 	return func(o *sysOptions) { o.cfg = cfg }
 }
@@ -76,12 +71,6 @@ func WithObserver(obs Observer) Option {
 	return func(o *sysOptions) { o.obs = obs }
 }
 
-// WithClearPolicy overrides just the coarse-clear policy, leaving the rest
-// of the configuration (given or default) untouched.
-func WithClearPolicy(cp ClearPolicy) Option {
-	return func(o *sysOptions) { o.clear = cp; o.setClear = true }
-}
-
 // New builds a System: one shadow taint state shared by the byte-precise
 // engine and the LATCH module, attached to an LA32 machine. Without options
 // it uses DefaultConfig and DefaultPolicy:
@@ -94,20 +83,6 @@ func New(opts ...Option) (*System, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.setClear {
-		o.cfg.Clear = o.clear
-	}
-	sh, err := shadow.New(o.cfg.DomainSize)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := latchcore.New(o.cfg, sh)
-	if err != nil {
-		return nil, err
-	}
-	eng := dift.NewEngine(sh, o.pol)
-	m := vm.New()
-	s := &System{Machine: m, Module: mod, Shadow: sh}
-	s.wire(eng, o.obs)
-	return s, nil
+	s, _, err := engine.NewStack(o.cfg, o.pol, o.obs)
+	return s, err
 }
