@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke paper paper-smoke examples
+.PHONY: build test fmt vet race verify cover bench bench-compare bench-gate fuzz golden diffcheck serve-smoke paper paper-smoke examples inline-check
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,17 @@ race:
 		-run 'TestConcurrentStress|TestBackpressureStalls|FuzzRingSPSC|TestConcurrentDeterminismPin|TestRunProfileConcurrent|TestRunSweepConcurrent' \
 		./internal/ring ./internal/platch ./internal/enginetest
 
-verify: fmt test vet cover race diffcheck serve-smoke paper-smoke examples
+verify: fmt test vet inline-check cover race diffcheck serve-smoke paper-smoke examples
+
+# Inlining gate: build the hot-loop packages with -gcflags=-m and fail
+# unless the compiler inlines every call of the page map's accessors in the
+# shadow (Lookup, Get, Writable) and of the shadow readers the experiment,
+# generator, module and DIFT loops call (MustTaintedAt, DomainTainted,
+# RangeTainted). go1.24 inlines a shadow method that calls into package mem
+# only into packages that import shadow directly, so an unrelated import
+# change can cost the catalog pass a call per shadow access.
+inline-check:
+	$(GO) run ./tools/inline-check
 
 # Example tier: run every program under examples/ (each finishes in under a
 # second) and fail on the first non-zero exit. `go build ./...` only compiles
@@ -160,8 +170,8 @@ bench-gate:
 	$(GO) run ./tools/bench-gate -baseline $(CURDIR)/BENCH_hotpath.json
 
 # Short fuzz passes: the shared page map (FuzzPageTable runs random
-# lookups, writes, uncounted Mapped tests, resets and page-set operations
-# against map models), the cache model (FuzzCacheLRU runs Access, Probe,
+# lookups, writes, aliases, uncounted Mapped tests, resets and page-set
+# operations against map models), the cache model (FuzzCacheLRU runs Access, Probe,
 # Invalidate, Flush and ForEach on a 128-way and a 4x4 cache, over blocks
 # that share way-hint slots, against a plain reference LRU), the LA32 assembler/decoder round-trip properties
 # (FuzzAssembleDecode also cross-checks the decode cache against direct
@@ -175,10 +185,12 @@ bench-gate:
 # through it, and a jr through one still tainted), the stream generator's
 # decision thresholds (FuzzThreshold checks that comparing an Int63 draw
 # with threshold(p) decides as math/rand's Float64() < p does, for any
-# probability and draw), the shadow's page copy (FuzzCopyPage checks that
-# CopyPage leaves the tags, counters and ever-tainted pages, and reports to
-# the watchers, what per-byte Sets of the source page's tainted bytes in
-# rotated order do, at every domain size), the assembler and decoder on
+# probability and draw), the shadow's copy-on-write aliases (FuzzAliasPage
+# checks that a page aliased twice with AliasPage, then written by random
+# Sets and SetRanges through either alias or its pattern page, leaves the
+# tags, counters and ever-tainted pages, and reports to the watchers, what
+# per-byte-set copies taking the same writes do, at every domain size), the
+# assembler and decoder on
 # arbitrary input (FuzzAssemble: any source assembles or is rejected
 # without a panic, with every label inside the image; FuzzDecode: any word
 # decodes or is rejected, and a decoded instruction re-encodes to a word
@@ -197,7 +209,7 @@ fuzz:
 	$(GO) test ./internal/isa -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
 	$(GO) test ./internal/vm -run='^$$' -fuzz='^FuzzFastLoopVsStep$$' -fuzztime=10s
 	$(GO) test ./internal/workload -run='^$$' -fuzz='^FuzzThreshold$$' -fuzztime=10s
-	$(GO) test ./internal/shadow -run='^$$' -fuzz='^FuzzCopyPage$$' -fuzztime=10s
+	$(GO) test ./internal/shadow -run='^$$' -fuzz='^FuzzAliasPage$$' -fuzztime=10s
 	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzPolicyRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/ring -run='^$$' -fuzz='^FuzzRingSPSC$$' -fuzztime=10s
 	$(GO) test ./internal/diffcheck -run='^$$' -fuzz='^FuzzBackendEquivalence$$' -fuzztime=30s

@@ -20,7 +20,8 @@
 // Every profile run starts with one materialize step: the generator writes
 // the profile's taint layout into the shadow while a latch.Recorder stands
 // in for the shadow's watchers, merging the layout's clean→tainted
-// transitions into (CTT word, mask) steps, and every module of the run
+// transitions into (CTT word, mask) steps (a page the layout aliases onto
+// its pattern page in one call), and every module of the run
 // takes those steps in one bulk load (latch.Module.LoadTaint) instead of a
 // watcher call per tainted domain. The load leaves the coarse state the
 // watchers would have built, CTC included; the module's own watchers, or a
@@ -60,8 +61,8 @@
 // recycled. RunProfile takes one from a process-wide idle list, Session.Recycle
 // reconfigures it in place for the backend's geometry, and the run puts it
 // back. The list holds at most GOMAXPROCS sessions, and a session returns to
-// it only while its shadow maps at most 8,192 tag pages and its coarse
-// tables kept the size Config.AddressSpan gives them, so the idle sessions
+// it only while its shadow holds at most 8,192 pages of tag storage and its
+// coarse tables kept the size Config.AddressSpan gives them, so the idle sessions
 // a process keeps stay bounded (about 56 MiB each, plus the recorder's
 // buffer of 8 bytes a step, 0.5 MiB for sphinx3's layout at 8-byte domains,
 // and the 12 KiB buffer every run on the session streams through) whatever

@@ -142,7 +142,9 @@ func TestMaterializeMatchesWatchers(t *testing.T) {
 // loading it, alone and into the six modules of a six-consumer sweep:
 // sphinx3's 4,133 tainted pages of 16-byte runs every 64 bytes, astar's
 // 2,001 of 8-byte runs every 128, mysql's 435 of 64-byte runs every 256,
-// and bzip2's 70 whole tainted pages.
+// and bzip2's 70 whole tainted pages. The reset cases time what a profile
+// run pays before its stream: emptying the module and the shadow of the
+// last run's layout, then materializing its own.
 func BenchmarkMaterialize(b *testing.B) {
 	for _, name := range []string{"sphinx3", "astar", "mysql", "bzip2"} {
 		p := workload.MustGet(name)
@@ -161,5 +163,15 @@ func BenchmarkMaterialize(b *testing.B) {
 				}
 			})
 		}
+		b.Run(name+"/reset/consumers=1", func(b *testing.B) {
+			mb := newMaterializeBench(b, 1)
+			mb.materialize(b, p, policy.Sampling{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				mb.reset()
+				mb.materialize(b, p, policy.Sampling{})
+			}
+		})
 	}
 }

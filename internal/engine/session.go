@@ -128,19 +128,22 @@ func (s *Session) Recycle(cfg latch.Config) error {
 	return nil
 }
 
-// watch registers the module's own watchers on the shadow.
+// watch registers the module's own watchers on the shadow, and no page
+// watcher, so the module sees every aliased page's domains.
 func (s *Session) watch() {
 	onDomain, onByte := s.Module.Watchers()
 	s.Shadow.OnDomainTransition(onDomain)
 	s.Shadow.OnByteTransition(onByte)
+	s.Shadow.OnPageAlias(nil)
 }
 
 // materialize is the one materialize step of every profile run: it writes
 // p's layout, sampled by spl, into s's shadow and loads it into s's module
 // and each of more, the run's other modules. While the generator writes the
 // layout, the session's recorder stands in for the shadow's watchers, so no
-// module sees a transition; each then takes the recorded steps in one bulk
-// load (latch.Module.LoadTaint). The module's own watchers are registered
+// module sees a transition, and takes each page the layout aliases in one
+// call; each module then takes the recorded steps in one bulk load
+// (latch.Module.LoadTaint). The module's own watchers are registered
 // again before it returns; a caller whose stream runs under other watchers
 // registers them after it. A layout write that clears taint fails the run.
 func (s *Session) materialize(p workload.Profile, spl policy.Sampling, more ...*latch.Module) (*workload.Generator, error) {
@@ -149,6 +152,7 @@ func (s *Session) materialize(p workload.Profile, spl policy.Sampling, more ...*
 	}
 	s.rec.Reset()
 	s.Shadow.OnDomainTransition(s.rec.Watcher())
+	s.Shadow.OnPageAlias(s.rec.PageWatcher())
 	s.Shadow.OnByteTransition(nil)
 	g, err := workload.NewSampledGeneratorOn(p, s.Shadow, spl)
 	s.watch()
@@ -194,11 +198,15 @@ func Generate(p workload.Profile, spl policy.Sampling, fn func(g *workload.Gener
 	return fn(g, s.batchBuf())
 }
 
-// maxIdlePages bounds the tag pages a session may map and still go back on
-// the idle list: 8,192 pages of 5 KiB is 40 MiB. The largest registered
-// layout, sphinx3, maps 4,133. With the coarse tables of the finest domain
-// size (16 MiB at 8-byte domains) an idle session keeps at most about
-// 56 MiB, whatever geometries it served.
+// maxIdlePages bounds the pages of tag storage a session may hold
+// (shadow.Shadow.PagesAllocated) and still go back on the idle list: 8,192
+// pages of 5 KiB is 40 MiB. A page aliased onto a pattern page holds none,
+// so the largest registered layout, sphinx3, holds its 64 pattern pages,
+// not its 4,133 tainted ones, plus a page for each one its churn copied
+// before writing it; an alias costs only its page-table entry. With the
+// coarse tables of the finest domain size (16 MiB at 8-byte domains) an
+// idle session keeps at most about 56 MiB of pages and tables, whatever
+// geometries it served.
 const maxIdlePages = 8192
 
 // idleModulesPerProc bounds the spare modules the idle state keeps per

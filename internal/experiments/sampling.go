@@ -57,10 +57,10 @@ type FrontierRow struct {
 
 // frontierDetect replays one canned attack through the conventional
 // byte-precise reference under a sampled policy and reports whether the
-// exploit was still caught. A sampled-out source read leaves the attack
-// input clean, so the violation never fires — the detection price of
-// selective tracing.
-func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
+// exploit was still caught, and how many instructions the reference ran. A
+// sampled-out source read leaves the attack input clean, so the violation
+// never fires — the detection price of selective tracing.
+func frontierDetect(attack string, spl policy.Sampling) (hit bool, steps uint64, err error) {
 	var c *attackCase
 	for i := range attackCases {
 		if attackCases[i].name == attack {
@@ -69,25 +69,25 @@ func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
 		}
 	}
 	if c == nil {
-		return false, fmt.Errorf("sampling: unknown attack %q", attack)
+		return false, 0, fmt.Errorf("sampling: unknown attack %q", attack)
 	}
 	pol := policy.Default()
 	pol.Sampling = spl
 	_, res, err := runReference(pol, c.program, c.setup)
 	if res.Violation != nil {
-		return true, nil
+		return true, res.Steps, nil
 	}
 	// A sampled-out exploit is free to corrupt the machine — the overflow's
 	// clean function pointer sends execution into the weeds. A crash is
 	// still a miss: the checker did not stop the attack.
 	var f vm.Fault
 	if errors.As(err, &f) {
-		return false, nil
+		return false, res.Steps, nil
 	}
 	if err != nil {
-		return false, fmt.Errorf("sampling %s: %w", attack, err)
+		return false, 0, fmt.Errorf("sampling %s: %w", attack, err)
 	}
-	return false, nil
+	return false, res.Steps, nil
 }
 
 // Frontier runs (or returns the memoized) selective-tracing sweep: for
@@ -97,7 +97,8 @@ func frontierDetect(attack string, spl policy.Sampling) (bool, error) {
 // mechanically monotone in the fraction: the tainted set at a lower
 // fraction is a subset of the set at any higher one.
 //
-// The detection side is one pool job per fraction. The overhead side is one
+// The detection side is one pool job per fraction, whose events are the
+// instructions its reference runs committed. The overhead side is one
 // job per frontier workload: it records the workload's unsampled stream
 // once (engine.Record) and replays it once per distinct sampled layout
 // among its (fraction, seed) points (frontierPoints).
@@ -121,10 +122,11 @@ func (r *Runner) Frontier() ([]FrontierRow, error) {
 		for seed := uint64(1); seed <= frontierSeeds; seed++ {
 			for _, attack := range frontierAttacks {
 				spl := policy.Sampling{SampleFraction: f, SampleSeed: seed}
-				hit, err := frontierDetect(attack, spl)
+				hit, steps, err := frontierDetect(attack, spl)
 				if err != nil {
 					return err
 				}
+				js.Events += steps
 				row.AttackRuns++
 				if hit {
 					row.Detected++

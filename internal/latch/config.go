@@ -23,7 +23,8 @@
 //
 // A module can also take a whole taint layout at once. A Recorder, standing
 // in for the shadow's domain watcher while the layout is written, merges
-// the writes' clean→tainted transitions into (CTT word, mask) steps, and
+// the writes' clean→tainted transitions into (CTT word, mask) steps, taking
+// a page the layout aliases (shadow.Shadow.AliasPage) in one call, and
 // Module.LoadTaint applies them to an empty module: the CTT words and
 // page-domain counts one word at a time, and the CTC warmed with only the
 // last CTCEntries words written. Writing a layout only sets bits, so the

@@ -25,18 +25,22 @@ var ErrRecordedClear = errors.New("latch: the recorded writes cleared taint")
 // written, so the coarse state the writes imply can be loaded into any
 // number of modules at once (Module.LoadTaint) instead of through one
 // watcher call per tainted domain per module. It merges consecutive
-// clean→tainted transitions within one CTT word into one TaintStep. Reset
-// keeps its buffer, so a recorder that is reused allocates only to grow it.
+// clean→tainted transitions within one CTT word into one TaintStep. As the
+// shadow's page watcher too, it takes each page the layout aliases as whole
+// CTT words, the steps the domain watcher's reports would have merged into.
+// Reset keeps its buffer, so a recorder that is reused allocates only to
+// grow it.
 type Recorder struct {
 	steps   []TaintStep
 	cleared bool
-	watch   shadow.Watcher // record, bound once
+	watch   shadow.Watcher     // record, bound once
+	page    shadow.PageWatcher // recordPage, bound once
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	r := &Recorder{}
-	r.watch = r.record
+	r.watch, r.page = r.record, r.recordPage
 	return r
 }
 
@@ -44,17 +48,50 @@ func NewRecorder() *Recorder {
 // written. The shadow's byte watcher must be unset meanwhile.
 func (r *Recorder) Watcher() shadow.Watcher { return r.watch }
 
+// PageWatcher returns the page watcher to register on the shadow being
+// written beside Watcher's domain watcher, so each aliased page costs one
+// call instead of one per tainted domain.
+func (r *Recorder) PageWatcher() shadow.PageWatcher { return r.page }
+
 func (r *Recorder) record(d uint32, tainted bool) {
 	if !tainted {
 		r.cleared = true
 		return
 	}
-	w, bit := WordIndex(d), uint32(1)<<bitOf(d)
+	r.add(WordIndex(d), 1<<bitOf(d))
+}
+
+// recordPage records the domains an aliased page turned tainted (see
+// shadow.PageWatcher) a CTT word at a time, in the order the domain
+// watcher would have reported them.
+func (r *Recorder) recordPage(first, n, start uint32, tainted []uint64) {
+	r.recordDomains(first, start, n, tainted)
+	r.recordDomains(first, 0, start, tainted)
+}
+
+// recordDomains records the tainted domains among the page's domains lo to
+// hi−1, ascending. A page of 32 or more domains starts a CTT word, so each
+// word's share of the bitmap lies in one of its 64-bit words; a page of
+// fewer lies in the first.
+func (r *Recorder) recordDomains(first, lo, hi uint32, tainted []uint64) {
+	for lo < hi {
+		d := first + lo
+		next := min(hi, lo+CTTWordBits-bitOf(d))
+		if m := uint32(tainted[lo/64] >> (lo % 64) & (1<<(next-lo) - 1)); m != 0 {
+			r.add(WordIndex(d), m<<bitOf(d))
+		}
+		lo = next
+	}
+}
+
+// add records that the domains mask marks in CTT word w turned tainted,
+// merged into the last step when that step is w's.
+func (r *Recorder) add(w, mask uint32) {
 	if n := len(r.steps); n > 0 && r.steps[n-1].Word == w {
-		r.steps[n-1].Mask |= bit
+		r.steps[n-1].Mask |= mask
 		return
 	}
-	r.steps = append(r.steps, TaintStep{Word: w, Mask: bit})
+	r.steps = append(r.steps, TaintStep{Word: w, Mask: mask})
 }
 
 // Reset empties the record, keeping its buffer.

@@ -207,3 +207,52 @@ func TestLoadTaintRejects(t *testing.T) {
 		t.Fatalf("a reset recorder holds %+v, %v", steps, err)
 	}
 }
+
+// TestRecorderTakesAliasedPages: a recorder that is the shadow's page
+// watcher too, taking each aliased page in one call, records the steps it
+// records from the domain watcher alone, for every registered profile's
+// layout, unsampled and at 25% sampling, at every domain size from 8 bytes,
+// where a page holds 16 CTT words, to a page, where a CTT word covers 32
+// pages.
+func TestRecorderTakesAliasedPages(t *testing.T) {
+	perDomain, perPage := NewRecorder(), NewRecorder()
+	dsh, psh := shadow.MustNew(shadow.DefaultDomainSize), shadow.MustNew(shadow.DefaultDomainSize)
+	pages := 0 // page-watcher calls
+	pageWatch := perPage.PageWatcher()
+	for _, name := range workload.Names() {
+		p := workload.MustGet(name)
+		for ds := uint32(shadow.MinDomainSize); ds <= shadow.MaxDomainSize; ds *= 2 {
+			for _, spl := range []policy.Sampling{{}, {SampleFraction: 0.25, SampleSeed: 3}} {
+				for _, sh := range []*shadow.Shadow{dsh, psh} {
+					sh.Reset()
+					if err := sh.Regranulate(ds); err != nil {
+						t.Fatal(err)
+					}
+				}
+				perDomain.Reset()
+				perPage.Reset()
+				dsh.OnDomainTransition(perDomain.Watcher())
+				psh.OnDomainTransition(perPage.Watcher())
+				psh.OnPageAlias(func(first, n, start uint32, tainted []uint64) {
+					pages++
+					pageWatch(first, n, start, tainted)
+				})
+				if _, err := workload.NewSampledGeneratorOn(p, dsh, spl); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := workload.NewSampledGeneratorOn(p, psh, spl); err != nil {
+					t.Fatal(err)
+				}
+				want, err1 := perDomain.Steps()
+				got, err2 := perPage.Steps()
+				if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s at %d B, sampling %+v: recorded %d steps (%v) with the page watcher, %d (%v) without",
+						name, ds, spl, len(got), err2, len(want), err1)
+				}
+			}
+		}
+	}
+	if pages == 0 {
+		t.Fatal("no layout aliased a page")
+	}
+}

@@ -7,10 +7,12 @@
 // pages.
 //
 // Table is the page map: a flat two-level radix table fronted by a
-// one-entry translation cache, whose Reset recycles pages and leaf tables
-// through free lists. PageSet is a one-bit-per-page set that clears only
-// the words it set. Memory runs on a Table of byte pages, so nothing on its
-// load/store path allocates once the working set's pages exist.
+// translation cache, whose Reset recycles pages and leaf tables through
+// free lists, and whose entries may alias another entry's page
+// copy-on-write. PageSet is a one-bit-per-page set that clears only the
+// words it set. Memory runs on a Table of byte pages that never aliases, so
+// nothing on its load/store path allocates once the working set's pages
+// exist.
 package mem
 
 import (

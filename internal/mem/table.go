@@ -14,84 +14,205 @@ const (
 // Table maps page numbers to pages of type P. It is a flat two-level radix
 // table — a directory of leaf tables indexed by the high bits of the page
 // number, leaves holding page pointers indexed by the low bits — fronted by
-// a one-entry translation cache, so consecutive lookups of one page cost one
-// compare and no hashing. Pages are mapped zeroed on first Get and recycled
-// by Reset through free lists, together with the leaf tables that mapped
-// them: a table Reset between runs allocates nothing once it has seen its
-// largest run, and keeps no more pages and leaves than that run mapped.
-// Page numbers are below PageCount.
+// a translation cache, so consecutive lookups of one page cost one compare
+// and no hashing. Pages are mapped zeroed on first Get and recycled by Reset
+// through free lists, together with the leaf tables that mapped them: a
+// table Reset between runs allocates nothing once it has seen its largest
+// run, and keeps no more pages and leaves than that run held.
 //
-// The zero value is an empty table.
+// An entry can also alias another's page (Alias): it points at the same
+// storage instead of owning storage of its own. Aliased storage is
+// copy-on-write. Every entry that points at it reads it, and before any
+// write through one of them — the alias or the entry it aliases — that
+// entry gets a copy of its own, so a page never changes under the entries
+// that alias it. Lookup is the read accessor; Get and Writable are the
+// write accessors, and the only ones that copy. Reset unmaps aliases
+// without zeroing or freeing anything for them, and zeroes and frees each
+// page of storage the table holds exactly once. Len counts that storage,
+// not the entries that map it.
+//
+// The translation cache keeps two keys: the read key names the page the
+// last lookup resolved, and the write key the page the last lookup
+// resolved when its entry owns it unshared. A write therefore never
+// receives aliased storage, and a copy moves both keys to itself, so a read
+// after a copy sees the copy. A table that never aliases keeps both keys on
+// one page: a one-entry cache.
+//
+// Page numbers are below PageCount. The zero value is an empty table.
 type Table[P any] struct {
-	dir [dirSize]*[leafSize]*P
+	dir [dirSize]*leaf[P]
 
-	// The translation cache: last is the page the last successful lookup
-	// resolved to and lastKey the bitwise complement of its number. No page
-	// number complements to zero, so lastKey == 0 marks the entry invalid
-	// (the zero value starts empty) and a hit costs one compare — which
-	// also keeps Lookup and Get within the inlining budget.
-	lastKey      uint32
-	last         *P
-	hits, misses uint64
+	// The translation cache: readPage and writePage are the pages the keys
+	// name, and each key is the bitwise complement of its page's number. No
+	// page number complements to zero, so a zero key marks the entry
+	// invalid (the zero value starts empty) and a hit costs one compare —
+	// which also keeps Lookup, Get and Writable within the inlining budget.
+	readKey, writeKey   uint32
+	readPage, writePage *P
+	hits, misses        uint64
 
-	// mapped lists the mapped page numbers in mapping order; free holds
-	// cleared pages and freeLeaves emptied leaf tables.
+	// mapped lists the mapped page numbers in mapping order, aliases
+	// included; owned lists the storage the table holds, each page once,
+	// in allocation order. free holds cleared pages and freeLeaves emptied
+	// leaf tables.
 	mapped     []uint32
+	owned      []*P
 	free       []*P
-	freeLeaves []*[leafSize]*P
+	freeLeaves []*leaf[P]
 }
 
-// Lookup returns page pn, or nil when pn is not mapped.
+// leaf is one leaf table: the page pointers of leafSize consecutive page
+// numbers, and a bit per entry set while its storage is shared (the entry
+// is an alias, or other entries alias it).
+type leaf[P any] struct {
+	pages  [leafSize]*P
+	shared [leafSize / 64]uint64
+}
+
+// Lookup returns page pn for reading, or nil when pn is not mapped. The
+// page may be shared with aliases: it must not be written.
 func (t *Table[P]) Lookup(pn uint32) *P {
-	if ^pn == t.lastKey {
+	if ^pn == t.readKey {
 		t.hits++
-		return t.last
+		return t.readPage
 	}
-	return t.walk(pn, false)
+	return t.lookup(pn)
 }
 
-// Get returns page pn, mapping a zeroed page first when pn is not mapped.
+// Get returns page pn for writing, mapping a zeroed page first when pn is
+// not mapped and copying it first when its storage is shared.
 func (t *Table[P]) Get(pn uint32) *P {
-	if ^pn == t.lastKey {
+	if ^pn == t.writeKey {
 		t.hits++
-		return t.last
+		return t.writePage
 	}
-	return t.walk(pn, true)
+	return t.write(pn, true)
 }
 
-// Mapped reports whether page pn is mapped. Unlike Lookup it is not counted
-// in Stats and leaves the translation cache as it is.
+// Writable returns page pn for writing, copying it first when its storage
+// is shared, or nil when pn is not mapped.
+func (t *Table[P]) Writable(pn uint32) *P {
+	if ^pn == t.writeKey {
+		t.hits++
+		return t.writePage
+	}
+	return t.write(pn, false)
+}
+
+// Mapped reports whether page pn is mapped, as an owner or an alias. Unlike
+// Lookup it is not counted in Stats and leaves the translation cache as it
+// is.
 func (t *Table[P]) Mapped(pn uint32) bool {
-	leaf := t.dir[pn>>leafBits]
-	return leaf != nil && leaf[pn&(leafSize-1)] != nil
+	l := t.dir[pn>>leafBits]
+	return l != nil && l.pages[pn&(leafSize-1)] != nil
 }
 
-// walk resolves pn through the directory on a translation-cache miss,
-// mapping it when create is set, and caches the page it finds.
-func (t *Table[P]) walk(pn uint32, create bool) *P {
+// lookup resolves pn through the directory on a read-key miss and caches
+// the page it finds: under both keys when pn owns it unshared, else under
+// the read key alone.
+func (t *Table[P]) lookup(pn uint32) *P {
 	t.misses++
-	leaf := t.dir[pn>>leafBits]
-	if leaf == nil {
-		if !create {
-			return nil
-		}
-		if leaf = pop(&t.freeLeaves); leaf == nil {
-			leaf = new([leafSize]*P)
-		}
-		t.dir[pn>>leafBits] = leaf
+	l := t.dir[pn>>leafBits]
+	if l == nil {
+		return nil
 	}
-	p := leaf[pn&(leafSize-1)]
+	i := pn & (leafSize - 1)
+	p := l.pages[i]
 	if p == nil {
+		return nil
+	}
+	t.readKey, t.readPage = ^pn, p
+	if !l.isShared(i) {
+		t.writeKey, t.writePage = ^pn, p
+	}
+	return p
+}
+
+// write resolves pn through the directory on a write-key miss, mapping it
+// when create is set and copying its storage when shared, and caches the
+// page under both keys.
+func (t *Table[P]) write(pn uint32, create bool) *P {
+	t.misses++
+	l := t.dir[pn>>leafBits]
+	if l == nil {
 		if !create {
 			return nil
 		}
-		if p = pop(&t.free); p == nil {
-			p = new(P)
-		}
-		leaf[pn&(leafSize-1)] = p
-		t.mapped = append(t.mapped, pn)
+		l = t.newLeaf(pn)
 	}
-	t.lastKey, t.last = ^pn, p
+	i := pn & (leafSize - 1)
+	p := l.pages[i]
+	switch {
+	case p == nil:
+		if !create {
+			return nil
+		}
+		p = t.alloc()
+		l.pages[i] = p
+		t.mapped = append(t.mapped, pn)
+	case l.isShared(i):
+		q := t.alloc()
+		*q = *p
+		p = q
+		l.pages[i] = p
+		l.shared[i>>6] &^= 1 << (i & 63)
+	}
+	t.readKey, t.readPage = ^pn, p
+	t.writeKey, t.writePage = ^pn, p
+	return p
+}
+
+// Alias maps page dst onto the storage page src maps, in place of whatever
+// dst mapped, and marks both entries copy-on-write. src must be mapped;
+// aliasing a page onto itself changes nothing. Storage dst owned stays held
+// until Reset, unmapped.
+func (t *Table[P]) Alias(dst, src uint32) {
+	sl := t.dir[src>>leafBits]
+	if sl == nil || sl.pages[src&(leafSize-1)] == nil {
+		panic("mem: aliasing an unmapped page")
+	}
+	if dst == src {
+		return
+	}
+	dl := t.dir[dst>>leafBits]
+	if dl == nil {
+		dl = t.newLeaf(dst)
+	}
+	si, di := src&(leafSize-1), dst&(leafSize-1)
+	if dl.pages[di] == nil {
+		t.mapped = append(t.mapped, dst)
+	}
+	dl.pages[di] = sl.pages[si]
+	sl.shared[si>>6] |= 1 << (si & 63)
+	dl.shared[di>>6] |= 1 << (di & 63)
+	if t.readKey == ^dst {
+		t.readKey, t.readPage = 0, nil
+	}
+	if t.writeKey == ^dst || t.writeKey == ^src {
+		t.writeKey, t.writePage = 0, nil
+	}
+}
+
+// isShared reports whether entry i's storage is shared.
+func (l *leaf[P]) isShared(i uint32) bool { return l.shared[i>>6]&(1<<(i&63)) != 0 }
+
+// newLeaf installs an empty leaf table for pn's directory entry.
+func (t *Table[P]) newLeaf(pn uint32) *leaf[P] {
+	l := pop(&t.freeLeaves)
+	if l == nil {
+		l = new(leaf[P])
+	}
+	t.dir[pn>>leafBits] = l
+	return l
+}
+
+// alloc returns a zeroed page of storage the table now holds.
+func (t *Table[P]) alloc() *P {
+	p := pop(&t.free)
+	if p == nil {
+		p = new(P)
+	}
+	t.owned = append(t.owned, p)
 	return p
 }
 
@@ -107,34 +228,40 @@ func pop[T any](s *[]*T) *T {
 	return x
 }
 
-// Len returns the number of mapped pages.
-func (t *Table[P]) Len() int { return len(t.mapped) }
+// Len returns the number of pages of storage the table holds: each mapped
+// page that is no alias, and each page an alias still points at after the
+// entry it aliased was copied.
+func (t *Table[P]) Len() int { return len(t.owned) }
 
 // Stats returns the translation cache's hit and miss counts since the last
-// Reset: every Lookup and Get counts as exactly one of the two.
+// Reset: every Lookup, Get and Writable counts as exactly one of the two.
 func (t *Table[P]) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
-// Reset unmaps every page and zeroes the translation-cache counts. Each page
-// is handed to zero, which must leave it zeroed, and kept for a later Get;
-// the emptied leaf tables are kept too. It costs what the run mapped, not
-// the address space.
+// Reset unmaps every page and zeroes the translation-cache counts. Each
+// page of storage is handed to zero, which must leave it zeroed, and kept
+// for a later Get; an alias is only unmapped. The emptied leaf tables are
+// kept too. It costs what the run mapped, not the address space.
 func (t *Table[P]) Reset(zero func(*P)) {
-	for _, pn := range t.mapped {
-		leaf := t.dir[pn>>leafBits]
-		p := leaf[pn&(leafSize-1)]
+	for _, p := range t.owned {
 		zero(p)
-		leaf[pn&(leafSize-1)] = nil
-		t.free = append(t.free, p)
+	}
+	t.free = append(t.free, t.owned...)
+	t.owned = t.owned[:0]
+	for _, pn := range t.mapped {
+		l, i := t.dir[pn>>leafBits], pn&(leafSize-1)
+		l.pages[i] = nil
+		l.shared[i>>6] = 0
 	}
 	// Every leaf maps only mapped pages, so each is empty now.
 	for _, pn := range t.mapped {
-		if leaf := t.dir[pn>>leafBits]; leaf != nil {
+		if l := t.dir[pn>>leafBits]; l != nil {
 			t.dir[pn>>leafBits] = nil
-			t.freeLeaves = append(t.freeLeaves, leaf)
+			t.freeLeaves = append(t.freeLeaves, l)
 		}
 	}
 	t.mapped = t.mapped[:0]
-	t.lastKey, t.last = 0, nil
+	t.readKey, t.readPage = 0, nil
+	t.writeKey, t.writePage = 0, nil
 	t.hits, t.misses = 0, 0
 }
 

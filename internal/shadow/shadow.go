@@ -17,17 +17,25 @@
 // Byte-level transitions go to a second watcher (OnByteTransition), which
 // sees every clear but only one taint assertion per domain per write: the
 // hardware's update is per domain, so a multi-kilobyte taint write costs a
-// watcher call per domain, not per byte. A taint layout that repeats a page
-// pattern writes each repeat with CopyPage, which copies a page's tags and
-// counters wholesale and reports, in order, the transitions that writing
-// its bytes from a given offset would.
+// watcher call per domain, not per byte.
+//
+// A taint layout that repeats a page pattern maps each repeat onto the page
+// it repeats with AliasPage: a copy-on-write alias (mem.Table.Alias) that
+// shares the pattern page's tags and counters instead of copying them, and
+// reports, in order, the transitions that writing its bytes from a given
+// offset would. Every write path resolves its page through the table's
+// write accessors, which copy shared storage first, so neither the alias
+// nor the pattern page ever changes under the other. A page watcher
+// (OnPageAlias), when registered, takes an aliased page's domain
+// transitions in one call instead of the domain watcher's one per domain.
 //
 // The tag pages run on mem.Table, the page map guest memory uses, and the
 // ever-tainted set is a mem.PageSet, so the propagate path (Set/Get)
 // performs no hashing and no allocation in steady state and Reset costs
-// what the run tainted. A shadow holding no taint changes its domain size in
-// place (Regranulate): each page's domain counters are sized for the
-// smallest domain, so the pages a Reset kept serve any granularity.
+// what the run tainted: the pages of storage it held, not the aliases onto
+// them. A shadow holding no taint changes its domain size in place
+// (Regranulate): each page's domain counters are sized for the smallest
+// domain, so the pages a Reset kept serve any granularity.
 //
 // Exported entry points validate their arguments and report invalid ones as
 // errors; the Must* variants (MustNew, MustLabel, MustTaintedAt) panic
@@ -114,6 +122,16 @@ type Watcher func(domain uint32, tainted bool)
 // the same effect as with one report per byte.
 type ByteWatcher func(addr uint32, tainted bool)
 
+// PageWatcher observes the domains a page turns tainted when AliasPage maps
+// it onto a tainted page, in place of the domain watcher's one report per
+// domain. first is the global index of the page's first domain and n the
+// page's domain count; bit i of tainted[i/64] is set when domain first+i
+// turned tainted. The domain watcher would have seen those domains in
+// ascending order from page domain start, wrapping once: start, …, n−1,
+// 0, …, start−1. tainted is valid only during the call. A byte watcher
+// still takes the page's reports, one per tainted domain, after the call.
+type PageWatcher func(first, n, start uint32, tainted []uint64)
+
 // Shadow is a sparse byte-precise taint map over the 32-bit address space.
 type Shadow struct {
 	pages mem.Table[page]
@@ -126,6 +144,8 @@ type Shadow struct {
 
 	onDomain Watcher
 	onByte   ByteWatcher
+	onPage   PageWatcher
+	aliased  [maxDomPerPage / 64]uint64 // the page watcher's bitmap
 
 	// everTainted records pages that have held taint at any point; the
 	// paper's Tables 3/4 count pages that *received* tainted data during the
@@ -188,6 +208,12 @@ func (s *Shadow) OnDomainTransition(w Watcher) { s.onDomain = w }
 // assertions. Passing nil removes the watcher.
 func (s *Shadow) OnByteTransition(w ByteWatcher) { s.onByte = w }
 
+// OnPageAlias registers the watcher AliasPage reports an aliased page's
+// domain transitions to, in place of the domain watcher (see PageWatcher).
+// Passing nil removes it, and AliasPage reports to the domain watcher
+// again.
+func (s *Shadow) OnPageAlias(w PageWatcher) { s.onPage = w }
+
 // Get returns the tag of the byte at addr.
 func (s *Shadow) Get(addr uint32) Tag {
 	p := s.pages.Lookup(mem.PageNumber(addr))
@@ -200,12 +226,12 @@ func (s *Shadow) Get(addr uint32) Tag {
 // Set assigns tag to the byte at addr and returns the previous tag.
 func (s *Shadow) Set(addr uint32, tag Tag) Tag {
 	pn := mem.PageNumber(addr)
-	// Get and Lookup inline, so a translation-cache hit costs no call on
-	// the propagate hot path.
+	// Get and Writable inline, so a translation-cache hit costs no call on
+	// the propagate hot path. Both copy an aliased page before the write.
 	var p *page
 	if tag != TagClean {
 		p = s.pages.Get(pn)
-	} else if p = s.pages.Lookup(pn); p == nil {
+	} else if p = s.pages.Writable(pn); p == nil {
 		return TagClean // clearing an untracked byte: nothing to do
 	}
 	off := addr % mem.PageSize
@@ -269,7 +295,7 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 	var p *page
 	if tag != TagClean {
 		p = s.pages.Get(pn)
-	} else if p = s.pages.Lookup(pn); p == nil {
+	} else if p = s.pages.Writable(pn); p == nil {
 		return // clearing untracked bytes: nothing to do
 	}
 	base := pn << mem.PageShift
@@ -351,76 +377,97 @@ func (s *Shadow) setPageRange(pn, off uint32, run int, tag Tag) {
 	}
 }
 
-// CopyPage copies the taint of page src onto page dst, which must hold none:
-// src's tags and domain counts, and dst joins the ever-tainted pages when
-// src holds taint. It is observably equivalent to a Set of each tainted byte
-// of src onto the same offset of dst, in the offset order from, from+1, …,
-// PageSize−1, 0, …, from−1 — identical counter updates and domain-watcher
-// callback sequence, and the byte watcher's sequence with each domain's
-// repeated taint assertions dropped (see ByteWatcher) — but costs one page
-// copy and a watcher call per tainted domain. Only the domain holding from
-// is scanned, to order it, unless a byte watcher needs each domain's first
+// AliasPage maps page dst, which must hold no taint, onto page src as a
+// copy-on-write alias: dst reads src's tags and domain counts, joins the
+// ever-tainted pages when src holds taint, and adds src's tainted bytes to
+// the count, but no tag is copied until dst or src is next written. It is
+// observably equivalent to a Set of each tainted byte of src onto the same
+// offset of dst, in the offset order from, from+1, …, PageSize−1, 0, …,
+// from−1 — identical counter updates and domain-watcher callback sequence,
+// and the byte watcher's sequence with each domain's repeated taint
+// assertions dropped (see ByteWatcher) — but costs a page-table entry and a
+// watcher call per tainted domain, or one page-watcher call for the page
+// when one is registered (OnPageAlias). Only the domain holding from is
+// scanned, to order it, unless a byte watcher needs each domain's first
 // tainted byte. It returns an error and changes nothing when dst holds
 // taint, when from is not a page offset or when a page number lies outside
-// the address space; an unmapped or clean src copies nothing.
-func (s *Shadow) CopyPage(dst, src, from uint32) error {
+// the address space; an unmapped or clean src aliases nothing.
+func (s *Shadow) AliasPage(dst, src, from uint32) error {
 	if dst >= mem.PageCount || src >= mem.PageCount {
-		return fmt.Errorf("shadow: copying page %#x onto page %#x outside the address space", src, dst)
+		return fmt.Errorf("shadow: aliasing page %#x onto page %#x outside the address space", dst, src)
 	}
 	if from >= mem.PageSize {
-		return fmt.Errorf("shadow: copy order starts at offset %d outside a page", from)
+		return fmt.Errorf("shadow: alias order starts at offset %d outside a page", from)
 	}
-	dp := s.pages.Lookup(dst)
-	if dp != nil && dp.taintedBytes != 0 {
-		return fmt.Errorf("shadow: copying onto page %#x holding %d tainted bytes", dst, dp.taintedBytes)
+	if dp := s.pages.Lookup(dst); dp != nil && dp.taintedBytes != 0 {
+		return fmt.Errorf("shadow: aliasing page %#x holding %d tainted bytes", dst, dp.taintedBytes)
 	}
 	sp := s.pages.Lookup(src)
 	if sp == nil || sp.taintedBytes == 0 {
 		return nil
 	}
-	if dp == nil {
-		dp = s.pages.Get(dst)
-	}
-	dp.tags = sp.tags
-	counts := dp.domainBytes[:s.domPerPage]
-	copy(counts, sp.domainBytes[:s.domPerPage])
-	dp.taintedBytes = sp.taintedBytes
+	s.pages.Alias(dst, src)
 	s.taintedBytes += uint64(sp.taintedBytes)
 	s.everTainted.Add(dst)
-	if s.onDomain == nil && s.onByte == nil {
+	if s.onDomain == nil && s.onByte == nil && s.onPage == nil {
 		return nil
 	}
 	// The Sets visit the domains in rotated order from f, the one holding
 	// from, which comes first if it holds a tainted byte at or after from
 	// and last otherwise.
 	base := dst << mem.PageShift
+	counts := sp.domainBytes[:s.domPerPage]
 	f := from >> s.domShift
 	end := (f + 1) << s.domShift
-	fFirst := counts[f] != 0 && firstTainted(&dp.tags, from, end) < end
+	fFirst := counts[f] != 0 && firstTainted(&sp.tags, from, end) < end
+	if s.onPage != nil {
+		start := f
+		if !fFirst {
+			start = (f + 1) & (s.domPerPage - 1)
+		}
+		s.onPage(base>>s.domShift, s.domPerPage, start, s.taintedDomains(counts))
+	}
+	domains := s.onDomain != nil && s.onPage == nil
+	if !domains && s.onByte == nil {
+		return nil
+	}
 	if fFirst {
-		s.reportCopied(dp, base, f, from)
+		s.reportAliased(sp, base, f, from, domains)
 	}
 	for i := uint32(1); i < s.domPerPage; i++ {
 		if d := (f + i) & (s.domPerPage - 1); counts[d] != 0 {
-			s.reportCopied(dp, base, d, d<<s.domShift)
+			s.reportAliased(sp, base, d, d<<s.domShift, domains)
 		}
 	}
 	if counts[f] != 0 && !fFirst {
-		s.reportCopied(dp, base, f, f<<s.domShift)
+		s.reportAliased(sp, base, f, f<<s.domShift, domains)
 	}
 	return nil
 }
 
-// reportCopied reports domain d of the page at base, copied tainted, to the
-// domain watcher and, at its first tainted byte at or after page offset lo,
-// to the byte watcher.
-func (s *Shadow) reportCopied(p *page, base, d, lo uint32) {
-	if s.onDomain != nil {
+// reportAliased reports domain d of the page at base, aliased tainted onto
+// page p, to the domain watcher when domains is set and, at its first
+// tainted byte at or after page offset lo, to the byte watcher.
+func (s *Shadow) reportAliased(p *page, base, d, lo uint32, domains bool) {
+	if domains {
 		s.onDomain(base>>s.domShift+d, true)
 	}
 	if s.onByte != nil {
 		s.onByte(base+firstTainted(&p.tags, lo, (d+1)<<s.domShift), true)
 	}
+}
+
+// taintedDomains returns the page watcher's bitmap of the domains whose
+// counts are nonzero, bit d of word d/64 for counts[d].
+func (s *Shadow) taintedDomains(counts []uint16) []uint64 {
+	bm := s.aliased[:(len(counts)+63)/64]
+	clear(bm)
+	for d, c := range counts {
+		if c != 0 {
+			bm[d>>6] |= 1 << (d & 63)
+		}
+	}
+	return bm
 }
 
 // firstTainted returns the offset of the first tainted tag in [lo, hi), or
@@ -551,7 +598,9 @@ func (s *Shadow) MustTaintedAt(addr, unitSize uint32) bool {
 // TaintedBytes returns the total number of currently tainted bytes.
 func (s *Shadow) TaintedBytes() uint64 { return s.taintedBytes }
 
-// PagesAllocated returns the number of tag pages backed by storage.
+// PagesAllocated returns the number of tag pages of storage the shadow
+// holds. An alias owns none: a layout of repeated pages holds its pattern
+// pages, and a page for each copy a write to one of them made.
 func (s *Shadow) PagesAllocated() int { return s.pages.Len() }
 
 // EverTaintedPages returns the number of distinct pages that have held taint
@@ -573,7 +622,8 @@ func (s *Shadow) CurrentTaintedPages() int { return len(s.taintedPageNumbersNow(
 // invoked for the wholesale clear. The tag pages are zeroed and kept for
 // reuse rather than released, so repopulating after a Reset allocates
 // nothing, and what a Shadow keeps across Resets is bounded by the most
-// pages one run tainted (see mem.Table).
+// pages of storage one run held (see mem.Table). Aliases are unmapped
+// without a clear: their pattern pages are zeroed once.
 func (s *Shadow) Reset() {
 	shift, perPage := s.domShift, s.domPerPage
 	s.pages.Reset(func(p *page) {

@@ -357,9 +357,9 @@ func (g *Generator) taintTag(i int) shadow.Tag {
 // once: the order the shadow's watchers, and the bulk load's CTC warm-up
 // after them, see the layout in. Unsampled, every tainted page holds the
 // pattern of the page phaseCycle() before it, so only the first cycle of
-// pages is written run by run; each later page is a copy of its
-// predecessor in the cycle, which shadow.CopyPage makes in the same byte
-// order.
+// pages, the pattern pages, is written run by run; each later page is a
+// copy-on-write alias of its pattern page, which shadow.AliasPage reports
+// in the same byte order.
 func (g *Generator) materialize() {
 	if g.sampled {
 		// Selective tracing: materialize run by run, skipping sampled-out
@@ -381,7 +381,7 @@ func (g *Generator) materialize() {
 		page := g.taintStart + pi
 		if pi >= k {
 			pn := basePage + uint32(page)
-			if err := g.sh.CopyPage(pn, pn-uint32(k), uint32(g.rotate(page, 0))); err != nil {
+			if err := g.sh.AliasPage(pn, pn-uint32(pi/k*k), uint32(g.rotate(page, 0))); err != nil {
 				panic(err) // the pages are in range, and the shadow was empty
 			}
 			continue

@@ -8,6 +8,7 @@ import (
 	"latch/internal/latch"
 	"latch/internal/mem"
 	"latch/internal/shadow"
+	"latch/internal/trace"
 )
 
 // writeRuns writes g's unsampled layout into sh run by run: every tainted
@@ -163,4 +164,71 @@ func samePage(got, want *shadow.Shadow, base uint32) error {
 		}
 	}
 	return nil
+}
+
+// TestChurnMatchesRunWrites: churn clears and re-taints runs during the
+// stream, on pattern pages and on the pages aliased onto them alike, and
+// each such write copies its page first. So mysql at 30% churn streams the
+// same 200k events on its aliased layout as on the layout written run by
+// run, its watchers see the same transitions, and it leaves the same
+// shadow: every footprint page's tags and domain counts, the tainted-byte
+// count and the ever-tainted pages. Half the events are tainted and each
+// tainted word is read once, so the taint cursor walks most of the layout,
+// pattern pages and aliases, where mysql's 0.19% of tainted events would
+// finish a handful of runs.
+func TestChurnMatchesRunWrites(t *testing.T) {
+	p := MustGet("mysql")
+	p.ChurnProb = 0.30
+	p.TaintPct, p.ActiveShare, p.TaintReuse = 50, 0.6, 1
+	got, want := shadow.MustNew(shadow.DefaultDomainSize), shadow.MustNew(shadow.DefaultDomainSize)
+	g, err := NewGeneratorOn(p, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewGeneratorOn(p, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Reset()
+	writeRuns(ref, want)
+	k := g.phaseCycle()
+	if got.PagesAllocated() != k || want.PagesAllocated() != p.PagesTainted {
+		t.Fatalf("the aliased layout holds %d pages of storage, the written one %d; want %d and %d",
+			got.PagesAllocated(), want.PagesAllocated(), k, p.PagesTainted)
+	}
+	gotW, wantW := newLayoutWatch(got), newLayoutWatch(want)
+	var gotEvents, wantEvents []trace.Event
+	g.Run(200_000, trace.SinkFunc(func(ev trace.Event) { gotEvents = append(gotEvents, ev) }))
+	ref.Run(200_000, trace.SinkFunc(func(ev trace.Event) { wantEvents = append(wantEvents, ev) }))
+	if !slices.Equal(gotEvents, wantEvents) {
+		t.Fatalf("the aliased layout streamed %d events, the written one %d, and they differ", len(gotEvents), len(wantEvents))
+	}
+	if i := firstDifference(gotW.log, wantW.log); i >= 0 {
+		t.Fatalf("watcher report %d of %d/%d differs", i, len(gotW.log), len(wantW.log))
+	}
+	// The churn must have cleared taint on both sides of an alias.
+	var patterns, aliases int
+	for _, r := range gotW.log {
+		if pi := int(r.at*got.DomainSize()>>mem.PageShift) - basePage - g.taintStart; !r.byteLevel && !r.tainted {
+			if pi < k {
+				patterns++
+			} else {
+				aliases++
+			}
+		}
+	}
+	if patterns == 0 || aliases == 0 {
+		t.Fatalf("the churn cleared %d domains on pattern pages and %d on aliases; want some of both", patterns, aliases)
+	}
+	if got.TaintedBytes() != want.TaintedBytes() {
+		t.Fatalf("%d tainted bytes, run writes %d", got.TaintedBytes(), want.TaintedBytes())
+	}
+	if gotPages, wantPages := got.EverTaintedPageNumbers(), want.EverTaintedPageNumbers(); !slices.Equal(gotPages, wantPages) {
+		t.Fatalf("%d ever-tainted pages, run writes %d", len(gotPages), len(wantPages))
+	}
+	for pi := 0; pi < p.PagesAccessed; pi++ {
+		if err := samePage(got, want, g.pageAddr(pi)); err != nil {
+			t.Fatalf("footprint page %d: %v", pi, err)
+		}
+	}
 }
